@@ -497,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1, help="worker pool size")
     common.add_argument("--force", action="store_true", help="overwrite existing run dirs")
     common.add_argument("--precision", choices=["f32", "f64"], default=None)
     common.add_argument("--seed", dest="seed_override", type=int, default=None,
@@ -519,12 +518,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("ablate", parents=[common], help="variant x seed grid")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--threads", type=int, default=1, help="worker pool size")
+
+    p = sub.add_parser("ablate", parents=[common, grid], help="variant x seed grid")
     p.add_argument("--plan", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("sweep-kappa", parents=[common], help="kappa x seed grid")
+    p = sub.add_parser("sweep-kappa", parents=[common, grid], help="kappa x seed grid")
     p.add_argument("--config", required=True)
     p.add_argument("--kappas", default="0.3,0.4,0.5,0.6,0.7,0.8")
     p.add_argument("--seeds", default="1,2,3")

@@ -25,6 +25,7 @@ counts.
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -50,6 +51,7 @@ from .tensor import (
     reshape,
     stack,
     tmean,
+    unstack,
     zeros_param,
 )
 
@@ -380,13 +382,12 @@ class _ConvBlock:
         if self.bn_gamma is not None:
             cur = batchnorm(cur, self.bn_gamma, self.bn_beta, self.bn_state, ctx.training)
         c, (h, w) = self.st.out_channels, self.st.out_hw
-        seq = reshape(cur, (t_steps, batch, c, h, w))
+        seq = unstack(reshape(cur, (t_steps, batch, c, h, w)))
         state = initial_state((batch, c, h, w), self.dtype)
         spikes = []
         record = ctx.record_hidden and self.is_last_conv
         trace = [] if record else None
-        for t in range(t_steps):
-            i_t = seq[t]
+        for t, i_t in enumerate(seq):
             if t > 0 and self.attention is not None:
                 u = compute_attention(
                     state.s, self.attention, self.variant,
@@ -473,11 +474,11 @@ class _SpikingDense:
         if x.ndim != 2:
             x = reshape(x, (t_steps * batch, int(np.prod(x.shape[1:]))))
         cur = linear(x, self.weight, self.bias)
-        seq = reshape(cur, (t_steps, batch, self.st.out_features))
+        seq = unstack(reshape(cur, (t_steps, batch, self.st.out_features)))
         state = initial_state((batch, self.st.out_features), self.dtype)
         spikes = []
-        for t in range(t_steps):
-            state, s = lif_step(state, seq[t], self.lif, smooth=ctx.smooth)
+        for i_t in seq:
+            state, s = lif_step(state, i_t, self.lif, smooth=ctx.smooth)
             self.state = state
             spikes.append(s)
         return reshape(stack(spikes, axis=0), (t_steps * batch, self.st.out_features))
@@ -510,11 +511,11 @@ class _VotingLayer:
             x = reshape(x, (t_steps * batch, int(np.prod(x.shape[1:]))))
         m, p = self.st.classes, self.st.per_class
         cur = linear(x, self.weight, self.bias)
-        seq = reshape(cur, (t_steps, batch, m * p))
+        seq = unstack(reshape(cur, (t_steps, batch, m * p)))
         state = initial_state((batch, m * p), self.dtype)
         votes = []
-        for t in range(t_steps):
-            state, s = lif_step(state, seq[t], self.lif, smooth=ctx.smooth)
+        for i_t in seq:
+            state, s = lif_step(state, i_t, self.lif, smooth=ctx.smooth)
             self.state = state
             votes.append(tmean(reshape(s, (batch, m, p)), axis=2))
         return stack(votes, axis=2)  # [B, M, T]
@@ -729,20 +730,38 @@ def load_checkpoint(path, smooth: bool = False):
     """Rebuild the network a checkpoint describes and load its tensors.
 
     Returns (network, config). Batch-norm statistics restored from a
-    checkpoint are treated as initialized.
+    checkpoint are treated as initialized. Every read is bounds-checked: a
+    truncated or malformed file raises CheckpointError naming the path and
+    the byte offset.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != _CKPT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic")
-    (blob_len,) = struct.unpack_from("<I", raw, 4)
+    raw = memoryview(path.read_bytes())
+    pos = 0
+
+    def read(n, what):
+        nonlocal pos
+        if n > len(raw) - pos:
+            raise CheckpointError(
+                f"{path}: truncated at byte offset {pos}: {what} needs {n} bytes, "
+                f"{len(raw) - pos} left"
+            )
+        pos += n
+        return raw[pos - n : pos]
+
+    def unpack(fmt, what):
+        return struct.unpack(fmt, read(struct.calcsize(fmt), what))
+
+    if bytes(read(4, "magic")) != _CKPT_MAGIC:
+        raise CheckpointError(f"{path}: bad magic at byte offset 0")
+    (blob_len,) = unpack("<I", "config length")
+    blob = read(blob_len, "config blob")
     try:
-        config = json.loads(raw[8 : 8 + blob_len].decode("utf-8"))
+        config = json.loads(bytes(blob).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: bad config blob: {exc}")
-    pos = 8 + blob_len
-    precision, count = struct.unpack_from("<BI", raw, pos)
-    pos += 5
+        raise CheckpointError(f"{path}: bad config blob at byte offset 8: {exc}")
+    precision, count = unpack("<BI", "precision flag and tensor count")
+    if precision not in (0, 1):
+        raise CheckpointError(f"{path}: bad precision flag {precision} at byte offset {pos - 5}")
     store_dtype = np.dtype("<f8") if precision else np.dtype("<f4")
     config = dict(config)
     config["precision"] = "f64" if precision else "f32"
@@ -754,17 +773,13 @@ def load_checkpoint(path, smooth: bool = False):
             f"{path}: checkpoint has {count} tensors, network expects {len(entries)}"
         )
     arrays = []
-    for _ in range(count):
-        (ndim,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", raw, pos)
-        pos += 4 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(raw, dtype=store_dtype, count=n, offset=pos).reshape(shape)
-        pos += n * store_dtype.itemsize
-        arrays.append(arr)
+    for name, _ in entries:
+        (ndim,) = unpack("<B", f"rank of tensor {name}")
+        shape = unpack(f"<{ndim}I", f"shape of tensor {name}")
+        data = read(math.prod(shape) * store_dtype.itemsize, f"data of tensor {name}")
+        arrays.append(np.frombuffer(data, dtype=store_dtype).reshape(shape))
     if pos != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes")
+        raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes at byte offset {pos}")
 
     for (name, target), arr in zip(entries, arrays):
         if tuple(target.shape) != tuple(arr.shape):

@@ -7,10 +7,23 @@ accumulates gradients additively across fan-out, which is what makes the
 layer-edge and time-edge contributions of an unrolled spiking network fall
 out of the chain rule instead of hand-coded update formulas.
 
+Backward rules do no work for a parent that does not require a gradient:
+they return None in its place rather than computing a gradient that would
+be thrown away (the constant scalars and zero states of the LIF update, the
+raw input frames of the first convolution).
+
 Spike nonlinearities come in two flavors: ``spike`` is the exact Heaviside
 step with a surrogate (arctan-shaped) backward, and ``smooth_spike`` is the
 sigmoid-like arctan primitive itself with its exact derivative, used when a
 network must be end-to-end finite-difference checkable.
+
+``conv2d`` is an im2col matrix product. Its backward folds the patch
+gradients back onto the input (col2im) as k*k strided-slice additions, one
+per kernel offset, and a 1x1 unit-stride kernel is a plain contraction over
+channels with no patch matrix at all. ``unstack`` splits a [T, ...] tensor
+into its T per-timestep slices; the slice gradients are written into one
+[T, ...] buffer, so a time loop over the slices costs O(T) in backward
+rather than the O(T^2) of T separate ``getitem`` nodes.
 
 Set the environment variable ``SPIKEFUSE_DEBUG_NAN=1`` to assert that every
 operation output is finite.
@@ -19,6 +32,7 @@ operation output is finite.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import threading
@@ -38,6 +52,9 @@ _PATCH_BUDGET_BYTES = 1 << 26
 # threads, and one thread's no_grad must not leak into another's training.
 _tls = threading.local()
 _debug_nan = bool(int(os.environ.get("SPIKEFUSE_DEBUG_NAN", "0") or "0"))
+# Every Tensor.backward call gets a fresh id, so a backward rule that keeps
+# a buffer across the nodes of one pass (``unstack``) can tell passes apart.
+_backward_passes = itertools.count()
 
 
 def _grad_enabled() -> bool:
@@ -120,6 +137,7 @@ class Tensor:
         if self.data.size != 1:
             _raise_scalar(self)
         order = _topo_order(self)
+        _tls.backward_pass = next(_backward_passes)
         grads = {id(self): np.ones_like(self.data)}
         for node in order:
             g = grads.pop(id(node), None)
@@ -255,7 +273,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(
         a.data + b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        lambda g: (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        ),
     )
 
 
@@ -264,7 +285,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _result(
         a.data - b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+        lambda g: (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        ),
     )
 
 
@@ -273,7 +297,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(
         a.data * b.data,
         (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
+        lambda g: (
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+        ),
     )
 
 
@@ -288,8 +315,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         a.data / b.data,
         (a, b),
         lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None,
         ),
     )
 
@@ -442,11 +469,38 @@ def stack(tensors, axis: int = 0) -> Tensor:
         if t.shape != first:
             raise ShapeError(f"stack: mismatched shapes {first} vs {t.shape}")
     out_data = np.stack([t.data for t in tensors], axis=axis)
+    return _result(out_data, tuple(tensors), lambda g: tuple(np.moveaxis(g, axis, 0)))
 
-    def backward(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
 
-    return _result(out_data, tuple(tensors), backward)
+def unstack(a: Tensor):
+    """The slices ``a[0], ..., a[T-1]`` along axis 0, as a list of tensors.
+
+    The slices hang off one join node whose parent is ``a``. In a backward
+    pass the first slice to receive a gradient allocates a zero [T, ...]
+    buffer and hands it to the join node; every slice writes its gradient
+    into its own row. The join node runs after all slices, so ``a`` gets the
+    filled buffer as a single gradient, whatever else ``a`` feeds.
+    """
+    if a.ndim == 0:
+        raise ShapeError("unstack of a scalar tensor")
+    pending = [None, None]  # [backward pass id, buffer]
+
+    def slice_backward(t):
+        def backward(g):
+            fresh = pending[0] != _tls.backward_pass
+            if fresh:
+                pending[:] = [_tls.backward_pass, np.zeros_like(a.data)]
+            pending[1][t] = g
+            return (pending[1] if fresh else None,)
+
+        return backward
+
+    def join_backward(g):
+        pending[:] = [None, None]  # the graph must not keep the buffer alive
+        return (g,)
+
+    join = _result(a.data, (a,), join_backward)
+    return [_result(a.data[t], (join,), slice_backward(t)) for t in range(a.shape[0])]
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -473,13 +527,15 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             raise ShapeError(f"linear: bias {bias.shape} incompatible with weight {weight.shape}")
         out_data = out_data + bias.data
 
-    if bias is None:
-        return _result(out_data, (x, weight), lambda g: (g @ weight.data, g.T @ x.data))
-    return _result(
-        out_data,
-        (x, weight, bias),
-        lambda g: (g @ weight.data, g.T @ x.data, g.sum(axis=0)),
-    )
+    def backward(g):
+        return (
+            g @ weight.data if x.requires_grad else None,
+            g.T @ x.data if weight.requires_grad else None,
+            g.sum(axis=0) if bias is not None and bias.requires_grad else None,
+        )
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _result(out_data, parents, backward)
 
 
 def _conv_out_size(n, k, stride, padding):
@@ -523,6 +579,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
     patch = _patch_index(hp, wp, k, stride, h_out, w_out)  # [L, kk]
     l, kk = patch.shape
     w_flat = weight.data.reshape(cout, cin * kk)
+    # A 1x1 unit-stride kernel without padding contracts the channels of the
+    # input itself: no patch matrix in forward and no col2im in backward.
+    pointwise = k == 1 and stride == 1 and padding == 0
 
     # Fixed-formula batch chunking keeps the gather buffer bounded and the
     # arithmetic identical from run to run.
@@ -536,44 +595,54 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
         cols = part.reshape(hi - lo, cin, hp * wp)[:, :, patch]  # [n, cin, L, kk]
         return cols.transpose(0, 2, 1, 3).reshape(hi - lo, l, cin * kk)
 
-    out_data = np.empty((b, cout, h_out, w_out), dtype=x.dtype)
-    for lo in range(0, b, chunk):
-        hi = min(lo + chunk, b)
-        cols = gather(x.data, lo, hi)
-        prod = cols @ w_flat.T  # [n, L, cout]
-        out_data[lo:hi] = prod.transpose(0, 2, 1).reshape(hi - lo, cout, h_out, w_out)
+    if pointwise:
+        out_data = (w_flat @ x.data.reshape(b, cin, l)).reshape(b, cout, h_out, w_out)
+    else:
+        out_data = np.empty((b, cout, h_out, w_out), dtype=x.dtype)
+        for lo in range(0, b, chunk):
+            hi = min(lo + chunk, b)
+            cols = gather(x.data, lo, hi)
+            prod = cols @ w_flat.T  # [n, L, cout]
+            out_data[lo:hi] = prod.transpose(0, 2, 1).reshape(hi - lo, cout, h_out, w_out)
     if bias is not None:
         if bias.shape != (cout,):
             raise ShapeError(f"conv2d: bias {bias.shape} incompatible with weight {weight.shape}")
         out_data += bias.data[None, :, None, None]
 
     def backward(g):
-        gl_all = g.transpose(0, 2, 3, 1).reshape(b, l, cout)
-        dw = np.zeros_like(w_flat)
-        dx = np.zeros_like(x.data)
-        arange_cache = np.arange(0)
-        for lo in range(0, b, chunk):
-            hi = min(lo + chunk, b)
-            cols = gather(x.data, lo, hi)
-            gl = gl_all[lo:hi]
-            dw += np.tensordot(gl, cols, axes=([0, 1], [0, 1]))
-            dcols = (gl @ w_flat).reshape(hi - lo, l, cin, kk).transpose(0, 2, 1, 3)
-            dpad = np.zeros(((hi - lo) * cin, hp * wp), dtype=g.dtype)
-            if arange_cache.shape[0] != (hi - lo) * cin:
-                arange_cache = np.arange((hi - lo) * cin)
-            np.add.at(
-                dpad,
-                (arange_cache[:, None], patch.reshape(1, l * kk)),
-                dcols.reshape((hi - lo) * cin, l * kk),
-            )
-            dpad = dpad.reshape(hi - lo, cin, hp, wp)
-            if padding:
-                dpad = dpad[:, :, padding:-padding, padding:-padding]
-            dx[lo:hi] = dpad
-        grads = [dx, dw.reshape(weight.shape)]
-        if bias is not None:
-            grads.append(g.sum(axis=(0, 2, 3)))
-        return tuple(grads)
+        g3 = g.reshape(b, cout, l)
+        dx = dw = None
+        if pointwise:
+            x3 = x.data.reshape(b, cin, l)
+            if weight.requires_grad:
+                dw = np.tensordot(g3, x3, axes=([0, 2], [0, 2]))
+            if x.requires_grad:
+                dx = (w_flat.T @ g3).reshape(x.shape)
+        else:
+            dw = np.zeros_like(w_flat) if weight.requires_grad else None
+            dx = np.empty_like(x.data) if x.requires_grad else None
+            for lo in range(0, b, chunk):
+                hi = min(lo + chunk, b)
+                gl = g3[lo:hi]
+                if dw is not None:
+                    dw += np.tensordot(gl, gather(x.data, lo, hi), axes=([0, 2], [0, 1]))
+                if dx is None:
+                    continue
+                # col2im: kernel offset (i, j) of every window lands on a
+                # stride-spaced grid of the padded input.
+                dcols = (w_flat.T @ gl).reshape(hi - lo, cin, k, k, h_out, w_out)
+                dpad = np.zeros((hi - lo, cin, hp, wp), dtype=g.dtype)
+                for i in range(k):
+                    for j in range(k):
+                        dpad[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
+                            dcols[:, :, i, j]
+                        )
+                dx[lo:hi] = dpad[:, :, padding : padding + h, padding : padding + w]
+        return (
+            dx,
+            None if dw is None else dw.reshape(weight.shape),
+            g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None,
+        )
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out_data, parents, backward)

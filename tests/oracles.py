@@ -34,6 +34,32 @@ def conv2d_loops(x, w, b, stride, padding):
     return out
 
 
+def conv2d_grad_loops(x, w, g, stride, padding):
+    """Input and weight gradients of ``conv2d_loops`` for the output gradient
+    ``g``: the forward loops run again, and every product
+    xp[n, ci, i*s+u, j*s+v] * w[co, ci, u, v] sends g[n, co, i, j] back to
+    both of its factors."""
+    bs, cin, h, wdt = x.shape
+    cout, _, k, _ = w.shape
+    _, _, h_out, w_out = g.shape
+    xp = np.zeros((bs, cin, h + 2 * padding, wdt + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding : padding + h, padding : padding + wdt] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for n in range(bs):
+        for co in range(cout):
+            for i in range(h_out):
+                for j in range(w_out):
+                    gv = g[n, co, i, j]
+                    for ci in range(cin):
+                        for u in range(k):
+                            for v in range(k):
+                                r, c = i * stride + u, j * stride + v
+                                dxp[n, ci, r, c] += gv * w[co, ci, u, v]
+                                dw[co, ci, u, v] += gv * xp[n, ci, r, c]
+    return dxp[:, :, padding : padding + h, padding : padding + wdt], dw
+
+
 def linear_loops(x, w, b):
     bs, f = x.shape
     o = w.shape[0]

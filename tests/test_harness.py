@@ -12,6 +12,7 @@ from spikefuse.harness import (
     ExperimentCell,
     ExperimentPlan,
     aggregate_records,
+    build_parser,
     load_corpus,
     main,
     plan_from_dict,
@@ -127,6 +128,17 @@ class TestTrainCommand:
         rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert "lif.v_th" in capsys.readouterr().err
+
+    def test_threads_flag_is_rejected(self, tmp_path, capsys):
+        # train runs one config; the worker pool belongs to the grid commands
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--threads", "2", "--config", str(tmp_path / "cfg.json"),
+                  "--out", str(tmp_path / "runs")])
+        assert info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        for command in (["ablate", "--plan", "p.json"], ["sweep-kappa", "--config", "c.json"]):
+            args = build_parser().parse_args(command + ["--out", "o", "--threads", "2"])
+            assert args.threads == 2
 
     def test_seed_override_flag(self, corpus, tmp_path):
         train_dir, test_dir = corpus

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spikefuse.errors import ArchError, ShapeError, StateError
+from spikefuse.errors import ArchError, CheckpointError, ShapeError, StateError
 from spikefuse.network import (
     ConvStage,
     DenseStage,
@@ -338,3 +338,43 @@ class TestCheckpoint:
         assert loaded.dtype == np.float64
         for (_, a), (_, b) in zip(net.named_parameters(), loaded.named_parameters()):
             assert np.array_equal(a.data, b.data)
+
+    def test_truncated_file_raises_checkpoint_error(self, tmp_path):
+        net = SpikingNetwork(tiny_spec("sctfa"), seed=15)
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, net)
+        raw = path.read_bytes()
+        blob_end = 8 + int.from_bytes(raw[4:8], "little")
+        rows = (tmp_path / "checkpoint.manifest.tsv").read_text().strip().splitlines()[1:]
+        offsets = [int(row.split("\t")[2]) for row in rows]
+        first_rank = len(rows[0].split("\t")[1].split("x"))
+        # (cut length, offset of the read that must fail)
+        cuts = {
+            "magic": (2, 0),
+            "config length": (6, 4),
+            "config blob": ((8 + blob_end) // 2, 8),
+            "tensor count": (blob_end + 3, blob_end),
+            "shape record": (offsets[0] - 2, offsets[0] - 4 * first_rank),
+            "first tensor data": (offsets[1] - 7, offsets[0]),
+            "last tensor data": (len(raw) - 7, offsets[-1]),
+        }
+        for where, (cut, offset) in cuts.items():
+            path.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint(path)
+            message = str(info.value)
+            assert message.startswith(f"{path}: truncated at byte offset {offset}:"), (where, message)
+
+    def test_trailing_bytes_and_bad_precision_flag(self, tmp_path):
+        net = SpikingNetwork(tiny_spec("bl"), seed=16)
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, net)
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\0")
+        with pytest.raises(CheckpointError, match=f"byte offset {len(raw)}"):
+            load_checkpoint(path)
+        blob_len = int.from_bytes(raw[4:8], "little")
+        flag = 8 + blob_len
+        path.write_bytes(raw[:flag] + b"\x07" + raw[flag + 1 :])
+        with pytest.raises(CheckpointError, match=f"precision flag 7 at byte offset {flag}"):
+            load_checkpoint(path)

@@ -28,9 +28,19 @@ from spikefuse.tensor import (
     stack,
     tmean,
     tsum,
+    unstack,
 )
 
-from oracles import avgpool_loops, conv2d_loops, fd_gradient, linear_loops, rel_err, surrogate_slope, surrogate_value
+from oracles import (
+    avgpool_loops,
+    conv2d_grad_loops,
+    conv2d_loops,
+    fd_gradient,
+    linear_loops,
+    rel_err,
+    surrogate_slope,
+    surrogate_value,
+)
 
 
 def rand(shape, seed, dtype=np.float64, scale=1.0):
@@ -91,6 +101,116 @@ class TestConv2d:
         for t in (x, w, b):
             fd = fd_gradient(loss_fn, t.data)
             assert rel_err(t.grad, fd).max() < 1e-5
+
+
+def conv_grads(x, w, g, stride, padding, x_requires_grad=True):
+    """(dx, dw, the output node) of conv2d through the autodiff graph."""
+    xt = Tensor(x, requires_grad=x_requires_grad)
+    wt = Tensor(w, requires_grad=True)
+    out = conv2d(xt, wt, Tensor(np.zeros(w.shape[0]), requires_grad=True), stride, padding)
+    tsum(out * Tensor(g)).backward()
+    return xt.grad, wt.grad, out
+
+
+class TestConv2dBackward:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_grid_vs_loop_oracle(self, k, stride, padding):
+        # stride > k leaves input rows and columns no window touches
+        x = rand((2, 2, 7, 8), 10 * k + stride)
+        w = rand((3, 2, k, k), 20 * k + padding)
+        h_out = (7 + 2 * padding - k) // stride + 1
+        w_out = (8 + 2 * padding - k) // stride + 1
+        g = rand((2, 3, h_out, w_out), 30 + stride + padding)
+        dx, dw, _ = conv_grads(x, w, g, stride, padding)
+        ref_dx, ref_dw = conv2d_grad_loops(x, w, g, stride, padding)
+        assert np.max(np.abs(dx - ref_dx)) < 1e-12
+        assert np.max(np.abs(dw - ref_dw)) < 1e-12
+
+    def test_gesture_input_layer_config_vs_loop_oracle(self):
+        # the dvs_gesture first layer: 5x5 kernel, stride 2, padding 2
+        x = rand((1, 2, 16, 16), 41)
+        w = rand((4, 2, 5, 5), 42)
+        g = rand((1, 4, 8, 8), 43)
+        dx, dw, _ = conv_grads(x, w, g, 2, 2)
+        ref_dx, ref_dw = conv2d_grad_loops(x, w, g, 2, 2)
+        assert np.max(np.abs(dx - ref_dx)) < 1e-12
+        assert np.max(np.abs(dw - ref_dw)) < 1e-12
+
+    def test_batch_chunks_vs_loop_oracle(self, monkeypatch):
+        import spikefuse.tensor as tensor_module
+
+        x = rand((5, 2, 6, 6), 51)
+        w = rand((3, 2, 3, 3), 52)
+        g = rand((5, 3, 3, 3), 53)
+        # two samples' patch matrices per chunk: chunks of 2, 2 and 1
+        per_sample = 9 * 2 * 9 * x.itemsize
+        monkeypatch.setattr(tensor_module, "_PATCH_BUDGET_BYTES", 2 * per_sample)
+        dx, dw, _ = conv_grads(x, w, g, 2, 1)
+        ref_dx, ref_dw = conv2d_grad_loops(x, w, g, 2, 1)
+        assert np.max(np.abs(dx - ref_dx)) < 1e-12
+        assert np.max(np.abs(dw - ref_dw)) < 1e-12
+
+    @pytest.mark.parametrize("k,stride,padding", [(1, 1, 0), (5, 2, 2)])
+    def test_input_without_grad_gets_no_dx(self, k, stride, padding):
+        x = rand((2, 2, 8, 8), 61)
+        w = rand((3, 2, k, k), 62)
+        h_out = (8 + 2 * padding - k) // stride + 1
+        g = rand((2, 3, h_out, h_out), 63)
+        _, dw_with_dx, _ = conv_grads(x, w, g, stride, padding)
+        dx, dw, out = conv_grads(x, w, g, stride, padding, x_requires_grad=False)
+        assert dx is None
+        assert np.array_equal(dw, dw_with_dx)
+        assert out._backward_fn(g)[0] is None
+
+
+class TestUnstack:
+    def test_slices_are_the_rows(self):
+        a = rand((3, 2, 4), 70)
+        parts = unstack(Tensor(a))
+        assert len(parts) == 3
+        assert all(np.array_equal(p.data, a[t]) for t, p in enumerate(parts))
+
+    def test_scalar_rejected(self):
+        with pytest.raises(ShapeError):
+            unstack(Tensor(1.0))
+
+    @staticmethod
+    def _loss(x):
+        # slice 1 is used twice, slice 3 is never used, and the unstacked
+        # tensor also feeds a reduction outside the slices
+        h = x * 1.5
+        s = unstack(h)
+        return tsum(s[0] * s[1] + s[1] * s[1] * s[2]) + tsum(h * h) * 0.25
+
+    def test_gradients_match_fd(self):
+        x = Tensor(rand((4, 2, 3), 71), requires_grad=True)
+        self._loss(x).backward()
+        fd = fd_gradient(lambda: self._loss(Tensor(x.data)).item(), x.data)
+        assert rel_err(x.grad, fd).max() < 1e-7
+        # the unused slice gets only the reduction's gradient
+        assert np.max(np.abs(x.grad[3] - 0.5 * 1.5 * 1.5 * x.data[3])) < 1e-12
+
+    def test_matches_getitem_bitwise_and_repeats(self):
+        def grads(use_unstack):
+            x = Tensor(rand((4, 2, 3), 72), requires_grad=True)
+            h = x * 1.5
+            s = unstack(h) if use_unstack else [h[t] for t in range(4)]
+            (tsum(s[0] * s[1] + s[1] * s[1] * s[2]) + tsum(h * h) * 0.25).backward()
+            return x.grad
+
+        first = grads(True)
+        assert np.array_equal(first, grads(True))
+        assert np.array_equal(first, grads(False))
+
+    def test_second_backward_pass_accumulates(self):
+        x = Tensor(rand((4, 2, 3), 73), requires_grad=True)
+        loss = self._loss(x)
+        loss.backward()
+        once = x.grad.copy()
+        loss.backward()
+        assert np.array_equal(x.grad, 2 * once)
 
 
 class TestLinear:
