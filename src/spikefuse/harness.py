@@ -128,14 +128,26 @@ def load_corpus(corpus_dir) -> List[EventStream]:
     streams = []
     with open(manifest) as fh:
         header = fh.readline().rstrip("\n").split("\t")
+        for column in ("filename", "label"):
+            if column not in header:
+                raise ConfigError(f"{manifest}: line 1: header has no {column!r} column")
         name_col, label_col = header.index("filename"), header.index("label")
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) < 2:
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
                 continue
-            stream = read_events(corpus_dir / parts[name_col])
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) <= max(name_col, label_col):
+                raise ConfigError(f"{manifest}: line {lineno}: {len(parts)} fields, header has {len(header)}")
+            try:
+                label = int(parts[label_col])
+            except ValueError:
+                raise ConfigError(f"{manifest}: line {lineno}: label {parts[label_col]!r} is not an integer")
+            event_file = corpus_dir / parts[name_col]
+            if not event_file.is_file():
+                raise ConfigError(f"{manifest}: line {lineno}: no event file {parts[name_col]!r}")
+            stream = read_events(event_file)
             if stream.label is None:
-                stream.label = int(parts[label_col])
+                stream.label = label
             streams.append(stream)
     return streams
 

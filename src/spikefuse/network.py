@@ -35,7 +35,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .attention import AttentionVariant, compute_attention, init_attention_params
-from .errors import ArchError, CheckpointError, ShapeError, StateError
+from .errors import ArchError, CheckpointError, ShapeError, SpikefuseError, StateError
 from .neuron import LifConfig, initial_state, lif_step, lif_step_attended
 from .rng import Rng
 from .tensor import (
@@ -157,10 +157,19 @@ def parse_architecture(
     """Parse and shape-check an architecture string against an input shape.
 
     Raises ArchError naming the token index on unknown tokens, inconsistent
-    shapes, or a voting layer that is not last. A spec without a voting
-    layer is valid for the complexity counters but cannot be instantiated.
+    shapes, or a voting layer that is not last, and ArchError for an unknown
+    variant or a reduction ratio or timestep count below 1. A spec without a
+    voting layer is valid for the complexity counters but cannot be
+    instantiated.
     """
-    variant = AttentionVariant(variant)
+    try:
+        variant = AttentionVariant(variant)
+    except ValueError:
+        raise ArchError(f"unknown attention variant {variant!r}")
+    if reduction < 1:
+        raise ArchError(f"reduction ratio must be >= 1, got {reduction}")
+    if timesteps < 1:
+        raise ArchError(f"timesteps must be >= 1, got {timesteps}")
     lif = lif or LifConfig(v_th=1.15, kappa=0.7)
     tokens = s.split("-")
     if not tokens or tokens[0] != "Input":
@@ -682,6 +691,17 @@ def build_network(config: dict, seed: int = 0, smooth: bool = False) -> SpikingN
 # checkpoints
 
 _CKPT_MAGIC = b"SNN1"
+# The embedded config keys build_network reads, with their JSON types.
+_CKPT_CONFIG_TYPES = {
+    "arch": (str,),
+    "variant": (str,),
+    "v_th": (int, float),
+    "kappa": (int, float),
+    "reduction": (int,),
+    "timesteps": (int,),
+    "input_height": (int,),
+    "input_width": (int,),
+}
 
 
 def _checkpoint_entries(net: SpikingNetwork):
@@ -732,7 +752,9 @@ def load_checkpoint(path, smooth: bool = False):
     Returns (network, config). Batch-norm statistics restored from a
     checkpoint are treated as initialized. Every read is bounds-checked: a
     truncated or malformed file raises CheckpointError naming the path and
-    the byte offset.
+    the byte offset. An embedded config that lacks a key the network needs,
+    or holds it with the wrong type, names the path and the key; one that
+    describes no valid network names the path.
     """
     path = Path(path)
     raw = memoryview(path.read_bytes())
@@ -759,14 +781,26 @@ def load_checkpoint(path, smooth: bool = False):
         config = json.loads(bytes(blob).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: bad config blob at byte offset 8: {exc}")
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config blob is not a JSON object")
+    for key, types in _CKPT_CONFIG_TYPES.items():
+        if key not in config:
+            raise CheckpointError(f"{path}: config lacks key {key!r}")
+        if isinstance(config[key], bool) or not isinstance(config[key], types):
+            expected = " or ".join(t.__name__ for t in types)
+            raise CheckpointError(
+                f"{path}: config key {key!r} is {type(config[key]).__name__}, expected {expected}"
+            )
     precision, count = unpack("<BI", "precision flag and tensor count")
     if precision not in (0, 1):
         raise CheckpointError(f"{path}: bad precision flag {precision} at byte offset {pos - 5}")
     store_dtype = np.dtype("<f8") if precision else np.dtype("<f4")
-    config = dict(config)
     config["precision"] = "f64" if precision else "f32"
 
-    net = build_network(config, seed=0, smooth=smooth)
+    try:
+        net = build_network(config, seed=0, smooth=smooth)
+    except SpikefuseError as exc:
+        raise CheckpointError(f"{path}: config does not describe a network: {exc}") from exc
     entries = _checkpoint_entries(net)
     if len(entries) != count:
         raise CheckpointError(

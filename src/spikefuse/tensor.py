@@ -17,13 +17,17 @@ step with a surrogate (arctan-shaped) backward, and ``smooth_spike`` is the
 sigmoid-like arctan primitive itself with its exact derivative, used when a
 network must be end-to-end finite-difference checkable.
 
-``conv2d`` is an im2col matrix product. Its backward folds the patch
-gradients back onto the input (col2im) as k*k strided-slice additions, one
-per kernel offset, and a 1x1 unit-stride kernel is a plain contraction over
-channels with no patch matrix at all. ``unstack`` splits a [T, ...] tensor
-into its T per-timestep slices; the slice gradients are written into one
-[T, ...] buffer, so a time loop over the slices costs O(T) in backward
-rather than the O(T^2) of T separate ``getitem`` nodes.
+``conv2d`` is an im2col matrix product. The patch matrix is built by k*k
+strided-slice copies of the padded input, one per kernel offset, into a
+[n, cin, k, k, L] buffer, so the product lands directly in [n, cout, L];
+the backward folds the patch gradients back onto the input (col2im) by the
+same slices, as additions. A 1x1 unit-stride kernel is a plain contraction
+over channels with no patch matrix at all. ``avgpool2d`` sums k*k strided
+slices into one buffer and scales it once. ``batchnorm`` is one graph node
+with a closed-form backward. ``unstack`` splits a [T, ...] tensor into its
+T per-timestep slices; the slice gradients are written into one [T, ...]
+buffer, so a time loop over the slices costs O(T) in backward rather than
+the O(T^2) of T separate ``getitem`` nodes.
 
 Set the environment variable ``SPIKEFUSE_DEBUG_NAN=1`` to assert that every
 operation output is finite.
@@ -542,16 +546,6 @@ def _conv_out_size(n, k, stride, padding):
     return (n + 2 * padding - k) // stride + 1
 
 
-def _patch_index(hp, wp, k, stride, h_out, w_out):
-    """Flat indices into an (hp, wp) grid for every k*k window, [L, k*k]."""
-    r0 = np.arange(h_out) * stride
-    c0 = np.arange(w_out) * stride
-    rows = r0[:, None] + np.arange(k)[None, :]  # [h_out, k]
-    cols = c0[:, None] + np.arange(k)[None, :]  # [w_out, k]
-    flat = rows[:, None, :, None] * wp + cols[None, :, None, :]
-    return flat.reshape(h_out * w_out, k * k)
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation with square kernels.
 
@@ -576,8 +570,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
     h_out = _conv_out_size(h, k, stride, padding)
     w_out = _conv_out_size(w, k, stride, padding)
     hp, wp = h + 2 * padding, w + 2 * padding
-    patch = _patch_index(hp, wp, k, stride, h_out, w_out)  # [L, kk]
-    l, kk = patch.shape
+    l, kk = h_out * w_out, k * k
     w_flat = weight.data.reshape(cout, cin * kk)
     # A 1x1 unit-stride kernel without padding contracts the channels of the
     # input itself: no patch matrix in forward and no col2im in backward.
@@ -588,22 +581,27 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
     per_sample = l * cin * kk * x.data.itemsize
     chunk = max(1, _PATCH_BUDGET_BYTES // max(per_sample, 1))
 
-    def gather(xdata, lo, hi):
-        part = xdata[lo:hi]
+    def gather(lo, hi):
+        """im2col of samples lo:hi as [n, cin*k*k, L]: kernel offset (i, j)
+        of every window is a stride-spaced grid of the padded input."""
+        part = x.data[lo:hi]
+        if pointwise:
+            return part.reshape(hi - lo, cin, l)
         if padding:
-            part = np.pad(part, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        cols = part.reshape(hi - lo, cin, hp * wp)[:, :, patch]  # [n, cin, L, kk]
-        return cols.transpose(0, 2, 1, 3).reshape(hi - lo, l, cin * kk)
+            padded = np.zeros((hi - lo, cin, hp, wp), dtype=x.dtype)
+            padded[:, :, padding : padding + h, padding : padding + w] = part
+            part = padded
+        cols = np.empty((hi - lo, cin, k, k, h_out, w_out), dtype=x.dtype)
+        for i in range(k):
+            for j in range(k):
+                cols[:, :, i, j] = part[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+        return cols.reshape(hi - lo, cin * kk, l)
 
-    if pointwise:
-        out_data = (w_flat @ x.data.reshape(b, cin, l)).reshape(b, cout, h_out, w_out)
-    else:
-        out_data = np.empty((b, cout, h_out, w_out), dtype=x.dtype)
-        for lo in range(0, b, chunk):
-            hi = min(lo + chunk, b)
-            cols = gather(x.data, lo, hi)
-            prod = cols @ w_flat.T  # [n, L, cout]
-            out_data[lo:hi] = prod.transpose(0, 2, 1).reshape(hi - lo, cout, h_out, w_out)
+    out_data = np.empty((b, cout, h_out, w_out), dtype=x.dtype)
+    out3 = out_data.reshape(b, cout, l)
+    for lo in range(0, b, chunk):
+        hi = min(lo + chunk, b)
+        np.matmul(w_flat, gather(lo, hi), out=out3[lo:hi])
     if bias is not None:
         if bias.shape != (cout,):
             raise ShapeError(f"conv2d: bias {bias.shape} incompatible with weight {weight.shape}")
@@ -611,33 +609,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
 
     def backward(g):
         g3 = g.reshape(b, cout, l)
-        dx = dw = None
-        if pointwise:
-            x3 = x.data.reshape(b, cin, l)
-            if weight.requires_grad:
-                dw = np.tensordot(g3, x3, axes=([0, 2], [0, 2]))
-            if x.requires_grad:
-                dx = (w_flat.T @ g3).reshape(x.shape)
-        else:
-            dw = np.zeros_like(w_flat) if weight.requires_grad else None
-            dx = np.empty_like(x.data) if x.requires_grad else None
-            for lo in range(0, b, chunk):
-                hi = min(lo + chunk, b)
-                gl = g3[lo:hi]
-                if dw is not None:
-                    dw += np.tensordot(gl, gather(x.data, lo, hi), axes=([0, 2], [0, 1]))
-                if dx is None:
-                    continue
-                # col2im: kernel offset (i, j) of every window lands on a
-                # stride-spaced grid of the padded input.
-                dcols = (w_flat.T @ gl).reshape(hi - lo, cin, k, k, h_out, w_out)
-                dpad = np.zeros((hi - lo, cin, hp, wp), dtype=g.dtype)
-                for i in range(k):
-                    for j in range(k):
-                        dpad[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
-                            dcols[:, :, i, j]
-                        )
-                dx[lo:hi] = dpad[:, :, padding : padding + h, padding : padding + w]
+        dw = np.zeros_like(w_flat) if weight.requires_grad else None
+        dx = np.empty_like(x.data) if x.requires_grad else None
+        for lo in range(0, b, chunk):
+            hi = min(lo + chunk, b)
+            gl = g3[lo:hi]
+            if dw is not None:
+                dw += np.matmul(gl, gather(lo, hi).transpose(0, 2, 1)).sum(axis=0)
+            if dx is None:
+                continue
+            dcols = w_flat.T @ gl
+            if pointwise:
+                dx[lo:hi] = dcols.reshape(hi - lo, cin, h, w)
+                continue
+            # col2im: the gather's slices, added back into the padded input
+            dcols = dcols.reshape(hi - lo, cin, k, k, h_out, w_out)
+            dpad = np.zeros((hi - lo, cin, hp, wp), dtype=g.dtype)
+            for i in range(k):
+                for j in range(k):
+                    dpad[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[:, :, i, j]
+            dx[lo:hi] = dpad[:, :, padding : padding + h, padding : padding + w]
         return (
             dx,
             None if dw is None else dw.reshape(weight.shape),
@@ -657,7 +648,13 @@ def avgpool2d(x: Tensor, k: int) -> Tensor:
         raise ParameterError(f"avgpool2d: k must be positive, got {k}")
     if h % k or w % k:
         raise ShapeError(f"avgpool2d: extents ({h}, {w}) not divisible by {k}")
-    out_data = x.data.reshape(b, c, h // k, k, w // k, k).mean(axis=(3, 5))
+    # k*k strided-slice sums into one buffer, scaled once
+    out_data = x.data[:, :, ::k, ::k].copy()
+    for i in range(k):
+        for j in range(k):
+            if i or j:
+                out_data += x.data[:, :, i::k, j::k]
+    out_data /= k * k
 
     def backward(g):
         expanded = np.broadcast_to(
@@ -693,7 +690,9 @@ def batchnorm(
     Training mode normalizes with batch statistics over (B, H, W) and folds
     them into ``state`` as ``momentum * old + (1 - momentum) * batch`` (the
     running variance uses the unbiased estimate). Eval mode normalizes with
-    the stored statistics and raises if none were ever computed.
+    the stored statistics, as a per-channel ``x * scale + shift``, and
+    raises if none were ever computed. Either way the result is one graph
+    node over (x, gamma, beta).
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm: need 4-D input, got {x.shape}")
@@ -701,27 +700,57 @@ def batchnorm(
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm: gamma/beta must be shape ({c},)")
 
-    gamma4 = reshape(gamma, (1, c, 1, 1))
-    beta4 = reshape(beta, (1, c, 1, 1))
+    axes = (0, 2, 3)
+    n = x.shape[0] * x.shape[2] * x.shape[3]
+    gamma4 = gamma.data.reshape(1, c, 1, 1)
+    beta4 = beta.data.reshape(1, c, 1, 1)
     if training:
-        m = tmean(x, axis=(0, 2, 3), keepdims=True)
-        centered = sub(x, m)
-        var = tmean(mul(centered, centered), axis=(0, 2, 3), keepdims=True)
-        denom = sqrt(add(var, Tensor(np.asarray(eps, dtype=x.dtype))))
-        xhat = div(centered, denom)
-        n = x.shape[0] * x.shape[2] * x.shape[3]
+        m = x.data.mean(axis=axes, keepdims=True)
+        centered = x.data - m
+        var = (centered * centered).mean(axis=axes, keepdims=True)
+        std = np.sqrt(var + x.dtype.type(eps))
+        xhat = np.divide(centered, std, out=centered)
+        out_data = gamma4 * xhat
+        out_data += beta4
         unbias = n / (n - 1) if n > 1 else 1.0
         # in-place so captured references (checkpointing) stay valid
-        state.mean[...] = momentum * state.mean + (1.0 - momentum) * m.data.reshape(c)
-        state.var[...] = momentum * state.var + (1.0 - momentum) * unbias * var.data.reshape(c)
+        state.mean[...] = momentum * state.mean + (1.0 - momentum) * m.reshape(c)
+        state.var[...] = momentum * state.var + (1.0 - momentum) * unbias * var.reshape(c)
         state.initialized = True
+
+        def backward(g):
+            # closed form through the batch mean and variance:
+            # dx = gamma/std * (g - mean(g) - xhat * mean(g * xhat))
+            dbeta = g.sum(axis=axes)
+            dgamma = (g * xhat).sum(axis=axes)
+            dx = None
+            if x.requires_grad:
+                dx = g - (dbeta / n).reshape(1, c, 1, 1)
+                dx -= xhat * (dgamma / n).reshape(1, c, 1, 1)
+                dx *= gamma4 / std
+            return (
+                dx,
+                dgamma if gamma.requires_grad else None,
+                dbeta if beta.requires_grad else None,
+            )
+
     else:
         if not state.initialized:
             raise StateError("batchnorm: eval mode requested before any statistics exist")
-        rm = Tensor(state.mean.reshape(1, c, 1, 1).astype(x.dtype))
-        rstd = Tensor(np.sqrt(state.var.reshape(1, c, 1, 1).astype(x.dtype) + eps))
-        xhat = div(sub(x, rm), rstd)
-    return add(mul(gamma4, xhat), beta4)
+        m = state.mean.reshape(1, c, 1, 1).astype(x.dtype)
+        std = np.sqrt(state.var.reshape(1, c, 1, 1).astype(x.dtype) + x.dtype.type(eps))
+        scale = gamma4 / std
+        out_data = x.data * scale
+        out_data += beta4 - m * scale
+
+        def backward(g):
+            return (
+                g * scale if x.requires_grad else None,
+                (g * ((x.data - m) / std)).sum(axis=axes) if gamma.requires_grad else None,
+                g.sum(axis=axes) if beta.requires_grad else None,
+            )
+
+    return _result(out_data, (x, gamma, beta), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,58 @@ def avgpool_loops(x, k):
     return out
 
 
+def batchnorm_reference(x, gamma, beta, g, running_mean, running_var, training, momentum=0.9, eps=1e-5):
+    """Batch norm of [B, C, H, W] ``x`` channel by channel from the defining
+    formulas, with the gradients of ``sum(out * g)``.
+
+    Returns (out, dx, dgamma, dbeta, new_running_mean, new_running_var). In
+    training mode dx is the explicit Jacobian-vector product
+    dxhat_j/dx_i = (delta_ij - 1/n)/std - (x_i - mu)(x_j - mu)/(n std^3),
+    and the running statistics take momentum * old + (1 - momentum) * batch
+    with the unbiased batch variance; eval mode uses the running statistics
+    as constants and leaves them unchanged.
+    """
+    bs, c, h, w = x.shape
+    n = bs * h * w
+    out = np.zeros_like(x)
+    dx = np.zeros_like(x)
+    dgamma = np.zeros(c, dtype=x.dtype)
+    dbeta = np.zeros(c, dtype=x.dtype)
+    new_mean = np.array(running_mean, dtype=x.dtype, copy=True)
+    new_var = np.array(running_var, dtype=x.dtype, copy=True)
+    for ci in range(c):
+        xs = [float(v) for v in x[:, ci].reshape(-1)]
+        gs = [float(v) for v in g[:, ci].reshape(-1)]
+        if training:
+            mu = sum(xs) / n
+            var = sum((v - mu) ** 2 for v in xs) / n
+            unbiased = var * n / (n - 1) if n > 1 else var
+            new_mean[ci] = momentum * running_mean[ci] + (1.0 - momentum) * mu
+            new_var[ci] = momentum * running_var[ci] + (1.0 - momentum) * unbiased
+        else:
+            mu = float(running_mean[ci])
+            var = float(running_var[ci])
+        std = math.sqrt(var + eps)
+        xhat = [(v - mu) / std for v in xs]
+        res = [gamma[ci] * v + beta[ci] for v in xhat]
+        if training:
+            grads = []
+            for i in range(n):
+                acc = 0.0
+                for j in range(n):
+                    jac = ((1.0 if i == j else 0.0) - 1.0 / n) / std
+                    jac -= (xs[i] - mu) * (xs[j] - mu) / (n * std**3)
+                    acc += gs[j] * gamma[ci] * jac
+                grads.append(acc)
+        else:
+            grads = [gv * gamma[ci] / std for gv in gs]
+        out[:, ci] = np.array(res).reshape(bs, h, w)
+        dx[:, ci] = np.array(grads).reshape(bs, h, w)
+        dgamma[ci] = sum(gv * v for gv, v in zip(gs, xhat))
+        dbeta[ci] = sum(gs)
+    return out, dx, dgamma, dbeta, new_mean, new_var
+
+
 def channel_mean_loops(x):
     bs, c, h, w = x.shape
     out = np.zeros((bs, c), dtype=x.dtype)

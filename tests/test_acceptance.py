@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from spikefuse.events import CorruptionSpec, synth_moving_bar
 from spikefuse.harness import main as cli_main
@@ -371,6 +372,7 @@ def test_rerun_determinism(tmp_path):
     criterion("determinism: rerun with identical config reproduces run_record.json bitwise", body)
 
 
+@pytest.mark.slow
 def test_synthetic_ablation_trend():
     def body():
         _, train_set = _bar_corpus(50, 1001)

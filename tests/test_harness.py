@@ -84,6 +84,29 @@ class TestSynth:
         assert len(streams) == 6
         assert sorted({s.label for s in streams}) == [0, 1, 2]
 
+    @pytest.mark.parametrize("header,row,message", [
+        ("name\tlabel", "a.evs\t0", "line 1: header has no 'filename' column"),
+        ("filename\tclass", "a.evs\t0", "line 1: header has no 'label' column"),
+        ("filename\tlabel", "a.evs\tcat", "line 4: label 'cat' is not an integer"),
+        ("filename\tlabel", "shortline", "line 4: 1 fields, header has 2"),
+        ("filename\tlabel", "missing.evs\t1", "line 4: no event file 'missing.evs'"),
+    ])
+    def test_malformed_manifest_raises_config_error(self, tmp_path, header, row, message):
+        synth_corpus(tmp_path / "c", 1, 1, 16, 16, 500.0, 2.0, seed=4)
+        manifest = tmp_path / "c" / "manifest.tsv"
+        first = manifest.read_text().splitlines()[1].split("\t")
+        # a good row, a blank line (skipped), then the bad row
+        manifest.write_text(f"{header}\n{first[0]}\t{first[1]}\n\n{row}\n")
+        with pytest.raises(ConfigError) as info:
+            load_corpus(tmp_path / "c")
+        assert str(info.value) == f"{manifest}: {message}"
+
+    def test_blank_lines_skipped(self, tmp_path):
+        synth_corpus(tmp_path / "c", 2, 1, 16, 16, 500.0, 2.0, seed=4)
+        manifest = tmp_path / "c" / "manifest.tsv"
+        manifest.write_text(manifest.read_text().replace("\n", "\n\n"))
+        assert len(load_corpus(tmp_path / "c")) == 2
+
     def test_cli_entry(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "c"), "--classes", "2",
                    "--n-per-class", "2", "--seed", "3"])

@@ -1,5 +1,8 @@
 """Architecture parsing, unrolled forward, counters, checkpoints."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,11 @@ class TestParse:
     def test_bn_needs_preceding_conv(self):
         with pytest.raises(ArchError):
             parse_architecture("Input-BN-VotingC2P2", input_shape=(2, 8, 8))
+
+    @pytest.mark.parametrize("kwargs", [{"variant": "zz"}, {"reduction": 0}, {"timesteps": 0}])
+    def test_bad_variant_reduction_or_timesteps(self, kwargs):
+        with pytest.raises(ArchError):
+            parse_architecture("Input-8C3-VotingC2P2-AP", input_shape=(2, 8, 8), **kwargs)
 
     def test_render_roundtrip_canonical(self):
         for arch in (GESTURE_ARCH, SL_ANIMALS_ARCH, MNIST_ARCH):
@@ -378,3 +386,41 @@ class TestCheckpoint:
         path.write_bytes(raw[:flag] + b"\x07" + raw[flag + 1 :])
         with pytest.raises(CheckpointError, match=f"precision flag 7 at byte offset {flag}"):
             load_checkpoint(path)
+
+    def test_config_missing_key_or_wrong_type(self, tmp_path):
+        net = SpikingNetwork(tiny_spec("bl"), seed=17)
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, net)
+        raw = path.read_bytes()
+        blob_end = 8 + int.from_bytes(raw[4:8], "little")
+        config = json.loads(raw[8:blob_end])
+
+        def write_config(doc):
+            blob = json.dumps(doc).encode("utf-8")
+            path.write_bytes(raw[:4] + len(blob).to_bytes(4, "little") + blob + raw[blob_end:])
+
+        write_config({"arch": config["arch"]})
+        with pytest.raises(CheckpointError, match="config lacks key 'variant'"):
+            load_checkpoint(path)
+        for key in ("arch", "variant", "v_th", "kappa", "reduction", "timesteps",
+                    "input_height", "input_width"):
+            write_config({k: v for k, v in config.items() if k != key})
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint(path)
+            assert str(info.value) == f"{path}: config lacks key {key!r}"
+        for key, bad in [("input_height", "6"), ("timesteps", 3.0), ("kappa", None),
+                         ("reduction", True), ("arch", 7)]:
+            write_config(dict(config, **{key: bad}))
+            with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: config key {key!r} is "):
+                load_checkpoint(path)
+        write_config([config])
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(path)
+        for key, bad in [("variant", "zz"), ("arch", "Input-8Q"), ("kappa", 3.0), ("reduction", 0),
+                         ("timesteps", -1), ("input_height", 0)]:
+            write_config(dict(config, **{key: bad}))
+            with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: config does not describe a network"):
+                load_checkpoint(path)
+        write_config(dict(config, v_th=1))  # an integral float is stored as a JSON int
+        loaded, _ = load_checkpoint(path)
+        assert loaded.spec.lif.v_th == 1.0

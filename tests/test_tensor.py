@@ -33,6 +33,7 @@ from spikefuse.tensor import (
 
 from oracles import (
     avgpool_loops,
+    batchnorm_reference,
     conv2d_grad_loops,
     conv2d_loops,
     fd_gradient,
@@ -123,8 +124,9 @@ class TestConv2dBackward:
         h_out = (7 + 2 * padding - k) // stride + 1
         w_out = (8 + 2 * padding - k) // stride + 1
         g = rand((2, 3, h_out, w_out), 30 + stride + padding)
-        dx, dw, _ = conv_grads(x, w, g, stride, padding)
+        dx, dw, out = conv_grads(x, w, g, stride, padding)
         ref_dx, ref_dw = conv2d_grad_loops(x, w, g, stride, padding)
+        assert np.max(np.abs(out.data - conv2d_loops(x, w, None, stride, padding))) < 1e-12
         assert np.max(np.abs(dx - ref_dx)) < 1e-12
         assert np.max(np.abs(dw - ref_dw)) < 1e-12
 
@@ -147,8 +149,9 @@ class TestConv2dBackward:
         # two samples' patch matrices per chunk: chunks of 2, 2 and 1
         per_sample = 9 * 2 * 9 * x.itemsize
         monkeypatch.setattr(tensor_module, "_PATCH_BUDGET_BYTES", 2 * per_sample)
-        dx, dw, _ = conv_grads(x, w, g, 2, 1)
+        dx, dw, out = conv_grads(x, w, g, 2, 1)
         ref_dx, ref_dw = conv2d_grad_loops(x, w, g, 2, 1)
+        assert np.max(np.abs(out.data - conv2d_loops(x, w, None, 2, 1))) < 1e-12
         assert np.max(np.abs(dx - ref_dx)) < 1e-12
         assert np.max(np.abs(dw - ref_dw)) < 1e-12
 
@@ -258,10 +261,11 @@ class TestAvgPool:
         x = Tensor(np.full((1, 2, 4, 4), 3.25))
         assert np.allclose(avgpool2d(x, 2).data, 3.25)
 
-    def test_matches_loop_oracle(self):
-        x = rand((1, 1, 4, 4), 21)
-        out = avgpool2d(Tensor(x), 2)
-        assert np.max(np.abs(out.data - avgpool_loops(x, 2))) < 1e-12
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_loop_oracle(self, k):
+        x = rand((2, 3, 3 * k, 2 * k), 21 + k)
+        out = avgpool2d(Tensor(x), k)
+        assert np.max(np.abs(out.data - avgpool_loops(x, k))) < 1e-12
 
     def test_indivisible_raises(self):
         with pytest.raises(ShapeError):
@@ -341,6 +345,50 @@ class TestBatchNorm:
         tsum(out * out).backward()
         for t in (x, gamma, beta):
             assert rel_err(t.grad, fd_gradient(loss_fn, t.data)).max() < 1e-4
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_matches_reference(self, training):
+        x = rand((3, 2, 4, 5), 80, scale=2.0) + 0.5
+        gamma = rand((2,), 81) + 1.0
+        beta = rand((2,), 82)
+        g = rand((3, 2, 4, 5), 83)
+        state = BatchNormState(2, np.float64)
+        state.mean[...] = rand((2,), 84)
+        state.var[...] = np.abs(rand((2,), 85)) + 0.5
+        state.initialized = True
+        ref = batchnorm_reference(x, gamma, beta, g, state.mean.copy(), state.var.copy(), training)
+        xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        out = batchnorm(xt, gt, bt, state, training)
+        tsum(out * Tensor(g)).backward()
+        ours = (out.data, xt.grad, gt.grad, bt.grad, state.mean, state.var)
+        for mine, theirs in zip(ours, ref):
+            assert np.max(np.abs(mine - theirs)) < 1e-12
+
+    def test_is_one_graph_node(self):
+        x = Tensor(rand((2, 3, 4, 4), 86), requires_grad=True)
+        out = batchnorm(x, Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True),
+                        BatchNormState(3, np.float64), True)
+        assert [p.shape for p in out._parents] == [(2, 3, 4, 4), (3,), (3,)]
+        assert all(p._backward_fn is None for p in out._parents)
+
+    def test_eval_gradients_match_fd(self):
+        state = BatchNormState(2, np.float64)
+        batchnorm(Tensor(rand((8, 2, 3, 3), 87)), Tensor(np.ones(2)), Tensor(np.zeros(2)), state, True)
+        x = Tensor(rand((4, 2, 3, 3), 88), requires_grad=True)
+        gamma = Tensor(rand((2,), 89) + 1.0, requires_grad=True)
+        beta = Tensor(rand((2,), 90), requires_grad=True)
+        r = Tensor(rand((4, 2, 3, 3), 91))
+
+        def loss_fn():
+            out = batchnorm(x, gamma, beta, state, False).data * r.data
+            return float((out**2).sum())
+
+        out = batchnorm(x, gamma, beta, state, False) * r
+        tsum(out * out).backward()
+        # The loss is quadratic in every input, so central differences are
+        # exact but for rounding, about 1e-9 absolute at this loss size.
+        for t in (x, gamma, beta):
+            assert rel_err(t.grad, fd_gradient(loss_fn, t.data), floor=1e-3).max() < 1e-5
 
 
 class TestElementwise:
