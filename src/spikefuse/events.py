@@ -19,6 +19,7 @@ is accepted by the reader.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -123,6 +124,8 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.kind not in ("poisson_noise", "event_loss", "frame_loss"):
             raise ParameterError(f"unknown corruption kind {self.kind!r}")
+        if not math.isfinite(self.parameter):
+            raise ParameterError(f"corruption parameter must be finite, got {self.parameter}")
         if self.kind == "poisson_noise":
             if self.parameter < 0:
                 raise ParameterError("poisson rate must be >= 0")
@@ -139,18 +142,14 @@ def slice_to_frames(stream: EventStream, delta_t_ms: float, timesteps: int) -> F
     """
     if delta_t_ms <= 0 or timesteps <= 0:
         raise ParameterError("delta_t and timesteps must be positive")
-    frames = np.zeros((timesteps, 2, stream.height, stream.width), dtype=np.int64)
-    if len(stream):
-        window_us = delta_t_ms * 1000.0
-        idx = np.floor(stream.t.astype(np.float64) / window_us).astype(np.int64)
-        keep = idx < timesteps
-        np.add.at(
-            frames,
-            (idx[keep], stream.polarity[keep].astype(np.int64),
-             stream.y[keep].astype(np.int64), stream.x[keep].astype(np.int64)),
-            1,
-        )
-    return FrameSequence(frames, stream.label, delta_t_ms, timesteps)
+    shape = (timesteps, 2, stream.height, stream.width)
+    idx = np.floor(stream.t.astype(np.float64) / (delta_t_ms * 1000.0)).astype(np.int64)
+    keep = idx < timesteps
+    cells = np.ravel_multi_index(
+        (idx[keep], stream.polarity[keep], stream.y[keep], stream.x[keep]), shape
+    )
+    frames = np.bincount(cells, minlength=math.prod(shape)).astype(np.int64, copy=False)
+    return FrameSequence(frames.reshape(shape), stream.label, delta_t_ms, timesteps)
 
 
 BAR_DIRECTIONS = ("left_right", "right_left", "top_bottom", "bottom_top")

@@ -30,7 +30,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, ParameterError, SpikefuseError
+from .atomic import atomic_open
+from .errors import ConfigError, DivergenceError, EventFormatError, ParameterError, SpikefuseError
 from .events import (
     BAR_DIRECTIONS,
     CorruptionSpec,
@@ -54,6 +55,7 @@ from .training import (
     TrainConfig,
     config_from_dict,
     evaluate,
+    evaluate_sweep,
     frames_from_streams,
     train,
 )
@@ -148,6 +150,17 @@ def load_corpus(corpus_dir) -> List[EventStream]:
             stream = read_events(event_file)
             if stream.label is None:
                 stream.label = label
+            elif stream.label != label:
+                raise ConfigError(f"{manifest}: line {lineno}: {parts[name_col]!r} holds "
+                                  f"label {stream.label}, the manifest says {label}")
+            geometry = f"{stream.width}x{stream.height}"
+            if not streams:
+                first = (parts[name_col], lineno, geometry)
+            elif geometry != first[2]:
+                raise EventFormatError(
+                    f"{manifest}: line {lineno}: {parts[name_col]!r} is {geometry} (width x "
+                    f"height), but {first[0]!r} on line {first[1]} is {first[2]}"
+                )
             streams.append(stream)
     return streams
 
@@ -304,8 +317,10 @@ def run_training(cfg: TrainConfig, run_dir: Path, force: bool = False) -> dict:
     except DivergenceError as exc:
         record, net = exc.record, None
         status = "diverged"
-    record_path.write_text(record.to_json() + "\n")
-    (run_dir / "timing.json").write_text(record.timing_json() + "\n")
+    # every file is renamed into place whole, and the record goes last: a
+    # run killed before it is never counted by summaries_from_run_dirs
+    with atomic_open(run_dir / "timing.json", "w") as fh:
+        fh.write(record.timing_json() + "\n")
     if net is not None:
         save_checkpoint(
             run_dir / "checkpoint.bin",
@@ -316,6 +331,8 @@ def run_training(cfg: TrainConfig, run_dir: Path, force: bool = False) -> dict:
                 "seed": cfg.seed,
             },
         )
+    with atomic_open(record_path, "w") as fh:
+        fh.write(record.to_json() + "\n")
     return {
         "variant": cfg.variant,
         "kappa": cfg.lif.kappa,
@@ -418,31 +435,44 @@ _CORRUPTION_FLAGS = (
 )
 
 
-def cmd_robustness(args) -> int:
-    net, config = load_checkpoint(args.checkpoint)
-    streams = load_corpus(args.data)
-    delta_t = float(config.get("delta_t_ms", 100.0))
-    timesteps = int(config["timesteps"])
-    binarize = bool(config.get("binarize", False))
-    base = evaluate(net, streams, delta_t, timesteps, binarize=binarize)
-    out_rows = [("clean", 0.0, "accuracy", base.accuracy)]
+def _corruption_specs(args) -> List[CorruptionSpec]:
+    """Every level of the corruption flags as a validated spec; a bad token
+    raises ConfigError naming its flag."""
     master = Rng(args.seed)
+    specs = []
     for flag, kind in _CORRUPTION_FLAGS:
         levels = getattr(args, flag)
         if not levels:
             continue
-        for i, level in enumerate(float(x) for x in levels.split(",")):
-            spec = CorruptionSpec(kind, level, master.derive_seed("robustness", kind, i))
-            result = evaluate(net, streams, delta_t, timesteps, corruption=spec,
-                              binarize=binarize)
-            out_rows.append((kind, level, "accuracy", result.accuracy))
-            if kind == "poisson_noise":
-                out_rows.append((kind, level, "activation_distance",
-                                 result.activation_distance))
-            print(f"{kind} level={level:g}: acc {result.accuracy:.4f}")
+        for i, token in enumerate(levels.split(",")):
+            try:
+                specs.append(CorruptionSpec(
+                    kind, float(token), master.derive_seed("robustness", kind, i)
+                ))
+            except (ValueError, ParameterError) as exc:
+                raise ConfigError(f"bad level {token!r}: {exc}",
+                                  field="--" + flag.replace("_", "-"))
+    return specs
+
+
+def cmd_robustness(args) -> int:
+    specs = _corruption_specs(args)
+    net, config = load_checkpoint(args.checkpoint)
+    streams = load_corpus(args.data)
+    results = evaluate_sweep(
+        net, streams, float(config.get("delta_t_ms", 100.0)), int(config["timesteps"]),
+        specs, binarize=bool(config.get("binarize", False)),
+    )
+    out_rows = [("clean", 0.0, "accuracy", next(results).accuracy)]
+    for spec, result in zip(specs, results):
+        out_rows.append((spec.kind, spec.parameter, "accuracy", result.accuracy))
+        if spec.kind == "poisson_noise":
+            out_rows.append((spec.kind, spec.parameter, "activation_distance",
+                             result.activation_distance))
+        print(f"{spec.kind} level={spec.parameter:g}: acc {result.accuracy:.4f}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "robustness.csv", "w", newline="") as fh:
+    with atomic_open(out_dir / "robustness.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "level", "metric", "value", "master_seed"])
         for kind, level, metric, value in out_rows:

@@ -34,6 +34,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from .atomic import atomic_open
 from .attention import AttentionVariant, compute_attention, init_attention_params
 from .errors import ArchError, CheckpointError, ShapeError, SpikefuseError, StateError
 from .neuron import LifConfig, initial_state, lif_step, lif_step_attended
@@ -729,7 +730,7 @@ def save_checkpoint(path, net: SpikingNetwork, extra_config: Optional[dict] = No
     entries = _checkpoint_entries(net)
 
     manifest_rows = []
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
@@ -740,7 +741,7 @@ def save_checkpoint(path, net: SpikingNetwork, extra_config: Optional[dict] = No
             offset = fh.tell()
             fh.write(np.ascontiguousarray(arr, dtype=store_dtype).tobytes())
             manifest_rows.append((name, arr.shape, offset))
-    with open(path.with_suffix(".manifest.tsv"), "w") as fh:
+    with atomic_open(path.with_suffix(".manifest.tsv"), "w") as fh:
         fh.write("name\tshape\tbyte_offset\n")
         for name, shape, offset in manifest_rows:
             fh.write(f"{name}\t{'x'.join(map(str, shape))}\t{offset}\n")
@@ -818,6 +819,8 @@ def load_checkpoint(path, smooth: bool = False):
     for (name, target), arr in zip(entries, arrays):
         if tuple(target.shape) != tuple(arr.shape):
             raise CheckpointError(f"{path}: tensor {name} shape {arr.shape} != {target.shape}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
         target[...] = arr.astype(target.dtype)
     for layer in net.layers:
         if getattr(layer, "bn_state", None) is not None:

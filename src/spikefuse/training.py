@@ -21,7 +21,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -367,21 +367,34 @@ def evaluate_frames(
     dataset: LabeledFrames,
     batch_size: int = 32,
     record_hidden: bool = False,
+    hidden_reference: Optional[np.ndarray] = None,
 ) -> Tuple[float, np.ndarray, Optional[np.ndarray]]:
-    """Top-1 accuracy and confusion matrix; optionally also the last conv
-    layer's membrane trajectories concatenated over the dataset."""
+    """Top-1 accuracy and confusion matrix, plus one optional product of the
+    last conv layer's membrane trajectories: with ``record_hidden`` the
+    trajectories [N, T, C, H, W] concatenated over the dataset; with a
+    ``hidden_reference`` of that shape the [N, T] per-sample, per-step L2
+    distances from it, taken batch by batch so that the dataset's
+    trajectories are never held whole."""
     classes = net.spec.classes
-    preds = np.empty(len(dataset), dtype=np.int64)
-    traces = [] if record_hidden else None
+    n = len(dataset)
+    preds = np.empty(n, dtype=np.int64)
+    record = record_hidden or hidden_reference is not None
+    hidden = None
     with no_grad():
-        for idx in _batches(len(dataset), batch_size, np.arange(len(dataset))):
-            vote = net.forward(dataset.frames[idx], training=False, record_hidden=record_hidden)
+        for idx in _batches(n, batch_size, np.arange(n)):
+            vote = net.forward(dataset.frames[idx], training=False, record_hidden=record)
             preds[idx] = vote.predictions()
-            if record_hidden:
-                traces.append(net.hidden_activation())
-    acc = float(np.mean(preds == dataset.labels)) if len(dataset) else 0.0
+            if not record:
+                continue
+            out = net.hidden_activation()
+            if hidden_reference is not None:
+                diff = (hidden_reference[idx] - out).reshape(len(idx), out.shape[1], -1)
+                out = np.linalg.norm(diff, axis=2)
+            if hidden is None:
+                hidden = np.empty((n,) + out.shape[1:], dtype=out.dtype)
+            hidden[idx] = out
+    acc = float(np.mean(preds == dataset.labels)) if n else 0.0
     conf = confusion_matrix(preds, dataset.labels, classes)
-    hidden = np.concatenate(traces) if record_hidden else None
     return acc, conf, hidden
 
 
@@ -466,25 +479,62 @@ def _corrupt_sequences(
     delta_t_ms: float,
     timesteps: int,
     corruption: CorruptionSpec,
+    clean: Optional[Sequence[FrameSequence]] = None,
 ) -> List[FrameSequence]:
+    """Corrupted frame sequences of ``streams``. Poisson noise and frame loss
+    start from ``clean``, the streams' clean sequences (sliced here when not
+    given), and leave them unchanged; event loss drops events before
+    slicing, so it slices again."""
     rng = Rng(corruption.seed).split("corrupt", corruption.kind)
     out = []
     for i, stream in enumerate(streams):
         srng = rng.split(i)
         if corruption.kind == "event_loss":
-            seq = slice_to_frames(
+            out.append(slice_to_frames(
                 drop_events(stream, corruption.parameter, srng), delta_t_ms, timesteps
-            )
-        elif corruption.kind == "poisson_noise":
-            seq = add_poisson_noise(
-                slice_to_frames(stream, delta_t_ms, timesteps), corruption.parameter, srng
-            )
+            ))
+            continue
+        seq = clean[i] if clean is not None else slice_to_frames(stream, delta_t_ms, timesteps)
+        if corruption.kind == "poisson_noise":
+            out.append(add_poisson_noise(seq, corruption.parameter, srng))
         else:
-            seq = drop_frames(
-                slice_to_frames(stream, delta_t_ms, timesteps), corruption.parameter, srng
-            )
-        out.append(seq)
+            out.append(drop_frames(seq, corruption.parameter, srng))
     return out
+
+
+def evaluate_sweep(
+    net: SpikingNetwork,
+    streams: Sequence[EventStream],
+    delta_t_ms: float,
+    timesteps: int,
+    corruptions: Sequence[CorruptionSpec] = (),
+    binarize: bool = False,
+    batch_size: int = 32,
+) -> Iterator[EvalResult]:
+    """Evaluate on clean event streams, then under each corruption spec.
+
+    Yields the clean result first, then one result per spec as soon as its
+    pass ends: L specs take L+1 passes. The clean streams are sliced and
+    evaluated once, and every level reuses that pass. Each corrupted result
+    carries the mean Euclidean distance between the clean and corrupted
+    membrane trajectories of the last convolutional layer (mean over
+    samples and timesteps of the per-step L2 norm over all neurons).
+    """
+    clean_seqs = [slice_to_frames(s, delta_t_ms, timesteps) for s in streams]
+    clean = frames_from_sequences(clean_seqs, binarize=binarize, dtype=net.dtype)
+    acc, conf, clean_hidden = evaluate_frames(
+        net, clean, batch_size=batch_size, record_hidden=bool(corruptions)
+    )
+    del clean  # the levels start from clean_seqs; free the stacked copy
+    yield EvalResult(accuracy=acc, confusion=conf)
+    for spec in corruptions:
+        seqs = _corrupt_sequences(streams, delta_t_ms, timesteps, spec, clean=clean_seqs)
+        corrupted = frames_from_sequences(seqs, binarize=binarize, dtype=net.dtype)
+        acc, conf, distances = evaluate_frames(
+            net, corrupted, batch_size=batch_size, hidden_reference=clean_hidden
+        )
+        yield EvalResult(accuracy=acc, confusion=conf,
+                         activation_distance=float(np.mean(distances)))
 
 
 def evaluate(
@@ -496,26 +546,11 @@ def evaluate(
     binarize: bool = False,
     batch_size: int = 32,
 ) -> EvalResult:
-    """Evaluate on event streams, optionally corrupted.
-
-    With a corruption spec the result also carries the mean Euclidean
-    distance between the clean and corrupted membrane trajectories of the
-    last convolutional layer (mean over samples and timesteps of the
-    per-step L2 norm over all neurons).
-    """
-    clean = frames_from_streams(
-        streams, delta_t_ms, timesteps, binarize=binarize, dtype=net.dtype
+    """Evaluate on event streams, optionally corrupted: the last result of
+    ``evaluate_sweep`` over no spec or the one given, so a corrupted result
+    also carries the activation distance from the clean set."""
+    specs = () if corruption is None else (corruption,)
+    *_, result = evaluate_sweep(
+        net, streams, delta_t_ms, timesteps, specs, binarize=binarize, batch_size=batch_size
     )
-    if corruption is None:
-        acc, conf, _ = evaluate_frames(net, clean, batch_size=batch_size)
-        return EvalResult(accuracy=acc, confusion=conf)
-
-    seqs = _corrupt_sequences(streams, delta_t_ms, timesteps, corruption)
-    corrupted = frames_from_sequences(seqs, binarize=binarize, dtype=net.dtype)
-    acc, conf, hidden_c = evaluate_frames(
-        net, corrupted, batch_size=batch_size, record_hidden=True
-    )
-    _, _, hidden_0 = evaluate_frames(net, clean, batch_size=batch_size, record_hidden=True)
-    diff = (hidden_0 - hidden_c).reshape(hidden_0.shape[0], hidden_0.shape[1], -1)
-    distance = float(np.mean(np.linalg.norm(diff, axis=2)))
-    return EvalResult(accuracy=acc, confusion=conf, activation_distance=distance)
+    return result

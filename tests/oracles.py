@@ -136,6 +136,18 @@ def batchnorm_reference(x, gamma, beta, g, running_mean, running_var, training, 
     return out, dx, dgamma, dbeta, new_mean, new_var
 
 
+def slice_counts_add_at(t, x, y, polarity, width, height, delta_t_ms, timesteps):
+    """Per-cell event counts [T, 2, H, W] by an unbuffered ``np.add.at``
+    scatter: event (t, x, y, p) goes to slice floor(t / delta_t) when that
+    is below T."""
+    frames = np.zeros((timesteps, 2, height, width), dtype=np.int64)
+    idx = np.floor(np.asarray(t, dtype=np.float64) / (delta_t_ms * 1000.0)).astype(np.int64)
+    keep = idx < timesteps
+    np.add.at(frames, (idx[keep], np.asarray(polarity, dtype=np.int64)[keep],
+                       np.asarray(y, dtype=np.int64)[keep], np.asarray(x, dtype=np.int64)[keep]), 1)
+    return frames
+
+
 def channel_mean_loops(x):
     bs, c, h, w = x.shape
     out = np.zeros((bs, c), dtype=x.dtype)

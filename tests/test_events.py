@@ -19,6 +19,8 @@ from spikefuse.events import (
 )
 from spikefuse.rng import Rng
 
+from oracles import slice_counts_add_at
+
 
 def make_stream(seed=1, n=500, width=16, height=16, duration_us=1_000_000, label=3):
     rng = Rng(seed)
@@ -72,6 +74,32 @@ class TestSliceToFrames:
         seq = slice_to_frames(stream, delta_t_ms=125, timesteps=10)
         assert seq.frames.sum() == 1
         assert seq.frames[9, 1, 0, 0] == 1
+
+    @pytest.mark.parametrize("events,width,height,delta_t,timesteps", [
+        ([], 8, 8, 100, 5),  # empty stream
+        ([(0, 0, 0, 1), (99_999, 1, 0, 1), (100_000, 1, 0, 1), (200_000, 7, 7, 0),
+          (499_999, 3, 2, 0), (500_000, 3, 2, 0)], 8, 8, 100, 5),  # window edges, past T*dt
+        ([(10, 2, 3, 1)] * 4 + [(20, 2, 3, 0)] * 3 + [(150_000, 2, 3, 1)] * 2,
+         4, 5, 100, 3),  # repeated cells, non-square field
+        ([(124_999, 0, 0, 0), (125_000, 0, 0, 0), (1_249_999, 5, 1, 1), (1_250_000, 5, 1, 1),
+          (9_000_000, 2, 2, 1)], 6, 3, 125, 10),  # 125 ms windows
+    ])
+    def test_matches_add_at_oracle(self, events, width, height, delta_t, timesteps):
+        stream = EventStream.from_events(width, height, events)
+        seq = slice_to_frames(stream, delta_t, timesteps)
+        expect = slice_counts_add_at(stream.t, stream.x, stream.y, stream.polarity,
+                                     width, height, delta_t, timesteps)
+        assert seq.frames.dtype == np.int64
+        assert np.array_equal(seq.frames, expect)
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.floats(10, 200))
+    @settings(max_examples=30, deadline=None)
+    def test_random_streams_match_add_at_oracle(self, seed, timesteps, delta_t):
+        stream = make_stream(seed=seed, n=300, width=7, height=5)
+        seq = slice_to_frames(stream, delta_t, timesteps)
+        expect = slice_counts_add_at(stream.t, stream.x, stream.y, stream.polarity,
+                                     7, 5, delta_t, timesteps)
+        assert np.array_equal(seq.frames, expect)
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.floats(10, 200))
     @settings(max_examples=30, deadline=None)
@@ -227,6 +255,12 @@ class TestCorruptionSpec:
     def test_bad_rate(self):
         with pytest.raises(ParameterError):
             CorruptionSpec("event_loss", 1.5, 1)
+
+    @pytest.mark.parametrize("kind", ["poisson_noise", "event_loss", "frame_loss"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameter(self, kind, value):
+        with pytest.raises(ParameterError, match="must be finite"):
+            CorruptionSpec(kind, value, 1)
 
 
 class TestEventFiles:

@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikefuse.errors import ConfigError
+from spikefuse import harness
+from spikefuse.atomic import atomic_open
+from spikefuse.errors import ConfigError, EventFormatError
+from spikefuse.events import read_events, synth_moving_bar, write_events
 from spikefuse.harness import (
     ExperimentCell,
     ExperimentPlan,
@@ -16,8 +19,12 @@ from spikefuse.harness import (
     load_corpus,
     main,
     plan_from_dict,
+    run_training,
+    summaries_from_run_dirs,
     synth_corpus,
 )
+from spikefuse.rng import Rng
+from spikefuse.training import config_from_dict
 
 TINY_ARCH = "Input-4C3-BN-AP2-4C3-BN-VotingC4P2-AP"
 
@@ -101,6 +108,35 @@ class TestSynth:
             load_corpus(tmp_path / "c")
         assert str(info.value) == f"{manifest}: {message}"
 
+    def test_mixed_geometry_raises_event_format_error(self, tmp_path):
+        synth_corpus(tmp_path / "c", 2, 1, 16, 16, 500.0, 2.0, seed=4)
+        write_events(tmp_path / "c" / "small.evs",
+                     synth_moving_bar(1, 8, 12, 500.0, 2.0, Rng(5)))
+        manifest = tmp_path / "c" / "manifest.tsv"
+        first = manifest.read_text().splitlines()[1].split("\t")[0]
+        with open(manifest, "a") as fh:
+            fh.write("small.evs\t1\t0\t4\n")
+        with pytest.raises(EventFormatError) as info:
+            load_corpus(tmp_path / "c")
+        assert str(info.value) == (
+            f"{manifest}: line 4: 'small.evs' is 12x8 (width x height), "
+            f"but {first!r} on line 2 is 16x16"
+        )
+
+    def test_file_label_contradicting_manifest_raises(self, tmp_path):
+        synth_corpus(tmp_path / "c", 2, 1, 16, 16, 500.0, 2.0, seed=4)
+        manifest = tmp_path / "c" / "manifest.tsv"
+        lines = manifest.read_text().splitlines()
+        name = lines[2].split("\t")[0]
+        assert read_events(tmp_path / "c" / name).label == 1
+        lines[2] = lines[2].replace(f"{name}\t1", f"{name}\t0")
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError) as info:
+            load_corpus(tmp_path / "c")
+        assert str(info.value) == (
+            f"{manifest}: line 3: {name!r} holds label 1, the manifest says 0"
+        )
+
     def test_blank_lines_skipped(self, tmp_path):
         synth_corpus(tmp_path / "c", 2, 1, 16, 16, 500.0, 2.0, seed=4)
         manifest = tmp_path / "c" / "manifest.tsv"
@@ -162,6 +198,32 @@ class TestTrainCommand:
         for command in (["ablate", "--plan", "p.json"], ["sweep-kappa", "--config", "c.json"]):
             args = build_parser().parse_args(command + ["--out", "o", "--threads", "2"])
             assert args.threads == 2
+
+    def test_failed_write_leaves_no_counted_run(self, corpus, tmp_path, monkeypatch):
+        train_dir, test_dir = corpus
+        cfg = config_from_dict(config_doc(train_dir, test_dir))
+
+        def failing_save(path, *args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "save_checkpoint", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            run_training(cfg, tmp_path / "runs" / "run_a")
+        assert summaries_from_run_dirs(tmp_path / "runs") == []
+        assert sorted(p.name for p in (tmp_path / "runs" / "run_a").iterdir()) == ["timing.json"]
+
+    def test_atomic_open_leaves_target_whole(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("old")
+        with pytest.raises(OSError, match="killed"):
+            with atomic_open(path, "w") as fh:
+                fh.write("partial")
+                raise OSError("killed")
+        assert path.read_text() == "old"
+        with atomic_open(path, "w") as fh:
+            fh.write("new")
+        assert path.read_text() == "new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
     def test_seed_override_flag(self, corpus, tmp_path):
         train_dir, test_dir = corpus
@@ -344,6 +406,49 @@ class TestRobustnessCommand:
         dist0 = [r for r in rows if r["kind"] == "poisson_noise" and float(r["level"]) == 0.0
                  and r["metric"] == "activation_distance"][0]
         assert float(dist0["value"]) == 0.0
+
+    @pytest.mark.parametrize("flag,value,token", [
+        ("--noise", "0.1,abc", "'abc'"),
+        ("--frame-loss", ",", "''"),
+        ("--noise", "nan", "'nan'"),
+        ("--noise", "inf", "'inf'"),
+        ("--event-loss", "0.2,1.5", "'1.5'"),
+    ])
+    def test_bad_level_fails_before_loading(self, tmp_path, capsys, flag, value, token):
+        # neither the checkpoint nor the corpus exists: levels are checked first
+        rc = main(["robustness", "--checkpoint", str(tmp_path / "none.bin"),
+                   "--data", str(tmp_path / "none"), flag, value,
+                   "--out", str(tmp_path / "rb")])
+        assert rc == 2
+        assert f"error: {flag}: bad level {token}" in capsys.readouterr().err
+        assert not (tmp_path / "rb").exists()
+
+    def test_failed_csv_write_keeps_previous_file(self, corpus, run_dir, tmp_path,
+                                                  monkeypatch):
+        _, test_dir = corpus
+        argv = ["robustness", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                "--data", str(test_dir), "--seed", "3", "--out", str(tmp_path / "rb")]
+        assert main(argv + ["--noise", "0.5"]) == 0
+        before = (tmp_path / "rb" / "robustness.csv").read_bytes()
+
+        real_writer = csv.writer
+
+        class FailingWriter:
+            def __init__(self, fh):
+                self.writer = real_writer(fh)
+                self.rows = 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows == 3:
+                    raise OSError("disk full")
+                self.writer.writerow(row)
+
+        monkeypatch.setattr(harness.csv, "writer", FailingWriter)
+        with pytest.raises(OSError, match="disk full"):
+            main(argv + ["--noise", "0.5,1.0"])
+        assert sorted(p.name for p in (tmp_path / "rb").iterdir()) == ["robustness.csv"]
+        assert (tmp_path / "rb" / "robustness.csv").read_bytes() == before
 
     def test_eval_command(self, corpus, run_dir, capsys):
         _, test_dir = corpus

@@ -347,6 +347,21 @@ class TestCheckpoint:
         for (_, a), (_, b) in zip(net.named_parameters(), loaded.named_parameters()):
             assert np.array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_raises_checkpoint_error(self, tmp_path, value):
+        net = SpikingNetwork(tiny_spec("sctfa"), seed=15)
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, net)
+        rows = (tmp_path / "checkpoint.manifest.tsv").read_text().strip().splitlines()[1:]
+        name, _, offset = rows[1].split("\t")
+        raw = bytearray(path.read_bytes())
+        at = int(offset) + 4  # the tensor's second f32 element
+        raw[at : at + 4] = np.array([value], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: tensor {name} holds non-finite values"
+
     def test_truncated_file_raises_checkpoint_error(self, tmp_path):
         net = SpikingNetwork(tiny_spec("sctfa"), seed=15)
         path = tmp_path / "checkpoint.bin"

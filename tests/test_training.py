@@ -10,14 +10,18 @@ from spikefuse.events import CorruptionSpec, synth_moving_bar
 from spikefuse.network import SpikingNetwork, load_checkpoint, save_checkpoint, parse_architecture
 from spikefuse.neuron import LifConfig
 from spikefuse.rng import Rng
+from spikefuse import training
 from spikefuse.tensor import Tensor, tsum
 from spikefuse.training import (
     Adam,
     DataConfig,
     TrainConfig,
     config_from_dict,
+    _corrupt_sequences,
     evaluate,
     evaluate_frames,
+    evaluate_sweep,
+    frames_from_sequences,
     frames_from_streams,
     lr_schedule,
     mse_vote_loss,
@@ -310,3 +314,97 @@ class TestEvaluateWithCorruption:
         expect_acc = float(np.mean(labels == preds[0]))
         out = evaluate(net, streams, 100.0, 5, CorruptionSpec("frame_loss", 1.0, 9))
         assert out.accuracy == expect_acc
+
+
+SWEEP_SPECS = [  # zero levels after non-zero ones: the cached clean frames stay clean
+    CorruptionSpec("frame_loss", 0.4, 5),
+    CorruptionSpec("poisson_noise", 1.5, 6),
+    CorruptionSpec("event_loss", 0.3, 7),
+    CorruptionSpec("poisson_noise", 0.0, 8),
+    CorruptionSpec("frame_loss", 0.0, 9),
+    CorruptionSpec("event_loss", 0.0, 10),
+]
+
+
+def per_level_reference(net, streams, specs, binarize, batch_size):
+    """Each level as its own composition: a clean and a corrupted pass with
+    whole-set trajectories, and the distance from their difference."""
+    clean = frames_from_streams(streams, 100.0, 5, binarize=binarize, dtype=net.dtype)
+    acc, conf, _ = evaluate_frames(net, clean, batch_size=batch_size)
+    out = [(acc, conf, None)]
+    for spec in specs:
+        seqs = _corrupt_sequences(streams, 100.0, 5, spec)
+        corrupted = frames_from_sequences(seqs, binarize=binarize, dtype=net.dtype)
+        acc, conf, hidden_c = evaluate_frames(net, corrupted, batch_size=batch_size,
+                                              record_hidden=True)
+        _, _, hidden_0 = evaluate_frames(net, clean, batch_size=batch_size, record_hidden=True)
+        diff = (hidden_0 - hidden_c).reshape(hidden_0.shape[0], hidden_0.shape[1], -1)
+        out.append((acc, conf, float(np.mean(np.linalg.norm(diff, axis=2)))))
+    return out
+
+
+@pytest.fixture(scope="module")
+def sweep_nets():
+    _, train_set = bar_dataset(3, seed=81)
+    test_streams, test_set = bar_dataset(2, seed=82)
+    nets = {}
+    for precision in ("f32", "f64"):
+        _, nets[precision] = train(tiny_config(epochs=1, precision=precision),
+                                   train_set, test_set)
+    return nets, test_streams
+
+
+class TestEvaluateSweep:
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("binarize", [False, True])
+    def test_matches_per_level_reference_bitwise(self, sweep_nets, precision, binarize):
+        nets, streams = sweep_nets
+        net = nets[precision]
+        batch_size = 3  # uneven batches: 3 + 3 + 2 samples
+        swept = list(evaluate_sweep(net, streams, 100.0, 5, SWEEP_SPECS,
+                                    binarize=binarize, batch_size=batch_size))
+        reference = per_level_reference(net, streams, SWEEP_SPECS, binarize, batch_size)
+        assert len(swept) == len(SWEEP_SPECS) + 1
+        for result, (acc, conf, distance) in zip(swept, reference):
+            assert result.accuracy == acc
+            assert np.array_equal(result.confusion, conf)
+            assert result.activation_distance == distance
+        assert all(result.activation_distance == 0.0 for result in swept[4:])
+        assert swept[2].activation_distance > 0.0  # poisson noise moves the trajectory
+        singles = [evaluate(net, streams, 100.0, 5, spec, binarize=binarize,
+                            batch_size=batch_size) for spec in [None] + SWEEP_SPECS]
+        for single, result in zip(singles, swept):
+            assert single.accuracy == result.accuracy
+            assert np.array_equal(single.confusion, result.confusion)
+            assert single.activation_distance == result.activation_distance
+
+    def test_one_clean_pass_and_one_slice_per_stream(self, sweep_nets, monkeypatch):
+        nets, streams = sweep_nets
+        calls = {"evaluate_frames": 0, "slice_to_frames": 0}
+
+        def counted(name):
+            original = getattr(training, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(training, name, counted(name))
+        results = list(evaluate_sweep(nets["f32"], streams, 100.0, 5, SWEEP_SPECS))
+        assert len(results) == len(SWEEP_SPECS) + 1
+        assert calls["evaluate_frames"] == len(SWEEP_SPECS) + 1
+        event_loss_levels = sum(spec.kind == "event_loss" for spec in SWEEP_SPECS)
+        assert calls["slice_to_frames"] == len(streams) * (1 + event_loss_levels)
+
+    def test_streamed_distance_holds_no_whole_set_trace(self, sweep_nets):
+        nets, streams = sweep_nets
+        clean = frames_from_streams(streams, 100.0, 5, dtype=nets["f32"].dtype)
+        _, _, hidden = evaluate_frames(nets["f32"], clean, batch_size=3, record_hidden=True)
+        _, _, distances = evaluate_frames(nets["f32"], clean, batch_size=3,
+                                          hidden_reference=hidden)
+        assert hidden.shape[:2] == distances.shape == (len(streams), 5)
+        assert distances.dtype == hidden.dtype
+        assert not distances.any()
