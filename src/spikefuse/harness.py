@@ -285,7 +285,7 @@ def aggregate_records(records: Sequence[dict], group_key) -> List[ReportRow]:
 
 
 def _write_table(path: Path, rows: List[ReportRow], group_cols: List[str], extra: dict):
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(group_cols + ["trials", "mean_acc", "std_acc", "best_acc", "status"]
                         + list(extra))
@@ -371,8 +371,34 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _read_json_object(path: str, flag: str) -> dict:
+    """The JSON object in file ``path``; a missing, unreadable or malformed
+    file raises ConfigError naming the flag and the path."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}", field=flag)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}", field=flag)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} holds a JSON {type(doc).__name__}, not an object", field=flag)
+    return doc
+
+
+def _parse_list(text: str, convert, flag: str) -> list:
+    """The comma-separated values of a flag; a token ``convert`` rejects
+    raises ConfigError naming the flag and the token."""
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(convert(token))
+        except ValueError as exc:
+            raise ConfigError(f"bad value {token!r}: {exc}", field=flag)
+    return values
+
+
 def cmd_train(args) -> int:
-    doc = json.loads(Path(args.config).read_text())
+    doc = _read_json_object(args.config, "--config")
     doc = _apply_overrides(doc, args)
     cfg = config_from_dict(doc)
     run_dir = Path(args.out) / f"run_seed{cfg.seed}_{cfg.variant}"
@@ -382,7 +408,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    doc = json.loads(Path(args.plan).read_text())
+    doc = _read_json_object(args.plan, "--plan")
     plan = plan_from_dict(doc)
     out_dir = Path(args.out)
     summaries = run_plan(plan, out_dir, threads=args.threads, force=args.force)
@@ -397,13 +423,12 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep_kappa(args) -> int:
-    doc = json.loads(Path(args.config).read_text())
-    doc = _apply_overrides(doc, args)
-    kappas = [float(k) for k in args.kappas.split(",")]
+    doc = _apply_overrides(_read_json_object(args.config, "--config"), args)
+    kappas = _parse_list(args.kappas, float, "--kappas")
     for k in kappas:
         if not 0.0 <= k <= 1.0:
-            raise ConfigError(f"kappa {k} outside [0, 1]", field="kappas")
-    seeds = [int(s) for s in args.seeds.split(",")]
+            raise ConfigError(f"kappa {k} outside [0, 1]", field="--kappas")
+    seeds = _parse_list(args.seeds, int, "--seeds")
     variant = doc.get("variant", "sctfa")
     plan = ExperimentPlan(
         base=doc,
@@ -412,7 +437,7 @@ def cmd_sweep_kappa(args) -> int:
     out_dir = Path(args.out)
     summaries = run_plan(plan, out_dir, threads=args.threads, force=args.force)
     rows = aggregate_records(summaries, lambda r: {"kappa": r["kappa"]})
-    with open(out_dir / "table.csv", "w", newline="") as fh:
+    with atomic_open(out_dir / "table.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kappa", "mean_acc", "std_acc", "best_acc"])
         for row in rows:
@@ -420,9 +445,8 @@ def cmd_sweep_kappa(args) -> int:
                 row.group["kappa"], repr(row.mean_acc),
                 "" if row.std_acc is None else repr(row.std_acc), repr(row.best_acc),
             ])
-    (out_dir / "sweep_meta.json").write_text(
-        json.dumps({"master_seed": doc.get("seed", 0), "variant": variant}, sort_keys=True) + "\n"
-    )
+    with atomic_open(out_dir / "sweep_meta.json", "w") as fh:
+        fh.write(json.dumps({"master_seed": doc.get("seed", 0), "variant": variant}, sort_keys=True) + "\n")
     for row in rows:
         print(f"kappa={row.group['kappa']:g}: mean {row.mean_acc:.4f}, best {row.best_acc:.4f}")
     return 0

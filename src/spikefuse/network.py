@@ -17,9 +17,11 @@ Every convolutional layer carries conv -> (BN) -> LIF dynamics unrolled
 over T timesteps; from the second step on, a non-baseline variant gates the
 decayed membrane history with the attention tensor computed from the
 layer's own previous-step spikes. Fully connected and voting layers always
-use the plain update. Pooling acts on spikes, so deeper layers receive
-fractional input current in [0, 1]; the first layer receives raw frame
-counts.
+use the plain update. The synapse of a spiking layer runs once over all T*B
+frames; its T-step LIF recurrence (gate included) is one
+``neuron.lif_sequence`` node. Pooling acts on spikes, so deeper layers
+receive fractional input current in [0, 1]; the first layer receives raw
+frame counts.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .atomic import atomic_open
-from .attention import AttentionVariant, compute_attention, init_attention_params
+from .attention import AttentionVariant, init_attention_params
 from .errors import ArchError, CheckpointError, ShapeError, SpikefuseError, StateError
-from .neuron import LifConfig, initial_state, lif_step, lif_step_attended
+from .neuron import LifConfig, lif_sequence
 from .rng import Rng
 from .tensor import (
     BatchNormState,
@@ -50,9 +52,8 @@ from .tensor import (
     linear,
     ones_param,
     reshape,
-    stack,
     tmean,
-    unstack,
+    transpose,
     zeros_param,
 )
 
@@ -336,10 +337,8 @@ class _ForwardCtx:
 class _ConvBlock:
     def __init__(self, st: ConvStage, spec: NetworkSpec, name: str, rng: Rng, dtype):
         self.st = st
-        self.variant = spec.variant
         self.lif = spec.lif
         self.name = name
-        self.dtype = dtype
         self.is_last_conv = False
         fan_in = st.in_channels * st.kernel**2
         self.weight = kaiming_uniform(
@@ -356,7 +355,6 @@ class _ConvBlock:
         self.attention = init_attention_params(
             st.out_channels, spec.reduction, spec.variant, rng.split(f"{name}.att"), dtype
         )
-        self.state = None
 
     def named_parameters(self):
         out = [(f"{self.name}.conv.weight", self.weight), (f"{self.name}.conv.bias", self.bias)]
@@ -384,35 +382,18 @@ class _ConvBlock:
             (f"{self.name}.bn.running_var", self.bn_state.var),
         ]
 
-    def reset(self):
-        self.state = None
-
     def forward_sequence(self, x: Tensor, t_steps: int, batch: int, ctx: _ForwardCtx) -> Tensor:
         cur = conv2d(x, self.weight, self.bias, self.st.stride, self.st.padding)
         if self.bn_gamma is not None:
             cur = batchnorm(cur, self.bn_gamma, self.bn_beta, self.bn_state, ctx.training)
         c, (h, w) = self.st.out_channels, self.st.out_hw
-        seq = unstack(reshape(cur, (t_steps, batch, c, h, w)))
-        state = initial_state((batch, c, h, w), self.dtype)
-        spikes = []
-        record = ctx.record_hidden and self.is_last_conv
-        trace = [] if record else None
-        for t, i_t in enumerate(seq):
-            if t > 0 and self.attention is not None:
-                u = compute_attention(
-                    state.s, self.attention, self.variant,
-                    unit_spatial=ctx.unit_spatial, unit_channel=ctx.unit_channel,
-                )
-                state, s = lif_step_attended(state, i_t, u, self.lif, smooth=ctx.smooth)
-            else:
-                state, s = lif_step(state, i_t, self.lif, smooth=ctx.smooth)
-            self.state = state
-            if record:
-                trace.append(state.v.data.copy())
-            spikes.append(s)
-        if record:
-            ctx.hidden_trace = np.stack(trace, axis=1)  # [B, T, C, H, W]
-        return reshape(stack(spikes, axis=0), (t_steps * batch, c, h, w))
+        spikes, v = lif_sequence(
+            reshape(cur, (t_steps, batch, c, h, w)), self.lif, self.attention, smooth=ctx.smooth,
+            unit_spatial=ctx.unit_spatial, unit_channel=ctx.unit_channel,
+        )
+        if ctx.record_hidden and self.is_last_conv:
+            ctx.hidden_trace = np.ascontiguousarray(v.swapaxes(0, 1))  # [B, T, C, H, W]
+        return reshape(spikes, (t_steps * batch, c, h, w))
 
 
 class _PoolLayer:
@@ -424,9 +405,6 @@ class _PoolLayer:
 
     def named_buffers(self):
         return []
-
-    def reset(self):
-        pass
 
     def forward_sequence(self, x, t_steps, batch, ctx):
         return avgpool2d(x, self.st.k)
@@ -442,9 +420,6 @@ class _DropoutLayer:
 
     def named_buffers(self):
         return []
-
-    def reset(self):
-        pass
 
     def forward_sequence(self, x, t_steps, batch, ctx):
         if not ctx.training:
@@ -463,13 +438,11 @@ class _SpikingDense:
         self.st = st
         self.lif = lif
         self.name = name
-        self.dtype = dtype
         self.weight = kaiming_uniform(
             (st.out_features, st.in_features), st.in_features,
             rng.split(f"{name}.weight"), dtype,
         )
         self.bias = zeros_param((st.out_features,), dtype)
-        self.state = None
 
     def named_parameters(self):
         return [(f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias)]
@@ -477,21 +450,13 @@ class _SpikingDense:
     def named_buffers(self):
         return []
 
-    def reset(self):
-        self.state = None
-
     def forward_sequence(self, x, t_steps, batch, ctx):
         if x.ndim != 2:
             x = reshape(x, (t_steps * batch, int(np.prod(x.shape[1:]))))
         cur = linear(x, self.weight, self.bias)
-        seq = unstack(reshape(cur, (t_steps, batch, self.st.out_features)))
-        state = initial_state((batch, self.st.out_features), self.dtype)
-        spikes = []
-        for i_t in seq:
-            state, s = lif_step(state, i_t, self.lif, smooth=ctx.smooth)
-            self.state = state
-            spikes.append(s)
-        return reshape(stack(spikes, axis=0), (t_steps * batch, self.st.out_features))
+        f = self.st.out_features
+        spikes, _ = lif_sequence(reshape(cur, (t_steps, batch, f)), self.lif, smooth=ctx.smooth)
+        return reshape(spikes, (t_steps * batch, f))
 
 
 class _VotingLayer:
@@ -499,13 +464,11 @@ class _VotingLayer:
         self.st = st
         self.lif = lif
         self.name = name
-        self.dtype = dtype
         out = st.classes * st.per_class
         self.weight = kaiming_uniform(
             (out, st.in_features), st.in_features, rng.split(f"{name}.weight"), dtype
         )
         self.bias = zeros_param((out,), dtype)
-        self.state = None
 
     def named_parameters(self):
         return [(f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias)]
@@ -513,22 +476,14 @@ class _VotingLayer:
     def named_buffers(self):
         return []
 
-    def reset(self):
-        self.state = None
-
     def forward_sequence(self, x, t_steps, batch, ctx):
         if x.ndim != 2:
             x = reshape(x, (t_steps * batch, int(np.prod(x.shape[1:]))))
         m, p = self.st.classes, self.st.per_class
         cur = linear(x, self.weight, self.bias)
-        seq = unstack(reshape(cur, (t_steps, batch, m * p)))
-        state = initial_state((batch, m * p), self.dtype)
-        votes = []
-        for i_t in seq:
-            state, s = lif_step(state, i_t, self.lif, smooth=ctx.smooth)
-            self.state = state
-            votes.append(tmean(reshape(s, (batch, m, p)), axis=2))
-        return stack(votes, axis=2)  # [B, M, T]
+        spikes, _ = lif_sequence(reshape(cur, (t_steps, batch, m * p)), self.lif, smooth=ctx.smooth)
+        votes = tmean(reshape(spikes, (t_steps, batch, m, p)), axis=3)  # group means [T, B, M]
+        return transpose(votes, (1, 2, 0))  # [B, M, T]
 
 
 @dataclass
@@ -607,8 +562,7 @@ class SpikingNetwork:
             p.zero_grad()
 
     def reset_states(self):
-        for layer in self.layers:
-            layer.reset()
+        """Forget the hidden trajectory of the last forward."""
         self._hidden = None
 
     def forward(

@@ -24,19 +24,21 @@ the backward folds the patch gradients back onto the input (col2im) by the
 same slices, as additions. A 1x1 unit-stride kernel is a plain contraction
 over channels with no patch matrix at all. ``avgpool2d`` sums k*k strided
 slices into one buffer and scales it once. ``batchnorm`` is one graph node
-with a closed-form backward. ``unstack`` splits a [T, ...] tensor into its
-T per-timestep slices; the slice gradients are written into one [T, ...]
-buffer, so a time loop over the slices costs O(T) in backward rather than
-the O(T^2) of T separate ``getitem`` nodes.
+with a closed-form backward. ``transpose`` permutes axes into a contiguous
+copy.
+
+The numpy forms of the logistic function and of the spike nonlinearities
+(``_sigmoid``, ``_fire``, ``_surrogate_backward``) are shared with the fused
+LIF node in ``neuron``, so each formula is written once.
 
 Set the environment variable ``SPIKEFUSE_DEBUG_NAN=1`` to assert that every
-operation output is finite.
+operation output is finite (the fused LIF node also checks its membrane, its
+gate and its gradients).
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 import threading
@@ -56,9 +58,6 @@ _PATCH_BUDGET_BYTES = 1 << 26
 # threads, and one thread's no_grad must not leak into another's training.
 _tls = threading.local()
 _debug_nan = bool(int(os.environ.get("SPIKEFUSE_DEBUG_NAN", "0") or "0"))
-# Every Tensor.backward call gets a fresh id, so a backward rule that keeps
-# a buffer across the nodes of one pass (``unstack``) can tell passes apart.
-_backward_passes = itertools.count()
 
 
 def _grad_enabled() -> bool:
@@ -141,7 +140,6 @@ class Tensor:
         if self.data.size != 1:
             _raise_scalar(self)
         order = _topo_order(self)
-        _tls.backward_pass = next(_backward_passes)
         grads = {id(self): np.ones_like(self.data)}
         for node in order:
             g = grads.pop(id(node), None)
@@ -238,9 +236,14 @@ def _topo_order(root: Tensor):
     return order
 
 
-def _result(data: np.ndarray, parents, backward_fn) -> Tensor:
+def _check_finite(data: np.ndarray, what: str = "an operation") -> None:
+    """With the debug flag on, raise NumericError if ``data`` is not finite."""
     if _debug_nan and not np.all(np.isfinite(data)):
-        raise NumericError("non-finite value produced by an operation")
+        raise NumericError(f"non-finite value produced by {what}")
+
+
+def _result(data: np.ndarray, parents, backward_fn) -> Tensor:
+    _check_finite(data)
     out = Tensor(data)
     if _grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -343,12 +346,22 @@ def sqrt(a: Tensor) -> Tensor:
     return _result(out_data, (a,), lambda g: (g * 0.5 / out_data,))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function in the dtype of ``x``, split by sign so that no
+    exponential overflows at float32."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d).astype(x.dtype, copy=False)
+
+
+def _sigmoid_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``g`` through a logistic function whose output was ``out``."""
+    return g * out * (1.0 - out)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # Split by sign for overflow-free evaluation at float32.
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out_data = out_data.astype(x.dtype, copy=False)
-    return _result(out_data, (a,), lambda g: (g * out_data * (1.0 - out_data),))
+    out_data = _sigmoid(a.data)
+    return _result(out_data, (a,), lambda g: (_sigmoid_backward(g, out_data),))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -363,33 +376,54 @@ def relu(a: Tensor) -> Tensor:
 # spike nonlinearities
 
 
+def _surrogate_z(v: np.ndarray, v_th: float, alpha: float) -> np.ndarray:
+    z = v - v_th
+    z *= (math.pi / 2.0) * alpha
+    return z
+
+
+def _fire(v: np.ndarray, v_th: float, alpha: float, smooth: bool, out=None) -> np.ndarray:
+    """Spikes of membrane ``v``, into ``out`` if given: the exact 0/1
+    Heaviside step, or with ``smooth`` the arctan curve ``atan(z)/pi + 1/2``
+    in (0, 1)."""
+    if smooth:
+        a = np.arctan(_surrogate_z(v, v_th, alpha))
+        a /= math.pi
+        return np.add(a, 0.5, out=out)
+    return np.greater_equal(v, v_th, out=np.empty_like(v) if out is None else out)
+
+
+def _surrogate_backward(g: np.ndarray, v: np.ndarray, v_th: float, alpha: float) -> np.ndarray:
+    """``g`` times the arctan surrogate slope ``(alpha/2) / (1 + z**2)`` at
+    ``v``, with ``z = (pi/2) * alpha * (v - v_th)``: the exact derivative of
+    the smooth curve and the stand-in derivative of the step."""
+    z = _surrogate_z(v, v_th, alpha)
+    z *= z
+    z += 1.0
+    out = g * (alpha / 2.0)
+    out /= z
+    return out
+
+
 def spike(v: Tensor, v_th: float, alpha: float = SURROGATE_ALPHA) -> Tensor:
-    """Heaviside threshold producing exact 0/1 values.
-
-    Backward uses the arctan surrogate slope
-    ``(alpha/2) / (1 + ((pi/2) * alpha * (v - v_th))**2)``.
-    """
-    out_data = (v.data >= v_th).astype(v.dtype)
-
-    def backward(g):
-        z = (math.pi / 2.0) * alpha * (v.data - v_th)
-        return (g * (alpha / 2.0) / (1.0 + z * z),)
-
-    return _result(out_data, (v,), backward)
+    """Heaviside threshold producing exact 0/1 values; backward uses the
+    arctan surrogate slope."""
+    return _result(
+        _fire(v.data, v_th, alpha, smooth=False),
+        (v,),
+        lambda g: (_surrogate_backward(g, v.data, v_th, alpha),),
+    )
 
 
 def smooth_spike(v: Tensor, v_th: float, alpha: float = SURROGATE_ALPHA) -> Tensor:
     """Smooth surrogate activation in (0, 1); forward is the arctan curve the
     ``spike`` backward is derived from, so analytic and finite-difference
     gradients of a network built on this op agree."""
-    z = (math.pi / 2.0) * alpha * (v.data - v_th)
-    out_data = (np.arctan(z) / math.pi + 0.5).astype(v.dtype, copy=False)
-
-    def backward(g):
-        zz = (math.pi / 2.0) * alpha * (v.data - v_th)
-        return (g * (alpha / 2.0) / (1.0 + zz * zz),)
-
-    return _result(out_data, (v,), backward)
+    return _result(
+        _fire(v.data, v_th, alpha, smooth=True),
+        (v,),
+        lambda g: (_surrogate_backward(g, v.data, v_th, alpha),),
+    )
 
 
 def dropout(x: Tensor, rate: float, mask: np.ndarray, training: bool = True) -> Tensor:
@@ -476,35 +510,18 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return _result(out_data, tuple(tensors), lambda g: tuple(np.moveaxis(g, axis, 0)))
 
 
-def unstack(a: Tensor):
-    """The slices ``a[0], ..., a[T-1]`` along axis 0, as a list of tensors.
-
-    The slices hang off one join node whose parent is ``a``. In a backward
-    pass the first slice to receive a gradient allocates a zero [T, ...]
-    buffer and hands it to the join node; every slice writes its gradient
-    into its own row. The join node runs after all slices, so ``a`` gets the
-    filled buffer as a single gradient, whatever else ``a`` feeds.
-    """
-    if a.ndim == 0:
-        raise ShapeError("unstack of a scalar tensor")
-    pending = [None, None]  # [backward pass id, buffer]
-
-    def slice_backward(t):
-        def backward(g):
-            fresh = pending[0] != _tls.backward_pass
-            if fresh:
-                pending[:] = [_tls.backward_pass, np.zeros_like(a.data)]
-            pending[1][t] = g
-            return (pending[1] if fresh else None,)
-
-        return backward
-
-    def join_backward(g):
-        pending[:] = [None, None]  # the graph must not keep the buffer alive
-        return (g,)
-
-    join = _result(a.data, (a,), join_backward)
-    return [_result(a.data[t], (join,), slice_backward(t)) for t in range(a.shape[0])]
+def transpose(a: Tensor, axes) -> Tensor:
+    """Permute the axes of ``a`` into a contiguous copy (so reductions over
+    the result run in the order they would on a freshly built array)."""
+    axes = tuple(int(ax) for ax in axes)
+    if sorted(axes) != list(range(a.ndim)):
+        raise ShapeError(f"transpose: {axes} is not a permutation of the {a.ndim} axes of {a.shape}")
+    inverse = tuple(np.argsort(axes))
+    return _result(
+        np.ascontiguousarray(a.data.transpose(axes)),
+        (a,),
+        lambda g: (g.transpose(inverse),),
+    )
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

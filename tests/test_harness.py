@@ -374,6 +374,51 @@ class TestSweepKappa:
         assert "kappa" in capsys.readouterr().err
 
 
+class TestCliFailsClosed:
+    @pytest.mark.parametrize("flag, value, token", [
+        ("--kappas", "0.3,abc", "'abc'"),
+        ("--seeds", "1,x", "'x'"),
+    ])
+    def test_sweep_kappa_bad_token_names_flag(self, corpus, tmp_path, capsys, flag, value, token):
+        train_dir, test_dir = corpus
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_doc(train_dir, test_dir)))
+        argv = ["sweep-kappa", "--config", str(cfg_path), "--kappas", "0.5",
+                "--seeds", "1", "--out", str(tmp_path / "s")]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err and token in err
+        assert not (tmp_path / "s").exists()  # rejected before any run
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--config"), ("ablate", "--plan"), ("sweep-kappa", "--config"),
+    ])
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                             ids=["missing", "malformed", "not-an-object"])
+    def test_unreadable_config_names_path(self, tmp_path, capsys, command, flag, content):
+        path = tmp_path / "doc.json"
+        if content is not None:
+            path.write_text(content)
+        assert main([command, flag, str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and str(path) in err
+
+    def test_failing_table_writer_leaves_no_partial_table(self, tmp_path):
+        from spikefuse.harness import ReportRow, _write_table
+
+        table = tmp_path / "table.csv"
+        table.write_text("old\n")
+        rows = [
+            ReportRow({"variant": "bl"}, 1, 0.5, None, 0.5, "complete"),
+            ReportRow({}, 1, 0.5, None, 0.5, "complete"),  # fails after a row is written
+        ]
+        with pytest.raises(KeyError):
+            _write_table(table, rows, ["variant"], {"master_seed": 1})
+        assert table.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+
 @pytest.fixture(scope="module")
 def run_dir(corpus, tmp_path_factory):
     train_dir, test_dir = corpus

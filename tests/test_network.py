@@ -224,14 +224,11 @@ class TestForward:
         assert np.array_equal(a, b)
 
     def test_reset_states_clears_layer_state(self):
-        from spikefuse.neuron import reset_states
-
         spec = tiny_spec("sctfa")
         net = SpikingNetwork(spec, seed=8)
         net.forward(frames_for(spec), training=True, record_hidden=True)
-        assert net.layers[0].state is not None
-        reset_states(net)
-        assert all(getattr(layer, "state", None) is None for layer in net.layers)
+        assert net.hidden_activation().shape == (2, 3, 4, 3, 3)
+        net.reset_states()
         with pytest.raises(StateError):
             net.hidden_activation()
 

@@ -1,14 +1,24 @@
-"""LIF dynamics: decay, hard reset, gated update, analytic properties."""
+"""LIF dynamics: decay, hard reset, gated update, analytic properties, and
+the fused T-step node against the per-step composition."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikefuse.errors import ParameterError, ShapeError
-from spikefuse.neuron import LayerState, LifConfig, initial_state, lif_step, lif_step_attended
+from spikefuse.attention import AttentionVariant, compute_attention, init_attention_params
+from spikefuse.errors import NumericError, ParameterError, ShapeError
+from spikefuse.network import SpikingNetwork, parse_architecture
+from spikefuse.neuron import (
+    LayerState,
+    LifConfig,
+    initial_state,
+    lif_sequence,
+    lif_step,
+    lif_step_attended,
+)
 from spikefuse.rng import Rng
-from spikefuse.tensor import Tensor, tsum
+from spikefuse.tensor import Tensor, set_debug_nan, stack, tsum
 
 from oracles import fd_gradient, rel_err
 
@@ -148,7 +158,6 @@ class TestStateHandling:
         state = initial_state((2, 3), np.float32)
         assert np.all(state.v.data == 0.0)
         assert np.all(state.s.data == 0.0)
-        assert state.u is None
 
     def test_bounded_inputs_stay_finite(self):
         cfg = LifConfig(v_th=0.9, kappa=0.95)
@@ -163,3 +172,181 @@ class TestStateHandling:
             LifConfig(v_th=0.0, kappa=0.5)
         with pytest.raises(ParameterError):
             LifConfig(v_th=1.0, kappa=1.5)
+
+
+# ---------------------------------------------------------------------------
+# the fused T-step node against the per-step composition
+
+
+def composed_sequence(currents, cfg, params, variant, smooth=False, unit_spatial=False, unit_channel=False):
+    """The per-step reference: ``lif_step`` / ``lif_step_attended`` and
+    ``compute_attention`` over the T slices of ``currents``, as separate
+    graph nodes; returns (spikes [T, ...] tensor, membrane [T, ...] array)."""
+    state = initial_state(currents.shape[1:], currents.dtype)
+    spikes, membrane = [], []
+    for t in range(currents.shape[0]):
+        i_t = currents[t]
+        if t > 0 and params is not None:
+            u = compute_attention(state.s, params, variant, unit_spatial=unit_spatial, unit_channel=unit_channel)
+            state, s = lif_step_attended(state, i_t, u, cfg, smooth=smooth)
+        else:
+            state, s = lif_step(state, i_t, cfg, smooth=smooth)
+        spikes.append(s)
+        membrane.append(state.v.data)
+    return stack(spikes), np.stack(membrane)
+
+
+UNIT_HOOKS = [(False, False), (True, False), (False, True)]
+SEQ_CFG = LifConfig(v_th=1.0, kappa=0.7)
+
+
+def sequence_case(variant, dtype, t_steps, seed=0, shape=(2, 4, 5, 5)):
+    """Currents [T, B, C, H, W] that drive some neurons past threshold, the
+    layer's attention parameters and a random output weighting."""
+    rng = Rng(seed)
+    currents = rng.normal(0.6, 0.8, size=(t_steps,) + shape).astype(dtype)
+    params = init_attention_params(shape[1], 2, AttentionVariant(variant), rng.split("att"), dtype)
+    weighting = rng.normal(0, 1, size=currents.shape).astype(dtype)
+    return currents, params, weighting
+
+
+def param_tensors(params):
+    if params is None:
+        return []
+    return [p for p in (params.spatial_weight, params.spatial_bias, params.reduce_weight, params.expand_weight)
+            if p is not None]
+
+
+def sequence_grads(run, currents, params, weighting):
+    """Gradients of sum(spikes * weighting) for currents and every attention
+    parameter (None where the run gives none)."""
+    x = Tensor(currents.copy(), requires_grad=True)
+    for p in param_tensors(params):
+        p.grad = None
+    spikes = run(x)
+    tsum(spikes * Tensor(weighting)).backward()
+    return [x.grad] + [p.grad for p in param_tensors(params)]
+
+
+class TestLifSequence:
+    @pytest.mark.parametrize("variant", ["bl", "stfa", "ctfa", "sctfa"])
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t_steps", [1, 2, 5])
+    @pytest.mark.parametrize("unit", UNIT_HOOKS)
+    def test_forward_bitwise_equals_composition(self, variant, smooth, dtype, t_steps, unit):
+        currents, params, _ = sequence_case(variant, dtype, t_steps, seed=t_steps)
+        kw = dict(smooth=smooth, unit_spatial=unit[0], unit_channel=unit[1])
+        ref_s, ref_v = composed_sequence(Tensor(currents), SEQ_CFG, params, AttentionVariant(variant), **kw)
+        s, v = lif_sequence(Tensor(currents), SEQ_CFG, params, **kw)
+        assert s.dtype == dtype and v.dtype == dtype
+        assert np.array_equal(s.data, ref_s.data)
+        assert np.array_equal(v, ref_v)
+        if not smooth:
+            assert 0 < s.data.sum() < s.size  # the case exercises both spike values
+
+    @pytest.mark.parametrize("variant", ["bl", "stfa", "ctfa", "sctfa"])
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("t_steps", [1, 2, 5])
+    @pytest.mark.parametrize("unit", UNIT_HOOKS)
+    def test_gradients_match_composition_f64(self, variant, smooth, t_steps, unit):
+        currents, params, weighting = sequence_case(variant, np.float64, t_steps, seed=10 + t_steps)
+        kw = dict(smooth=smooth, unit_spatial=unit[0], unit_channel=unit[1])
+        ref = sequence_grads(
+            lambda x: composed_sequence(x, SEQ_CFG, params, AttentionVariant(variant), **kw)[0],
+            currents, params, weighting,
+        )
+        got = sequence_grads(lambda x: lif_sequence(x, SEQ_CFG, params, **kw)[0], currents, params, weighting)
+        for r, g in zip(ref, got):
+            if r is None:  # a unit branch, or no gated step at T=1: the true gradient is 0
+                assert g is None or not np.any(g)
+                continue
+            assert g.shape == r.shape
+            assert np.all(np.abs(g - r) <= 1e-12 * np.maximum(1.0, np.abs(r)))
+
+    def test_finite_difference_f64_smooth(self):
+        currents, params, weighting = sequence_case("sctfa", np.float64, 3, seed=21, shape=(2, 4, 3, 3))
+        x = Tensor(currents, requires_grad=True)
+        spikes, _ = lif_sequence(x, SEQ_CFG, params, smooth=True)
+        tsum(spikes * Tensor(weighting)).backward()
+
+        def loss():
+            out, _ = lif_sequence(Tensor(currents), SEQ_CFG, params, smooth=True)
+            return float((out.data * weighting).sum())
+
+        for leaf in [x] + param_tensors(params):
+            fd = fd_gradient(loss, leaf.data)
+            assert rel_err(leaf.grad, fd).max() < 1e-6
+
+    def test_one_node_per_layer(self):
+        currents, params, _ = sequence_case("sctfa", np.float64, 4)
+        x = Tensor(currents, requires_grad=True)
+        spikes, _ = lif_sequence(x, SEQ_CFG, params)
+        assert spikes._parents == (x,) + tuple(param_tensors(params))
+
+    def test_second_backward_pass_accumulates(self):
+        currents, params, weighting = sequence_case("sctfa", np.float64, 3)
+        x = Tensor(currents, requires_grad=True)
+        spikes, _ = lif_sequence(x, SEQ_CFG, params)
+        loss = tsum(spikes * Tensor(weighting))
+        loss.backward()
+        once = [x.grad.copy()] + [p.grad.copy() for p in param_tensors(params)]
+        loss.backward()
+        for first, leaf in zip(once, [x] + param_tensors(params)):
+            assert np.array_equal(leaf.grad, 2 * first)
+
+    def test_no_gradient_for_constant_currents(self):
+        currents, params, _ = sequence_case("ctfa", np.float64, 3)
+        spikes, _ = lif_sequence(Tensor(currents), SEQ_CFG, params)
+        grads = spikes._backward_fn(np.ones_like(spikes.data))
+        assert grads[0] is None and all(g is not None for g in grads[1:])
+
+    def test_shape_errors(self):
+        _, params, _ = sequence_case("stfa", np.float64, 2)
+        with pytest.raises(ShapeError):
+            lif_sequence(Tensor(np.zeros(3)), SEQ_CFG)
+        with pytest.raises(ShapeError):
+            lif_sequence(Tensor(np.zeros((2, 3, 4))), SEQ_CFG, params)
+
+
+class TestLifSequenceDebugNan:
+    @pytest.fixture
+    def debug_nan(self):
+        set_debug_nan(True)
+        yield
+        set_debug_nan(False)
+
+    def test_nan_current_passes_silently_without_the_flag(self):
+        currents, params, _ = sequence_case("sctfa", np.float32, 3)
+        currents[1, 0, 0, 0, 0] = np.nan
+        spikes, v = lif_sequence(Tensor(currents), SEQ_CFG, params)
+        assert np.isfinite(spikes.data).all() and not np.isfinite(v).all()
+
+    def test_nan_current_raises(self, debug_nan):
+        currents, params, _ = sequence_case("sctfa", np.float32, 3)
+        currents[1, 0, 0, 0, 0] = np.nan
+        with pytest.raises(NumericError):
+            lif_sequence(Tensor(currents), SEQ_CFG, params)
+
+    def test_nan_gradient_raises(self, debug_nan):
+        currents, params, _ = sequence_case("sctfa", np.float64, 3)
+        spikes, _ = lif_sequence(Tensor(currents, requires_grad=True), SEQ_CFG, params)
+        g = np.ones_like(spikes.data)
+        g[2, 1, 0, 0, 0] = np.nan
+        with pytest.raises(NumericError):
+            spikes._backward_fn(g)
+
+    def test_network_forward_raises_on_nan_membrane(self, debug_nan):
+        # a NaN gate weight turns one conv layer's membrane NaN from the
+        # second step on while its spikes read as clean zeros
+        spec = parse_architecture(
+            "Input-4C3-BN-AP2-4C3-BN-VotingC2P2-AP", input_shape=(2, 6, 6), variant="stfa",
+            lif=SEQ_CFG, reduction=4, timesteps=3,
+        )
+        net = SpikingNetwork(spec, seed=1)
+        net.layers[2].attention.spatial_weight.data[0, 0, 0, 0] = np.nan
+        frames = Rng(2).poisson(1.0, size=(2, 3, 2, 6, 6)).astype(np.float32)
+        with pytest.raises(NumericError):
+            net.forward(frames, training=True)
+        set_debug_nan(False)
+        assert np.isfinite(net.forward(frames, training=True).o.data).all()

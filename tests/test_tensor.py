@@ -27,8 +27,8 @@ from spikefuse.tensor import (
     spike,
     stack,
     tmean,
+    transpose,
     tsum,
-    unstack,
 )
 
 from oracles import (
@@ -168,52 +168,39 @@ class TestConv2dBackward:
         assert out._backward_fn(g)[0] is None
 
 
-class TestUnstack:
-    def test_slices_are_the_rows(self):
-        a = rand((3, 2, 4), 70)
-        parts = unstack(Tensor(a))
-        assert len(parts) == 3
-        assert all(np.array_equal(p.data, a[t]) for t, p in enumerate(parts))
+class TestTranspose:
+    def test_forward_is_a_contiguous_permutation(self):
+        a = rand((2, 3, 4), 70)
+        out = transpose(Tensor(a), (1, 2, 0))
+        assert out.shape == (3, 4, 2)
+        assert out.data.flags.c_contiguous
+        assert np.array_equal(out.data, np.transpose(a, (1, 2, 0)))
+        for i in range(2):
+            assert np.array_equal(out.data[:, :, i], a[i])
 
-    def test_scalar_rejected(self):
-        with pytest.raises(ShapeError):
-            unstack(Tensor(1.0))
+    def test_backward_is_the_inverse_permutation(self):
+        x = Tensor(rand((2, 3, 4), 71), requires_grad=True)
+        g = rand((4, 2, 3), 72)
+        tsum(transpose(x, (2, 0, 1)) * Tensor(g)).backward()
+        assert np.array_equal(x.grad, np.transpose(g, (1, 2, 0)))
 
-    @staticmethod
-    def _loss(x):
-        # slice 1 is used twice, slice 3 is never used, and the unstacked
-        # tensor also feeds a reduction outside the slices
-        h = x * 1.5
-        s = unstack(h)
-        return tsum(s[0] * s[1] + s[1] * s[1] * s[2]) + tsum(h * h) * 0.25
+    def test_gradient_matches_fd(self):
+        x = Tensor(rand((3, 2, 4), 73), requires_grad=True)
+        w = Tensor(rand((2, 4, 3), 74))
 
-    def test_gradients_match_fd(self):
-        x = Tensor(rand((4, 2, 3), 71), requires_grad=True)
-        self._loss(x).backward()
-        fd = fd_gradient(lambda: self._loss(Tensor(x.data)).item(), x.data)
+        def loss(t):
+            y = transpose(t, (1, 2, 0))
+            return tsum(y * y * w)
+
+        loss(x).backward()
+        fd = fd_gradient(lambda: loss(Tensor(x.data)).item(), x.data)
         assert rel_err(x.grad, fd).max() < 1e-7
-        # the unused slice gets only the reduction's gradient
-        assert np.max(np.abs(x.grad[3] - 0.5 * 1.5 * 1.5 * x.data[3])) < 1e-12
 
-    def test_matches_getitem_bitwise_and_repeats(self):
-        def grads(use_unstack):
-            x = Tensor(rand((4, 2, 3), 72), requires_grad=True)
-            h = x * 1.5
-            s = unstack(h) if use_unstack else [h[t] for t in range(4)]
-            (tsum(s[0] * s[1] + s[1] * s[1] * s[2]) + tsum(h * h) * 0.25).backward()
-            return x.grad
-
-        first = grads(True)
-        assert np.array_equal(first, grads(True))
-        assert np.array_equal(first, grads(False))
-
-    def test_second_backward_pass_accumulates(self):
-        x = Tensor(rand((4, 2, 3), 73), requires_grad=True)
-        loss = self._loss(x)
-        loss.backward()
-        once = x.grad.copy()
-        loss.backward()
-        assert np.array_equal(x.grad, 2 * once)
+    def test_rejects_a_non_permutation(self):
+        x = Tensor(rand((2, 3), 75))
+        for axes in [(0,), (0, 0), (0, 2), (1, 0, 2)]:
+            with pytest.raises(ShapeError):
+                transpose(x, axes)
 
 
 class TestLinear:
