@@ -26,7 +26,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,7 +122,14 @@ def synth_corpus(
     return rows
 
 
-def load_corpus(corpus_dir) -> List[EventStream]:
+def load_corpus(corpus_dir, geometry: Optional[Tuple[int, int]] = None) -> List[EventStream]:
+    """The labeled streams of a corpus directory: ``manifest.tsv`` and the
+    event files it names, which must all share one geometry.
+
+    ``geometry`` (width, height) is the one the caller's network takes: CSV
+    files, which carry none, are read at it, and an EVS1 file whose header
+    disagrees is rejected. Without it, CSV geometry is inferred per file.
+    """
     corpus_dir = Path(corpus_dir)
     manifest = corpus_dir / "manifest.tsv"
     if not manifest.exists():
@@ -147,18 +154,23 @@ def load_corpus(corpus_dir) -> List[EventStream]:
             event_file = corpus_dir / parts[name_col]
             if not event_file.is_file():
                 raise ConfigError(f"{manifest}: line {lineno}: no event file {parts[name_col]!r}")
-            stream = read_events(event_file)
+            stream = read_events(event_file, *(geometry or (None, None)))
             if stream.label is None:
                 stream.label = label
             elif stream.label != label:
                 raise ConfigError(f"{manifest}: line {lineno}: {parts[name_col]!r} holds "
                                   f"label {stream.label}, the manifest says {label}")
-            geometry = f"{stream.width}x{stream.height}"
-            if not streams:
-                first = (parts[name_col], lineno, geometry)
-            elif geometry != first[2]:
+            found = f"{stream.width}x{stream.height}"
+            if geometry is not None and (stream.width, stream.height) != tuple(geometry):
                 raise EventFormatError(
-                    f"{manifest}: line {lineno}: {parts[name_col]!r} is {geometry} (width x "
+                    f"{manifest}: line {lineno}: {parts[name_col]!r} is {found} (width x "
+                    f"height), but the network takes {geometry[0]}x{geometry[1]}"
+                )
+            if not streams:
+                first = (parts[name_col], lineno, found)
+            elif found != first[2]:
+                raise EventFormatError(
+                    f"{manifest}: line {lineno}: {parts[name_col]!r} is {found} (width x "
                     f"height), but {first[0]!r} on line {first[1]} is {first[2]}"
                 )
             streams.append(stream)
@@ -169,7 +181,7 @@ def _load_dataset(cfg: TrainConfig, which: str) -> LabeledFrames:
     directory = getattr(cfg.data, which)
     if not directory:
         raise ConfigError("missing corpus directory", field=f"data.{which}")
-    streams = load_corpus(directory)
+    streams = load_corpus(directory, (cfg.input_width, cfg.input_height))
     return frames_from_streams(
         streams,
         cfg.data.delta_t_ms,
@@ -482,7 +494,7 @@ def _corruption_specs(args) -> List[CorruptionSpec]:
 def cmd_robustness(args) -> int:
     specs = _corruption_specs(args)
     net, config = load_checkpoint(args.checkpoint)
-    streams = load_corpus(args.data)
+    streams = load_corpus(args.data, (int(config["input_width"]), int(config["input_height"])))
     results = evaluate_sweep(
         net, streams, float(config.get("delta_t_ms", 100.0)), int(config["timesteps"]),
         specs, binarize=bool(config.get("binarize", False)),
@@ -537,7 +549,7 @@ def cmd_complexity(args) -> int:
 
 def cmd_eval(args) -> int:
     net, config = load_checkpoint(args.checkpoint)
-    streams = load_corpus(args.data)
+    streams = load_corpus(args.data, (int(config["input_width"]), int(config["input_height"])))
     result = evaluate(
         net, streams,
         float(config.get("delta_t_ms", 100.0)), int(config["timesteps"]),

@@ -19,8 +19,11 @@ composition of ``lif_step`` / ``lif_step_attended`` with
 ``attention.compute_attention``, so its spikes and membrane are bitwise
 those of the composition. Its backward walks the steps in reverse time
 through v, s and the gate: backpropagation through time with the surrogate
-spike slope. The per-step functions stay as the reference it is tested
-against.
+spike slope. The node saves the membrane, the gate's per-step values and
+the spikes; Heaviside spikes are exactly 0/1, so they are saved as bits
+(``bool``) and recast per step, and the float spike map dies with the
+tensor that holds it. Smooth spikes are real-valued and saved as they are.
+The per-step functions stay as the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -120,21 +123,28 @@ def lif_step_attended(
 # the fused T-step node
 
 
+def _gate_params(params: AttentionParams, unit_spatial: bool, unit_channel: bool):
+    """The parameters of every gate branch that is computed."""
+    out = []
+    if params.spatial_weight is not None and not unit_spatial:
+        out += [params.spatial_weight, params.spatial_bias]
+    if params.reduce_weight is not None and not unit_channel:
+        out += [params.reduce_weight, params.expand_weight]
+    return out
+
+
 class _Gate:
     """The attention gate of one layer in numpy: the same operations as
     ``attention.compute_attention`` (the 1x1 ``conv2d`` is its contraction
-    over channels plus the bias) and a backward for them."""
+    over channels plus the bias) and a backward for them. It holds the
+    arrays of the parameters ``_gate_params`` lists, not their tensors."""
 
     def __init__(self, params: AttentionParams, unit_spatial: bool, unit_channel: bool):
         self.spatial = params.spatial_weight is not None
         self.channel = params.reduce_weight is not None
         self.unit_spatial = unit_spatial
         self.unit_channel = unit_channel
-        self.params = []  # the parameters of every branch that is computed
-        if self.spatial and not unit_spatial:
-            self.params += [params.spatial_weight, params.spatial_bias]
-        if self.channel and not unit_channel:
-            self.params += [params.reduce_weight, params.expand_weight]
+        self.weights = [p.data for p in _gate_params(params, unit_spatial, unit_channel)]
 
     def forward(self, s: np.ndarray):
         """Gate u (broadcastable to s) from the spike map s [B, C, H, W], and
@@ -146,7 +156,7 @@ class _Gate:
             if self.unit_spatial:
                 us = np.ones((b, 1, h, w), dtype=s.dtype)
             else:
-                weight, bias = self.params[0].data, self.params[1].data
+                weight, bias = self.weights[0], self.weights[1]
                 z = np.matmul(weight.reshape(1, c), s.reshape(b, c, h * w)).reshape(b, 1, h, w)
                 z += bias[None, :, None, None]
                 us = _sigmoid(z)
@@ -154,7 +164,7 @@ class _Gate:
             if self.unit_channel:
                 uc = np.ones((b, c), dtype=s.dtype)
             else:
-                reduce_w, expand_w = self.params[-2].data, self.params[-1].data
+                reduce_w, expand_w = self.weights[-2], self.weights[-1]
                 mean = s.mean(axis=(2, 3))
                 hidden = np.maximum(mean @ reduce_w.T, 0.0).astype(s.dtype, copy=False)
                 uc = _sigmoid(hidden @ expand_w.T)
@@ -172,7 +182,7 @@ class _Gate:
     def backward(self, du: np.ndarray, s: np.ndarray, saved, grads, ds: np.ndarray) -> None:
         """Backward of the gate built from spike map s, for gate gradient
         ``du`` (shaped like the gate): add the parameter gradients to
-        ``grads`` (one array per entry of ``params``) and the gradient of s
+        ``grads`` (one array per entry of ``weights``) and the gradient of s
         to ``ds``."""
         us, uc, hidden, mean = saved
         b, c, h, w = s.shape
@@ -184,11 +194,11 @@ class _Gate:
             dw = np.matmul(s.reshape(b, c, h * w), dz.transpose(0, 2, 1)).sum(axis=0)
             next(grads)[...] += dw.reshape(1, c, 1, 1)
             next(grads)[...] += dz.sum()
-            ds += self.params[0].data.reshape(1, c, 1, 1) * dz.reshape(b, 1, h, w)
+            ds += self.weights[0].reshape(1, c, 1, 1) * dz.reshape(b, 1, h, w)
         if self.channel and not self.unit_channel:
             # the sum over space of du * u_spatial, as a product
             duc = du if us is None else np.matmul(du.reshape(b, c, h * w), us.reshape(b, h * w, 1))
-            reduce_w, expand_w = self.params[-2].data, self.params[-1].data
+            reduce_w, expand_w = self.weights[-2], self.weights[-1]
             dy = _sigmoid_backward(duc.reshape(b, c), uc)
             dhidden = (dy @ expand_w) * (hidden > 0)
             next(grads)[...] += dhidden.T @ mean
@@ -242,10 +252,15 @@ def lif_sequence(
             v[t] += x[t]
         _fire(v[t], v_th, alpha, smooth, out=s[t])
     _check_finite(v, "lif_sequence (membrane)")
+    # backward reads the spikes only as the reset factor and the gate's
+    # input: Heaviside spikes are exactly 0/1 and are kept as bits
+    s_saved = s if smooth else s.astype(bool)
+    parents = [currents] + (_gate_params(attention, unit_spatial, unit_channel) if gate is not None else [])
+    dtype, needs_grad = x.dtype, [p.requires_grad for p in parents]
 
     def backward(g):
-        gx = np.empty_like(x) if currents.requires_grad else None
-        gate_grads = [np.zeros_like(p.data) for p in parents[1:]]
+        gx = np.empty(g.shape, dtype=dtype) if needs_grad[0] else None
+        gate_grads = [np.zeros_like(w) for w in gate.weights] if gate is not None else []
         carry_v = carry_s = None  # gradients of v_t and s_t through step t+1
         for t in reversed(range(t_steps)):
             if carry_s is not None:
@@ -260,7 +275,8 @@ def lif_sequence(
             # v_t = (kappa * v_{t-1}) [* u_t] * (1 - s_{t-1}) + i_t, in place:
             # hist is the decayed history, ghist the gradient of the gated one
             hist = kappa * v[t - 1]
-            ghist = 1.0 - s[t - 1]
+            s_prev = s_saved[t - 1].astype(dtype, copy=False)
+            ghist = 1.0 - s_prev
             ghist *= gv
             if gate is not None:
                 us, uc, _, _ = saved[t]
@@ -273,14 +289,13 @@ def lif_sequence(
             carry_s *= gv
             np.negative(carry_s, out=carry_s)  # the reset term: d/ds of (.) * (1 - s)
             if gate is not None:
-                gate.backward(_unbroadcast(hist, u.shape), s[t - 1], saved[t], gate_grads, carry_s)
+                gate.backward(_unbroadcast(hist, u.shape), s_prev, saved[t], gate_grads, carry_s)
             ghist *= kappa
             carry_v = ghist
         grads = [gx] + gate_grads
         for grad in grads:
             if grad is not None:
                 _check_finite(grad, "lif_sequence (gradient)")
-        return tuple(grad if p.requires_grad else None for grad, p in zip(grads, parents))
+        return tuple(grad if needed else None for grad, needed in zip(grads, needs_grad))
 
-    parents = (currents,) + (tuple(gate.params) if gate is not None else ())
     return _result(s, parents, backward), v

@@ -1,11 +1,18 @@
 """Dense N-dimensional arrays with reverse-mode automatic differentiation.
 
-The graph is a DAG of ``Tensor`` nodes; every operation that sees at least
-one ``requires_grad`` input records its parents and a backward rule.
-``Tensor.backward()`` walks the graph once in reverse topological order and
-accumulates gradients additively across fan-out, which is what makes the
-layer-edge and time-edge contributions of an unrolled spiking network fall
-out of the chain rule instead of hand-coded update formulas.
+The graph is a DAG of ``_Node``s, kept apart from the values: a ``Tensor``
+holds its array and its node, and every operation that sees at least one
+``requires_grad`` input gives its result a node over its inputs' nodes with
+a backward rule. A node holds no values, so an intermediate array lives only
+while its ``Tensor`` does or a backward rule saved it, and each rule saves
+exactly the arrays it reads (batch norm its normalized input, a product the
+other factor only when this one needs a gradient, a reduction or a reshape
+only shapes). ``Tensor.backward()`` walks the nodes once in reverse
+topological order and accumulates gradients additively across fan-out,
+which is what makes the layer-edge and time-edge contributions of an
+unrolled spiking network fall out of the chain rule instead of hand-coded
+update formulas. A leaf's node points back to its tensor, which receives
+``.grad``; the tensors the graph does not track share one constant node.
 
 Backward rules do no work for a parent that does not require a gradient:
 they return None in its place rather than computing a gradient that would
@@ -21,11 +28,15 @@ network must be end-to-end finite-difference checkable.
 strided-slice copies of the padded input, one per kernel offset, into a
 [n, cin, k, k, L] buffer, so the product lands directly in [n, cout, L];
 the backward folds the patch gradients back onto the input (col2im) by the
-same slices, as additions. A 1x1 unit-stride kernel is a plain contraction
-over channels with no patch matrix at all. ``avgpool2d`` sums k*k strided
-slices into one buffer and scales it once. ``batchnorm`` is one graph node
-with a closed-form backward. ``transpose`` permutes axes into a contiguous
-copy.
+same slices, as additions. The batch goes through in blocks of samples
+whose patch matrix fits ``_CONV_BLOCK_BYTES``, in buffers allocated once
+per call. Every sample's product is the same call whatever the block, and
+the weight gradient is the sum of the samples' in sample order, so the
+block size does not change any result. A 1x1 unit-stride kernel is a plain
+contraction over channels with no patch matrix at all. ``avgpool2d`` sums
+k*k strided slices into one buffer and scales it once. ``batchnorm`` is one
+graph node with a closed-form backward. ``transpose`` permutes axes into a
+contiguous copy.
 
 The numpy forms of the logistic function and of the spike nonlinearities
 (``_sigmoid``, ``_fire``, ``_surrogate_backward``) are shared with the fused
@@ -50,9 +61,10 @@ from .errors import NumericError, ParameterError, ShapeError, StateError
 DEFAULT_DTYPE = np.float32
 SURROGATE_ALPHA = 2.0
 
-# im2col patch buffers are capped at this many bytes; the conv kernels chunk
-# the batch axis with a fixed formula so results stay run-to-run identical.
-_PATCH_BUDGET_BYTES = 1 << 26
+# conv2d works through the batch in blocks of samples whose patch matrix
+# fits in this many bytes, about half the L2 cache of a core; a fixed number,
+# so a run's block sizes do not depend on the machine.
+_CONV_BLOCK_BYTES = 1 << 20
 
 # Graph recording is per-thread: independent graphs may run on separate
 # threads, and one thread's no_grad must not leak into another's training.
@@ -89,17 +101,52 @@ def _coerce(data, dtype=None) -> np.ndarray:
     return arr.astype(DEFAULT_DTYPE)
 
 
-class Tensor:
-    """A numpy-backed array value, optionally tracked by the autodiff graph."""
+class _Node:
+    """A vertex of the autodiff graph. It holds no values: the nodes of its
+    parents, its backward rule (whose closure keeps exactly the arrays the
+    rule reads) and, on a leaf, the tensor that receives ``.grad``."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("_parents", "_backward_fn", "requires_grad", "tensor")
+
+    def __init__(self, parents=(), backward_fn=None, requires_grad=True, tensor=None):
+        self._parents = parents
+        self._backward_fn = backward_fn
+        self.requires_grad = requires_grad
+        self.tensor = tensor
+
+
+# the node of every tensor the graph does not track: constants and results
+# computed without a requires_grad input or under no_grad
+_CONSTANT = _Node(requires_grad=False)
+
+
+class Tensor:
+    """A numpy-backed array value, optionally tracked by the autodiff graph
+    through its node (``_node``)."""
+
+    __slots__ = ("data", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _coerce(data, dtype)
         self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward_fn = None
+        self._node = _Node(tensor=self) if requires_grad else _CONSTANT
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node.requires_grad
+
+    @property
+    def _parents(self):
+        """The nodes of the inputs this tensor was computed from."""
+        return self._node._parents
+
+    @property
+    def _backward_fn(self):
+        return self._node._backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn):
+        self._node._backward_fn = fn
 
     @property
     def shape(self):
@@ -139,15 +186,16 @@ class Tensor:
         """
         if self.data.size != 1:
             _raise_scalar(self)
-        order = _topo_order(self)
-        grads = {id(self): np.ones_like(self.data)}
+        order = _topo_order(self._node)
+        grads = {id(self._node): np.ones_like(self.data)}
         for node in order:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
             if node._backward_fn is None:
-                if node.requires_grad:
-                    node.grad = g if node.grad is None else node.grad + g
+                leaf = node.tensor
+                if leaf is not None:
+                    leaf.grad = g if leaf.grad is None else leaf.grad + g
                 continue
             parent_grads = node._backward_fn(g)
             for parent, pg in zip(node._parents, parent_grads):
@@ -216,7 +264,7 @@ def _wrap(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
-def _topo_order(root: Tensor):
+def _topo_order(root: _Node):
     """Reverse topological order over requires_grad nodes, iterative so deep
     time-unrolled graphs never hit the recursion limit."""
     order = []
@@ -246,9 +294,7 @@ def _result(data: np.ndarray, parents, backward_fn) -> Tensor:
     _check_finite(data)
     out = Tensor(data)
     if _grad_enabled() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+        out._node = _Node(tuple(p._node for p in parents), backward_fn)
     return out
 
 
@@ -275,38 +321,52 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str):
 # elementwise arithmetic
 
 
+def _grad_shape(t: Tensor):
+    """The shape of ``t`` if it needs a gradient, else None."""
+    return t.shape if t.requires_grad else None
+
+
+def _data_for(t: Tensor, partner: Tensor):
+    """The array of ``t`` if ``partner``'s gradient reads it, else None."""
+    return t.data if partner.requires_grad else None
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
+    a_shape, b_shape = _grad_shape(a), _grad_shape(b)
     return _result(
         a.data + b.data,
         (a, b),
         lambda g: (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
+            None if a_shape is None else _unbroadcast(g, a_shape),
+            None if b_shape is None else _unbroadcast(g, b_shape),
         ),
     )
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "sub")
+    a_shape, b_shape = _grad_shape(a), _grad_shape(b)
     return _result(
         a.data - b.data,
         (a, b),
         lambda g: (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+            None if a_shape is None else _unbroadcast(g, a_shape),
+            None if b_shape is None else _unbroadcast(-g, b_shape),
         ),
     )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "mul")
+    a_shape, b_shape = _grad_shape(a), _grad_shape(b)
+    ad, bd = _data_for(a, b), _data_for(b, a)
     return _result(
         a.data * b.data,
         (a, b),
         lambda g: (
-            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+            None if a_shape is None else _unbroadcast(g * bd, a_shape),
+            None if b_shape is None else _unbroadcast(g * ad, b_shape),
         ),
     )
 
@@ -318,12 +378,14 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "div")
+    a_shape, b_shape = _grad_shape(a), _grad_shape(b)
+    ad, bd = _data_for(a, b), b.data
     return _result(
-        a.data / b.data,
+        a.data / bd,
         (a, b),
         lambda g: (
-            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None,
+            None if a_shape is None else _unbroadcast(g / bd, a_shape),
+            None if b_shape is None else _unbroadcast(-g * ad / (bd * bd), b_shape),
         ),
     )
 
@@ -334,10 +396,11 @@ def neg(a: Tensor) -> Tensor:
 
 def pow_scalar(a: Tensor, exponent: float) -> Tensor:
     e = float(exponent)
+    ad = a.data
     return _result(
-        a.data**e,
+        ad**e,
         (a,),
-        lambda g: (g * e * a.data ** (e - 1.0),),
+        lambda g: (g * e * ad ** (e - 1.0),),
     )
 
 
@@ -365,10 +428,11 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    ad = a.data
     return _result(
-        np.maximum(a.data, 0.0).astype(a.dtype, copy=False),
+        np.maximum(ad, 0.0).astype(ad.dtype, copy=False),
         (a,),
-        lambda g: (g * (a.data > 0),),
+        lambda g: (g * (ad > 0),),
     )
 
 
@@ -408,10 +472,11 @@ def _surrogate_backward(g: np.ndarray, v: np.ndarray, v_th: float, alpha: float)
 def spike(v: Tensor, v_th: float, alpha: float = SURROGATE_ALPHA) -> Tensor:
     """Heaviside threshold producing exact 0/1 values; backward uses the
     arctan surrogate slope."""
+    vd = v.data
     return _result(
-        _fire(v.data, v_th, alpha, smooth=False),
+        _fire(vd, v_th, alpha, smooth=False),
         (v,),
-        lambda g: (_surrogate_backward(g, v.data, v_th, alpha),),
+        lambda g: (_surrogate_backward(g, vd, v_th, alpha),),
     )
 
 
@@ -419,10 +484,11 @@ def smooth_spike(v: Tensor, v_th: float, alpha: float = SURROGATE_ALPHA) -> Tens
     """Smooth surrogate activation in (0, 1); forward is the arctan curve the
     ``spike`` backward is derived from, so analytic and finite-difference
     gradients of a network built on this op agree."""
+    vd = v.data
     return _result(
-        _fire(v.data, v_th, alpha, smooth=True),
+        _fire(vd, v_th, alpha, smooth=True),
         (v,),
-        lambda g: (_surrogate_backward(g, v.data, v_th, alpha),),
+        lambda g: (_surrogate_backward(g, vd, v_th, alpha),),
     )
 
 
@@ -437,7 +503,11 @@ def dropout(x: Tensor, rate: float, mask: np.ndarray, training: bool = True) -> 
     if not training:
         return x
     mask = np.asarray(mask)
-    if mask.shape != x.shape and np.broadcast_shapes(mask.shape, x.shape) != x.shape:
+    try:
+        broadcast = np.broadcast_shapes(mask.shape, x.shape)
+    except ValueError:
+        broadcast = None
+    if broadcast != x.shape:
         raise ShapeError(f"dropout mask shape {mask.shape} does not broadcast to input {x.shape}")
     scaled = (mask / (1.0 - rate)).astype(x.dtype)
     return mul(x, Tensor(scaled))
@@ -458,11 +528,12 @@ def _norm_axes(axis, ndim):
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, a.ndim)
     out_data = a.data.sum(axis=axes, keepdims=keepdims)
+    shape, dtype = a.shape, a.dtype
 
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=False),)
+        return (np.broadcast_to(g, shape).astype(dtype, copy=False),)
 
     return _result(out_data, (a,), backward)
 
@@ -473,25 +544,27 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     for ax in axes:
         count *= a.shape[ax]
     out_data = a.data.mean(axis=axes, keepdims=keepdims)
+    shape, dtype = a.shape, a.dtype
 
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g / count, a.shape).astype(a.dtype, copy=False),)
+        return (np.broadcast_to(g / count, shape).astype(dtype, copy=False),)
 
     return _result(out_data, (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    return _result(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    shape, a_shape = tuple(shape), a.shape
+    return _result(a.data.reshape(shape), (a,), lambda g: (g.reshape(a_shape),))
 
 
 def getitem(a: Tensor, index) -> Tensor:
     out_data = a.data[index]
+    shape, dtype = a.shape, a.dtype
 
     def backward(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(shape, dtype=dtype)
         np.add.at(buf, index, g)
         return (buf,)
 
@@ -527,10 +600,11 @@ def transpose(a: Tensor, axes) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
+    ad, bd = _data_for(a, b), _data_for(b, a)
     return _result(
         a.data @ b.data,
         (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
+        lambda g: (None if bd is None else g @ bd.T, None if ad is None else ad.T @ g),
     )
 
 
@@ -547,12 +621,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias.shape != (weight.shape[0],):
             raise ShapeError(f"linear: bias {bias.shape} incompatible with weight {weight.shape}")
         out_data = out_data + bias.data
+    wd, xd = _data_for(weight, x), _data_for(x, weight)
+    bias_grad = bias is not None and bias.requires_grad
 
     def backward(g):
         return (
-            g @ weight.data if x.requires_grad else None,
-            g.T @ x.data if weight.requires_grad else None,
-            g.sum(axis=0) if bias is not None and bias.requires_grad else None,
+            None if wd is None else g @ wd,
+            None if xd is None else g.T @ xd,
+            g.sum(axis=0) if bias_grad else None,
         )
 
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -586,38 +662,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
 
     h_out = _conv_out_size(h, k, stride, padding)
     w_out = _conv_out_size(w, k, stride, padding)
-    hp, wp = h + 2 * padding, w + 2 * padding
     l, kk = h_out * w_out, k * k
     w_flat = weight.data.reshape(cout, cin * kk)
-    # A 1x1 unit-stride kernel without padding contracts the channels of the
-    # input itself: no patch matrix in forward and no col2im in backward.
     pointwise = k == 1 and stride == 1 and padding == 0
-
-    # Fixed-formula batch chunking keeps the gather buffer bounded and the
-    # arithmetic identical from run to run.
-    per_sample = l * cin * kk * x.data.itemsize
-    chunk = max(1, _PATCH_BUDGET_BYTES // max(per_sample, 1))
-
-    def gather(lo, hi):
-        """im2col of samples lo:hi as [n, cin*k*k, L]: kernel offset (i, j)
-        of every window is a stride-spaced grid of the padded input."""
-        part = x.data[lo:hi]
-        if pointwise:
-            return part.reshape(hi - lo, cin, l)
-        if padding:
-            padded = np.zeros((hi - lo, cin, hp, wp), dtype=x.dtype)
-            padded[:, :, padding : padding + h, padding : padding + w] = part
-            part = padded
-        cols = np.empty((hi - lo, cin, k, k, h_out, w_out), dtype=x.dtype)
-        for i in range(k):
-            for j in range(k):
-                cols[:, :, i, j] = part[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
-        return cols.reshape(hi - lo, cin * kk, l)
+    blk = max(1, min(b, _CONV_BLOCK_BYTES // max(1, l * cin * kk * x.data.itemsize)))
+    # the input is read again only for the weight gradient, the weight only
+    # for the input gradient
+    xd, w_t = _data_for(x, weight), w_flat.T if x.requires_grad else None
+    x_shape, x_dtype, w_shape, w_dtype = x.shape, x.dtype, weight.shape, weight.dtype
+    bias_grad = bias is not None and bias.requires_grad
 
     out_data = np.empty((b, cout, h_out, w_out), dtype=x.dtype)
     out3 = out_data.reshape(b, cout, l)
-    for lo in range(0, b, chunk):
-        hi = min(lo + chunk, b)
+    gather = _im2col(x.data, k, stride, padding, h_out, w_out, blk)
+    for lo in range(0, b, blk):
+        hi = min(lo + blk, b)
         np.matmul(w_flat, gather(lo, hi), out=out3[lo:hi])
     if bias is not None:
         if bias.shape != (cout,):
@@ -626,34 +685,72 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
 
     def backward(g):
         g3 = g.reshape(b, cout, l)
-        dw = np.zeros_like(w_flat) if weight.requires_grad else None
-        dx = np.empty_like(x.data) if x.requires_grad else None
-        for lo in range(0, b, chunk):
-            hi = min(lo + chunk, b)
-            gl = g3[lo:hi]
+        dw = dx = None
+        if xd is not None:
+            # per-sample products summed in sample order, whatever the block
+            dw = np.zeros((cout, cin * kk), dtype=w_dtype)
+            dw_part = np.empty((blk, cout, cin * kk), dtype=np.result_type(g, xd))
+            gather = _im2col(xd, k, stride, padding, h_out, w_out, blk)
+        if w_t is not None:
+            dx = np.empty(x_shape, dtype=x_dtype)
+            dx3 = dx.reshape(b, cin, h * w)
+            if not pointwise:
+                dcols = np.empty((blk, cin * kk, l), dtype=np.result_type(w_t, g))
+                dpad = np.empty((blk, cin, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
+        for lo in range(0, b, blk):
+            hi = min(lo + blk, b)
+            n, gl = hi - lo, g3[lo:hi]
             if dw is not None:
-                dw += np.matmul(gl, gather(lo, hi).transpose(0, 2, 1)).sum(axis=0)
+                for part in np.matmul(gl, gather(lo, hi).transpose(0, 2, 1), out=dw_part[:n]):
+                    dw += part
             if dx is None:
                 continue
-            dcols = w_flat.T @ gl
             if pointwise:
-                dx[lo:hi] = dcols.reshape(hi - lo, cin, h, w)
+                np.matmul(w_t, gl, out=dx3[lo:hi])
                 continue
-            # col2im: the gather's slices, added back into the padded input
-            dcols = dcols.reshape(hi - lo, cin, k, k, h_out, w_out)
-            dpad = np.zeros((hi - lo, cin, hp, wp), dtype=g.dtype)
+            # col2im: im2col's slices, added back into the padded input
+            patches = np.matmul(w_t, gl, out=dcols[:n]).reshape(n, cin, k, k, h_out, w_out)
+            acc = dpad[:n]
+            acc.fill(0)
             for i in range(k):
                 for j in range(k):
-                    dpad[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[:, :, i, j]
-            dx[lo:hi] = dpad[:, :, padding : padding + h, padding : padding + w]
+                    acc[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += patches[:, :, i, j]
+            dx[lo:hi] = acc[:, :, padding : padding + h, padding : padding + w]
         return (
             dx,
-            None if dw is None else dw.reshape(weight.shape),
-            g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None,
+            None if dw is None else dw.reshape(w_shape),
+            g.sum(axis=(0, 2, 3)) if bias_grad else None,
         )
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out_data, parents, backward)
+
+
+def _im2col(xd, k, stride, padding, h_out, w_out, blk):
+    """A function (lo, hi) -> the patch matrix [hi - lo, cin*k*k, L] of
+    samples lo:hi of ``xd`` (at most ``blk`` of them): kernel offset (i, j)
+    of every window is a stride-spaced grid of the padded input. The padded
+    and patch buffers are allocated once here and reused by every block. A
+    1x1 unit-stride kernel without padding needs no patch matrix: it is the
+    input itself."""
+    _, cin, h, w = xd.shape
+    l = h_out * w_out
+    if k == 1 and stride == 1 and padding == 0:
+        return lambda lo, hi: xd[lo:hi].reshape(hi - lo, cin, l)
+    padded = np.zeros((blk, cin, h + 2 * padding, w + 2 * padding), dtype=xd.dtype) if padding else None
+    cols = np.empty((blk, cin, k, k, h_out, w_out), dtype=xd.dtype)
+
+    def gather(lo, hi):
+        n, part = hi - lo, xd[lo:hi]
+        if padded is not None:
+            padded[:n, :, padding : padding + h, padding : padding + w] = part
+            part = padded[:n]
+        for i in range(k):
+            for j in range(k):
+                cols[:n, :, i, j] = part[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+        return cols[:n].reshape(n, cin * k * k, l)
+
+    return gather
 
 
 def avgpool2d(x: Tensor, k: int) -> Tensor:
@@ -672,12 +769,13 @@ def avgpool2d(x: Tensor, k: int) -> Tensor:
             if i or j:
                 out_data += x.data[:, :, i::k, j::k]
     out_data /= k * k
+    dtype = x.dtype
 
     def backward(g):
         expanded = np.broadcast_to(
             g[:, :, :, None, :, None] / (k * k), (b, c, h // k, k, w // k, k)
         )
-        return (expanded.reshape(b, c, h, w).astype(x.dtype, copy=False),)
+        return (expanded.reshape(b, c, h, w).astype(dtype, copy=False),)
 
     return _result(out_data, (x,), backward)
 
@@ -719,6 +817,7 @@ def batchnorm(
 
     axes = (0, 2, 3)
     n = x.shape[0] * x.shape[2] * x.shape[3]
+    x_grad, gamma_grad, beta_grad = x.requires_grad, gamma.requires_grad, beta.requires_grad
     gamma4 = gamma.data.reshape(1, c, 1, 1)
     beta4 = beta.data.reshape(1, c, 1, 1)
     if training:
@@ -741,14 +840,14 @@ def batchnorm(
             dbeta = g.sum(axis=axes)
             dgamma = (g * xhat).sum(axis=axes)
             dx = None
-            if x.requires_grad:
+            if x_grad:
                 dx = g - (dbeta / n).reshape(1, c, 1, 1)
                 dx -= xhat * (dgamma / n).reshape(1, c, 1, 1)
                 dx *= gamma4 / std
             return (
                 dx,
-                dgamma if gamma.requires_grad else None,
-                dbeta if beta.requires_grad else None,
+                dgamma if gamma_grad else None,
+                dbeta if beta_grad else None,
             )
 
     else:
@@ -759,12 +858,13 @@ def batchnorm(
         scale = gamma4 / std
         out_data = x.data * scale
         out_data += beta4 - m * scale
+        xd = _data_for(x, gamma)
 
         def backward(g):
             return (
-                g * scale if x.requires_grad else None,
-                (g * ((x.data - m) / std)).sum(axis=axes) if gamma.requires_grad else None,
-                g.sum(axis=axes) if beta.requires_grad else None,
+                g * scale if x_grad else None,
+                (g * ((xd - m) / std)).sum(axis=axes) if gamma_grad else None,
+                g.sum(axis=axes) if beta_grad else None,
             )
 
     return _result(out_data, (x, gamma, beta), backward)

@@ -23,6 +23,7 @@ from spikefuse.harness import (
     summaries_from_run_dirs,
     synth_corpus,
 )
+from spikefuse.network import build_network, save_checkpoint
 from spikefuse.rng import Rng
 from spikefuse.training import config_from_dict
 
@@ -121,6 +122,29 @@ class TestSynth:
         assert str(info.value) == (
             f"{manifest}: line 4: 'small.evs' is 12x8 (width x height), "
             f"but {first!r} on line 2 is 16x16"
+        )
+
+    def test_csv_corpus_reads_at_the_given_geometry(self, tmp_path):
+        # two recordings of one 16x16 sensor whose largest coordinates differ
+        corpus = tmp_path / "c"
+        corpus.mkdir()
+        (corpus / "a.csv").write_text("t_us,x,y,polarity\n0,15,3,1\n10,2,15,0\n")
+        (corpus / "b.csv").write_text("t_us,x,y,polarity\n0,1,1,1\n")
+        (corpus / "manifest.tsv").write_text("filename\tlabel\na.csv\t0\nb.csv\t1\n")
+        streams = load_corpus(corpus, (16, 16))
+        assert [(s.width, s.height, s.label) for s in streams] == [(16, 16, 0), (16, 16, 1)]
+        with pytest.raises(EventFormatError, match="'b.csv' is 2x2"):
+            load_corpus(corpus)
+
+    def test_evs1_geometry_other_than_the_given_raises(self, tmp_path):
+        synth_corpus(tmp_path / "c", 2, 1, 16, 16, 500.0, 2.0, seed=4)
+        manifest = tmp_path / "c" / "manifest.tsv"
+        first = manifest.read_text().splitlines()[1].split("\t")[0]
+        with pytest.raises(EventFormatError) as info:
+            load_corpus(tmp_path / "c", (32, 24))
+        assert str(info.value) == (
+            f"{manifest}: line 2: {first!r} is 16x16 (width x height), "
+            f"but the network takes 32x24"
         )
 
     def test_file_label_contradicting_manifest_raises(self, tmp_path):
@@ -494,6 +518,21 @@ class TestRobustnessCommand:
             main(argv + ["--noise", "0.5,1.0"])
         assert sorted(p.name for p in (tmp_path / "rb").iterdir()) == ["robustness.csv"]
         assert (tmp_path / "rb" / "robustness.csv").read_bytes() == before
+
+    @pytest.mark.parametrize("command", [["eval"], ["robustness", "--noise", "0.5"]])
+    def test_corpus_of_another_geometry_fails_before_any_forward(self, corpus, tmp_path, capsys,
+                                                                command):
+        _, test_dir = corpus
+        net = build_network({"arch": TINY_ARCH, "variant": "bl", "v_th": 1.0, "kappa": 0.7,
+                             "reduction": 4, "timesteps": 5, "input_height": 32, "input_width": 32})
+        save_checkpoint(tmp_path / "ck.bin", net)
+        rc = main(command + ["--checkpoint", str(tmp_path / "ck.bin"), "--data", str(test_dir)]
+                  + (["--out", str(tmp_path / "rb")] if command[0] == "robustness" else []))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(test_dir / "manifest.tsv") in err
+        assert "is 16x16 (width x height), but the network takes 32x32" in err
+        assert not (tmp_path / "rb").exists()
 
     def test_eval_command(self, corpus, run_dir, capsys):
         _, test_dir = corpus

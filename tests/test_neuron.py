@@ -282,7 +282,7 @@ class TestLifSequence:
         currents, params, _ = sequence_case("sctfa", np.float64, 4)
         x = Tensor(currents, requires_grad=True)
         spikes, _ = lif_sequence(x, SEQ_CFG, params)
-        assert spikes._parents == (x,) + tuple(param_tensors(params))
+        assert spikes._parents == tuple(t._node for t in [x] + param_tensors(params))
 
     def test_second_backward_pass_accumulates(self):
         currents, params, weighting = sequence_case("sctfa", np.float64, 3)

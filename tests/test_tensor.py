@@ -146,14 +146,44 @@ class TestConv2dBackward:
         x = rand((5, 2, 6, 6), 51)
         w = rand((3, 2, 3, 3), 52)
         g = rand((5, 3, 3, 3), 53)
-        # two samples' patch matrices per chunk: chunks of 2, 2 and 1
+        # two samples' patch matrices per block: blocks of 2, 2 and 1
         per_sample = 9 * 2 * 9 * x.itemsize
-        monkeypatch.setattr(tensor_module, "_PATCH_BUDGET_BYTES", 2 * per_sample)
+        monkeypatch.setattr(tensor_module, "_CONV_BLOCK_BYTES", 2 * per_sample)
         dx, dw, out = conv_grads(x, w, g, 2, 1)
         ref_dx, ref_dw = conv2d_grad_loops(x, w, g, 2, 1)
         assert np.max(np.abs(out.data - conv2d_loops(x, w, None, 2, 1))) < 1e-12
         assert np.max(np.abs(dx - ref_dx)) < 1e-12
         assert np.max(np.abs(dw - ref_dw)) < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_results_do_not_depend_on_the_block(self, monkeypatch, k, stride, padding, dtype):
+        import spikefuse.tensor as tensor_module
+
+        x = rand((5, 2, 7, 8), 10 * k + stride).astype(dtype)
+        w = rand((3, 2, k, k), 20 * k + padding).astype(dtype)
+        h_out = (7 + 2 * padding - k) // stride + 1
+        w_out = (8 + 2 * padding - k) // stride + 1
+        g = rand((5, 3, h_out, w_out), 30 + stride + padding).astype(dtype)
+        per_sample = h_out * w_out * 2 * k * k * x.itemsize
+        runs = []
+        # blocks of 1 sample, of 2, 2 and 1, the default (the whole batch
+        # here) and one whole-batch block
+        for budget in (1, 2 * per_sample, tensor_module._CONV_BLOCK_BYTES, 1 << 40):
+            monkeypatch.setattr(tensor_module, "_CONV_BLOCK_BYTES", budget)
+            dx, dw, out = conv_grads(x, w, g, stride, padding)
+            runs.append([out.data.tobytes(), dx.tobytes(), dw.tobytes()])
+        assert all(run == runs[0] for run in runs[1:])
+        # every sample alone, and dW as the sum of the samples' in sample order
+        dw_sum = np.zeros_like(w)
+        for i in range(5):
+            dx_i, dw_i, out_i = conv_grads(x[i : i + 1], w, g[i : i + 1], stride, padding)
+            assert out_i.data.tobytes() == out.data[i : i + 1].tobytes()
+            assert dx_i.tobytes() == dx[i : i + 1].tobytes()
+            dw_sum += dw_i
+        assert dw_sum.tobytes() == dw.tobytes()
 
     @pytest.mark.parametrize("k,stride,padding", [(1, 1, 0), (5, 2, 2)])
     def test_input_without_grad_gets_no_dx(self, k, stride, padding):
@@ -353,9 +383,9 @@ class TestBatchNorm:
 
     def test_is_one_graph_node(self):
         x = Tensor(rand((2, 3, 4, 4), 86), requires_grad=True)
-        out = batchnorm(x, Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True),
-                        BatchNormState(3, np.float64), True)
-        assert [p.shape for p in out._parents] == [(2, 3, 4, 4), (3,), (3,)]
+        gamma, beta = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        out = batchnorm(x, gamma, beta, BatchNormState(3, np.float64), True)
+        assert out._parents == (x._node, gamma._node, beta._node)
         assert all(p._backward_fn is None for p in out._parents)
 
     def test_eval_gradients_match_fd(self):
@@ -491,6 +521,11 @@ class TestDropout:
     def test_bad_rate(self):
         with pytest.raises(ParameterError):
             dropout(Tensor([1.0]), 1.0, np.ones(1))
+
+    @pytest.mark.parametrize("mask_shape", [(3,), (2, 1, 2), (4, 2)])
+    def test_mask_that_does_not_broadcast(self, mask_shape):
+        with pytest.raises(ShapeError, match="does not broadcast"):
+            dropout(Tensor(np.ones((2, 2))), 0.5, np.ones(mask_shape))
 
     def test_mean_preserved_over_masks(self):
         # E[mask / (1-rate)] = 1, so the expectation over many masks matches.
