@@ -375,6 +375,9 @@ def run_plan(plan: ExperimentPlan, out_dir: Path, threads: int = 1, force: bool 
 
 
 def cmd_synth(args) -> int:
+    for flag, value in (("--classes", args.classes), ("--n-per-class", args.n_per_class)):
+        if value < 1:
+            raise ConfigError(f"must be at least 1, got {value}", field=flag)
     rows = synth_corpus(
         Path(args.out), args.classes, args.n_per_class, args.height, args.width,
         args.duration_ms, args.rate, args.seed,
@@ -517,6 +520,8 @@ def cmd_robustness(args) -> int:
 
 
 def cmd_complexity(args) -> int:
+    if args.batch < 1:
+        raise ConfigError(f"must be at least 1, got {args.batch}", field="--batch")
     arch = ARCH_PRESETS.get(args.arch, args.arch)
     spec = parse_architecture(
         arch,

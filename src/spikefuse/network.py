@@ -18,10 +18,12 @@ over T timesteps; from the second step on, a non-baseline variant gates the
 decayed membrane history with the attention tensor computed from the
 layer's own previous-step spikes. Fully connected and voting layers always
 use the plain update. The synapse of a spiking layer runs once over all T*B
-frames; its T-step LIF recurrence (gate included) is one
-``neuron.lif_sequence`` node. Pooling acts on spikes, so deeper layers
-receive fractional input current in [0, 1]; the first layer receives raw
-frame counts.
+frames; the rest of the layer is one ``neuron.lif_sequence`` node. For a
+conv layer that node also runs its batch norm and the ``AP<k>`` pool that
+directly follows it, which the conv block absorbs at build time; a pool
+after anything else stays a layer of its own. Pooling acts on spikes, so
+deeper layers receive fractional input current in [0, 1]; the first layer
+receives raw frame counts.
 """
 
 from __future__ import annotations
@@ -39,13 +41,12 @@ import numpy as np
 from .atomic import atomic_open
 from .attention import AttentionVariant, init_attention_params
 from .errors import ArchError, CheckpointError, ShapeError, SpikefuseError, StateError
-from .neuron import LifConfig, lif_sequence
+from .neuron import BatchNorm, LifConfig, lif_sequence
 from .rng import Rng
 from .tensor import (
     BatchNormState,
     Tensor,
     avgpool2d,
-    batchnorm,
     conv2d,
     dropout,
     kaiming_uniform,
@@ -340,6 +341,7 @@ class _ConvBlock:
         self.lif = spec.lif
         self.name = name
         self.is_last_conv = False
+        self.pool = 1  # k of the AP<k> that follows, absorbed at build time
         fan_in = st.in_channels * st.kernel**2
         self.weight = kaiming_uniform(
             (st.out_channels, st.in_channels, st.kernel, st.kernel),
@@ -383,17 +385,20 @@ class _ConvBlock:
         ]
 
     def forward_sequence(self, x: Tensor, t_steps: int, batch: int, ctx: _ForwardCtx) -> Tensor:
-        cur = conv2d(x, self.weight, self.bias, self.st.stride, self.st.padding)
-        if self.bn_gamma is not None:
-            cur = batchnorm(cur, self.bn_gamma, self.bn_beta, self.bn_state, ctx.training)
-        c, (h, w) = self.st.out_channels, self.st.out_hw
+        """conv -> (BN) -> gated LIF -> (AP<k>): conv2d, then one node."""
+        norm = None
+        if self.bn_state is not None:
+            norm = BatchNorm(self.bn_gamma, self.bn_beta, self.bn_state, ctx.training)
+        trace = ctx.record_hidden and self.is_last_conv
         spikes, v = lif_sequence(
-            reshape(cur, (t_steps, batch, c, h, w)), self.lif, self.attention, smooth=ctx.smooth,
-            unit_spatial=ctx.unit_spatial, unit_channel=ctx.unit_channel,
+            conv2d(x, self.weight, self.bias, self.st.stride, self.st.padding), self.lif,
+            self.attention, smooth=ctx.smooth, unit_spatial=ctx.unit_spatial,
+            unit_channel=ctx.unit_channel, timesteps=t_steps, norm=norm, pool=self.pool,
+            keep_membrane=trace,
         )
-        if ctx.record_hidden and self.is_last_conv:
+        if trace:
             ctx.hidden_trace = np.ascontiguousarray(v.swapaxes(0, 1))  # [B, T, C, H, W]
-        return reshape(spikes, (t_steps * batch, c, h, w))
+        return spikes
 
 
 class _PoolLayer:
@@ -454,9 +459,7 @@ class _SpikingDense:
         if x.ndim != 2:
             x = reshape(x, (t_steps * batch, int(np.prod(x.shape[1:]))))
         cur = linear(x, self.weight, self.bias)
-        f = self.st.out_features
-        spikes, _ = lif_sequence(reshape(cur, (t_steps, batch, f)), self.lif, smooth=ctx.smooth)
-        return reshape(spikes, (t_steps * batch, f))
+        return lif_sequence(cur, self.lif, smooth=ctx.smooth, timesteps=t_steps)[0]
 
 
 class _VotingLayer:
@@ -481,7 +484,7 @@ class _VotingLayer:
             x = reshape(x, (t_steps * batch, int(np.prod(x.shape[1:]))))
         m, p = self.st.classes, self.st.per_class
         cur = linear(x, self.weight, self.bias)
-        spikes, _ = lif_sequence(reshape(cur, (t_steps, batch, m * p)), self.lif, smooth=ctx.smooth)
+        spikes, _ = lif_sequence(cur, self.lif, smooth=ctx.smooth, timesteps=t_steps)
         votes = tmean(reshape(spikes, (t_steps, batch, m, p)), axis=3)  # group means [T, B, M]
         return transpose(votes, (1, 2, 0))  # [B, M, T]
 
@@ -531,7 +534,11 @@ class SpikingNetwork:
                 conv_blocks.append(block)
                 self.layers.append(block)
             elif isinstance(st, PoolStage):
-                self.layers.append(_PoolLayer(st))
+                last = self.layers[-1] if self.layers else None
+                if isinstance(last, _ConvBlock) and last.pool == 1:
+                    last.pool = st.k  # the conv block's node pools its spikes
+                else:
+                    self.layers.append(_PoolLayer(st))
             elif isinstance(st, DropoutStage):
                 self.layers.append(_DropoutLayer(st, name))
             elif isinstance(st, DenseStage):
@@ -582,6 +589,9 @@ class SpikingNetwork:
         if data.ndim != 5:
             raise ShapeError(f"forward: frames must be [B, T, 2, H, W], got {data.shape}")
         b, t_steps = data.shape[0], data.shape[1]
+        if b < 1:
+            # batch statistics of an empty batch are NaN and would poison the running ones
+            raise ShapeError(f"forward: frames hold no samples, got {data.shape}")
         if t_steps != self.spec.timesteps:
             raise ShapeError(f"forward: expected T={self.spec.timesteps}, got {t_steps}")
         if tuple(data.shape[2:]) != tuple(self.spec.input_shape):

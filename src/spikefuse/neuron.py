@@ -12,34 +12,59 @@ with an optional gating tensor ``u`` multiplying the decayed history term:
 ``u`` identically one the gated update degenerates to the plain one bitwise
 (the factor ordering below is chosen to guarantee that).
 
-``lif_sequence`` is what the network layers run: all T steps of one layer,
-the attention gate included, as a single graph node. Its forward is plain
-numpy and runs the same operations in the same order as the per-step
-composition of ``lif_step`` / ``lif_step_attended`` with
-``attention.compute_attention``, so its spikes and membrane are bitwise
-those of the composition. Its backward walks the steps in reverse time
-through v, s and the gate: backpropagation through time with the surrogate
-spike slope. The node saves the membrane, the gate's per-step values and
-the spikes; Heaviside spikes are exactly 0/1, so they are saved as bits
-(``bool``) and recast per step, and the float spike map dies with the
-tensor that holds it. Smooth spikes are real-valued and saved as they are.
-The per-step functions stay as the reference it is tested against.
+``lif_sequence`` is what the network layers run: the whole tail of one
+layer after its synapse as a single graph node. For a conv layer that is
+batch norm, the T-step LIF and attention-gate recurrence and the k*k
+average pool of each step's spikes; dense and voting layers use it without
+norm or pool. Its forward is plain numpy and runs the same operations in
+the same order as the composition ``tensor.batchnorm`` -> per-step
+``lif_step`` / ``lif_step_attended`` with ``attention.compute_attention``
+-> ``tensor.avgpool2d``, so its outputs, membrane and running statistics
+are bitwise those of the composition; the batch-norm and pool arithmetic
+is the same numpy helpers those ops run. It works one time step at a time:
+the batch statistics are full-array reductions, but each step's normalized
+current, spikes and pooled spikes go through step buffers allocated once
+per call, so no normalized or float spike map of all steps exists. Without
+a graph to record (``no_grad``, or no parent needs a gradient) two
+membrane steps roll, unless the caller asks for the trace.
+
+Its backward walks the steps in reverse time through pool, v, s and the
+gate, backpropagation through time with the surrogate spike slope, again
+in step buffers; each step's current gradient goes straight into the
+gradient it returns, and batch norm's closed-form input gradient is then
+computed in place in it. The node saves the membrane, the gate's per-step
+values, batch norm's normalized input and the spikes; Heaviside spikes are
+exactly 0/1, so they are saved as bits (``bool``) and recast per step.
+Smooth spikes are real-valued and saved as they are. The per-step
+functions stay as the reference it is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .attention import AttentionParams
 from .errors import ParameterError, ShapeError
 from .tensor import (
+    BN_EPS,
+    BN_MOMENTUM,
     SURROGATE_ALPHA,
+    BatchNormState,
     Tensor,
+    _avgpool,
+    _avgpool_backward,
+    _bn_batch_stats,
+    _bn_eval_backward,
+    _bn_eval_coeffs,
+    _bn_train_backward,
     _check_finite,
+    _check_norm_params,
+    _check_pool,
     _fire,
+    _grad_enabled,
     _result,
     _sigmoid,
     _sigmoid_backward,
@@ -206,6 +231,17 @@ class _Gate:
             ds += ((dhidden @ reduce_w) / (h * w)).reshape(b, c, 1, 1)
 
 
+class BatchNorm(NamedTuple):
+    """The batch norm a layer node applies to its currents: scale and shift
+    parameters, running statistics, and whether batch statistics (training)
+    or the running ones (eval) normalize."""
+
+    gamma: Tensor
+    beta: Tensor
+    state: BatchNormState
+    training: bool
+
+
 def lif_sequence(
     currents: Tensor,
     cfg: LifConfig,
@@ -213,89 +249,197 @@ def lif_sequence(
     smooth: bool = False,
     unit_spatial: bool = False,
     unit_channel: bool = False,
-) -> Tuple[Tensor, np.ndarray]:
-    """Run one layer's T LIF steps on its input currents [T, B, ...] as a
-    single graph node; returns (spikes [T, B, ...], membrane [T, B, ...]).
+    *,
+    timesteps: Optional[int] = None,
+    norm: Optional[BatchNorm] = None,
+    pool: int = 1,
+    keep_membrane: bool = False,
+) -> Tuple[Tensor, Optional[np.ndarray]]:
+    """Run one layer's T LIF steps on its input currents as a single graph
+    node; returns (spikes, membrane [T, B, ...] or None).
 
-    With ``attention`` (currents [T, B, C, H, W]) every step from the second
-    on gates the decayed history with the gate built from the previous
-    step's spikes; its branches are those whose parameters ``attention``
-    holds. ``unit_spatial`` / ``unit_channel`` replace a branch with exact
-    ones. The membrane array is what the backward reads: do not write it.
+    ``currents`` is [T, B, ...], or with ``timesteps`` = T the step-major
+    [T*B, ...] a synapse produces; the spikes come back in the same layout.
+    With ``norm`` the currents (then [.., C, H, W]) are batch-normalized
+    first, and with ``pool`` = k each step's spikes are k*k average-pooled.
+    With ``attention`` every step from the second on gates the decayed
+    history with the gate built from the previous step's spikes; its
+    branches are those whose parameters ``attention`` holds.
+    ``unit_spatial`` / ``unit_channel`` replace a branch with exact ones.
+
+    The membrane of all T steps is kept when a graph is recorded (backward
+    reads it) or ``keep_membrane`` asks for it; otherwise two steps roll and
+    the membrane returned is None. The membrane array is what the backward
+    reads: do not write it.
     """
     x = currents.data
-    if x.ndim < 2:
-        raise ShapeError(f"lif_sequence: currents must be [T, B, ...], got {x.shape}")
+    if timesteps is None:
+        if x.ndim < 2:
+            raise ShapeError(f"lif_sequence: currents must be [T, B, ...], got {x.shape}")
+        t_steps, xs = x.shape[0], x
+    else:
+        if timesteps < 1 or x.ndim < 2 or x.shape[0] % timesteps:
+            raise ShapeError(f"lif_sequence: currents {x.shape} do not split into {timesteps} steps")
+        t_steps = timesteps
+        xs = x.reshape((t_steps, x.shape[0] // t_steps) + x.shape[1:])
+    step_shape = xs.shape[1:]
+    if (attention is not None or norm is not None or pool != 1) and len(step_shape) != 4:
+        raise ShapeError(f"lif_sequence: a gated, normalized or pooled layer needs [B, C, H, W] steps, got {x.shape}")
+    pooled = pool != 1
+    if pooled:
+        _check_pool(step_shape, pool, "lif_sequence")
+    parents = [currents]
+    if norm is not None:
+        _check_norm_params(step_shape[1], norm.gamma, norm.beta, "lif_sequence")
+        parents += [norm.gamma, norm.beta]
     gate = None
     if attention is not None:
-        if x.ndim != 5:
-            raise ShapeError(f"lif_sequence: a gated layer needs [T, B, C, H, W], got {x.shape}")
         gate = _Gate(attention, unit_spatial, unit_channel)
-    t_steps = x.shape[0]
-    kappa = x.dtype.type(cfg.kappa)
+        parents += _gate_params(attention, unit_spatial, unit_channel)
+    record = _grad_enabled() and any(p.requires_grad for p in parents)
+    needs_grad = [p.requires_grad for p in parents]
+    dtype = x.dtype
+    kappa = dtype.type(cfg.kappa)
     v_th, alpha = cfg.v_th, SURROGATE_ALPHA
 
-    v = np.empty_like(x)
-    s = np.empty_like(x)
-    saved = [None] * t_steps  # gate internals of each gated step
-    for t in range(t_steps):
-        if t == 0:
-            # v_{-1} = s_{-1} = 0: the history term is +0, as the full update makes it
-            np.add(x[0], 0.0, out=v[0])
-        else:
-            np.multiply(v[t - 1], kappa, out=v[t])
-            if gate is not None:
-                u, saved[t] = gate.forward(s[t - 1])
-                _check_finite(u, "lif_sequence (attention gate)")
-                v[t] *= u
-            v[t] *= 1.0 - s[t - 1]
-            v[t] += x[t]
-        _fire(v[t], v_th, alpha, smooth, out=s[t])
-    _check_finite(v, "lif_sequence (membrane)")
+    # the membrane: every step when backward reads it or the caller asks,
+    # else two that roll; a trace the caller asks for is sample-major, so
+    # its [B, T, ...] form is no copy. Float spikes: the output itself
+    # without a pool, with one the smooth spikes backward reads, or two
+    # rolling steps
+    rolling = not (record or keep_membrane)
+    v_shape = ((2,) if rolling else (t_steps,)) + step_shape
+    v_base = np.empty(v_shape[1::-1] + v_shape[2:] if keep_membrane else v_shape, dtype=dtype)
+    v = v_base.swapaxes(0, 1) if keep_membrane else v_base
+    s = np.empty((t_steps if not pooled or record and smooth else 2,) + step_shape, dtype=dtype)
     # backward reads the spikes only as the reset factor and the gate's
     # input: Heaviside spikes are exactly 0/1 and are kept as bits
-    s_saved = s if smooth else s.astype(bool)
-    parents = [currents] + (_gate_params(attention, unit_spatial, unit_channel) if gate is not None else [])
-    dtype, needs_grad = x.dtype, [p.requires_grad for p in parents]
+    s_saved = None if not record else s if smooth else np.empty(xs.shape, dtype=bool)
+    out = s
+    if pooled:
+        b, c, h, w = step_shape
+        out = np.empty((t_steps, b, c, h // pool, w // pool), dtype=dtype)
+    # step buffers: the step's normalized current and its 1 - s_{t-1}
+    cur = np.empty(step_shape, dtype=dtype) if norm is not None else None
+    keep = np.empty(step_shape, dtype=dtype)
+    if norm is not None:
+        c = step_shape[1]
+        x4 = x.reshape((-1,) + step_shape[1:])
+        gamma4, beta4 = norm.gamma.data.reshape(1, c, 1, 1), norm.beta.data.reshape(1, c, 1, 1)
+        if norm.training:
+            # the squared deviations go into the membrane buffer before its first step
+            square = None if rolling else v_base.reshape(x4.shape)
+            xhat, std = _bn_batch_stats(x4, norm.state, BN_MOMENTUM, BN_EPS, square=square)
+            xhat_s = xhat.reshape(xs.shape)
+        else:
+            m, std, scale, shift = _bn_eval_coeffs(norm.state, gamma4, beta4, dtype, BN_EPS)
+            x_read = x4 if needs_grad[1] else None  # for the gamma gradient
+
+    saved = [None] * t_steps  # gate internals of each gated step
+    for t in range(t_steps):
+        v_t, s_t = v[t % len(v)], s[t % len(s)]
+        if norm is None:
+            i_t = xs[t]
+        elif norm.training:
+            i_t = np.multiply(gamma4, xhat_s[t], out=cur)
+            i_t += beta4
+        else:
+            i_t = np.multiply(xs[t], scale, out=cur)
+            i_t += shift
+        if t == 0:
+            # v_{-1} = s_{-1} = 0: the history term is +0, as the full update makes it
+            np.add(i_t, 0.0, out=v_t)
+        else:
+            s_prev = s[(t - 1) % len(s)]
+            np.multiply(v[(t - 1) % len(v)], kappa, out=v_t)
+            if gate is not None:
+                u, internals = gate.forward(s_prev)
+                _check_finite(u, "lif_sequence (attention gate)")
+                v_t *= u
+                if record:
+                    saved[t] = internals
+            v_t *= np.subtract(1.0, s_prev, out=keep)
+            v_t += i_t
+        if rolling:
+            _check_finite(v_t, "lif_sequence (membrane)")
+        _fire(v_t, v_th, alpha, smooth, out=s_t)
+        if s_saved is not None and not smooth:
+            s_saved[t] = s_t
+        if pooled:
+            _avgpool(s_t, pool, out=out[t])
+    if not rolling:
+        _check_finite(v, "lif_sequence (membrane)")
+    out_step, x_shape, seq_shape = out.shape[1:], x.shape, xs.shape
+    if timesteps is not None:
+        out = out.reshape((-1,) + out.shape[2:])
 
     def backward(g):
-        gx = np.empty(g.shape, dtype=dtype) if needs_grad[0] else None
+        g = g.reshape((t_steps,) + out_step)
+        # the gradient of the (normalized) currents, of every step when a
+        # parent reads it, else of one step at a time
+        full = needs_grad[0] or norm is not None and (needs_grad[1] or needs_grad[2])
+        gcur = np.empty(seq_shape, dtype=dtype) if full else None
+        # step buffers: z of the surrogate slope, the carries into step t-1,
+        # the expanded pool gradient, gv (when gcur does not hold it), the
+        # spikes recast from bits and the decayed history of a gated layer;
+        # training batch norm's products reuse their block afterwards
+        rows = 3 + pooled + (not full) + (not smooth) + (gate is not None)
+        bn_products = norm is not None and norm.training
+        work = np.empty((max(rows, t_steps) if bn_products else rows,) + step_shape, dtype=dtype)
+        take = iter(work)
+        z, ghist, carry_s = next(take), next(take), next(take)
+        g_step = next(take) if pooled else None
+        gv_step = None if full else next(take)
+        s_step = None if smooth else next(take)
+        hist = None if gate is None else next(take)
         gate_grads = [np.zeros_like(w) for w in gate.weights] if gate is not None else []
-        carry_v = carry_s = None  # gradients of v_t and s_t through step t+1
         for t in reversed(range(t_steps)):
-            if carry_s is not None:
-                carry_s += g[t]
-            gv = _surrogate_backward(g[t] if carry_s is None else carry_s, v[t], v_th, alpha)
-            if carry_v is not None:
-                gv += carry_v
-            if gx is not None:
-                gx[t] = gv
+            g_t = _avgpool_backward(g[t], pool, g_step) if pooled else g[t]
+            if t < t_steps - 1:  # s_t also fed step t+1
+                carry_s += g_t
+                g_t = carry_s
+            gv = _surrogate_backward(g_t, v[t], v_th, alpha, out=gcur[t] if full else gv_step, scratch=z)
+            if t < t_steps - 1:
+                gv += ghist  # the gradient of v_t through step t+1
             if t == 0:
                 break
             # v_t = (kappa * v_{t-1}) [* u_t] * (1 - s_{t-1}) + i_t, in place:
             # hist is the decayed history, ghist the gradient of the gated one
-            hist = kappa * v[t - 1]
-            s_prev = s_saved[t - 1].astype(dtype, copy=False)
-            ghist = 1.0 - s_prev
+            if smooth:
+                s_prev = s_saved[t - 1]
+            else:
+                s_prev = s_step
+                s_prev[...] = s_saved[t - 1]
+            np.subtract(1.0, s_prev, out=ghist)
             ghist *= gv
             if gate is not None:
                 us, uc, _, _ = saved[t]
                 u = gate.combine(us, uc)
-                carry_s = hist * u
+                np.multiply(v[t - 1], kappa, out=hist)
+                np.multiply(hist, u, out=carry_s)
                 hist *= ghist  # the gate's gradient, before the sum over broadcast axes
                 ghist *= u
             else:
-                carry_s = hist
+                np.multiply(v[t - 1], kappa, out=carry_s)
             carry_s *= gv
             np.negative(carry_s, out=carry_s)  # the reset term: d/ds of (.) * (1 - s)
             if gate is not None:
                 gate.backward(_unbroadcast(hist, u.shape), s_prev, saved[t], gate_grads, carry_s)
             ghist *= kappa
-            carry_v = ghist
-        grads = [gx] + gate_grads
+        grads = [gcur]
+        if norm is not None:
+            g4 = gcur.reshape((-1,) + step_shape[1:])
+            if bn_products:
+                scratch = work[:t_steps].reshape(g4.shape)
+                grads = list(_bn_train_backward(g4, xhat, gamma4, std, needs_grad[0], out=g4, scratch=scratch))
+            else:
+                grads = list(_bn_eval_backward(g4, x_read, m, std, scale, needs_grad[0], needs_grad[1], out=g4))
+        if grads[0] is not None:
+            grads[0] = grads[0].reshape(x_shape)
+        grads += gate_grads
         for grad in grads:
             if grad is not None:
                 _check_finite(grad, "lif_sequence (gradient)")
         return tuple(grad if needed else None for grad, needed in zip(grads, needs_grad))
 
-    return _result(s, parents, backward), v
+    return _result(out, parents, backward), None if rolling else v

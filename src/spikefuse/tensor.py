@@ -38,9 +38,17 @@ k*k strided slices into one buffer and scales it once. ``batchnorm`` is one
 graph node with a closed-form backward. ``transpose`` permutes axes into a
 contiguous copy.
 
-The numpy forms of the logistic function and of the spike nonlinearities
-(``_sigmoid``, ``_fire``, ``_surrogate_backward``) are shared with the fused
-LIF node in ``neuron``, so each formula is written once.
+The network's conv layers do not call ``batchnorm`` or ``avgpool2d``: their
+layer node in ``neuron`` normalizes, fires and pools one time step at a
+time. Both ops stay for pools that follow no conv layer and as that node's
+reference. The numpy forms they share with it (batch statistics and
+running-statistic update ``_bn_batch_stats``, eval coefficients
+``_bn_eval_coeffs``, the closed-form backwards ``_bn_train_backward`` /
+``_bn_eval_backward``, the slice-sum pool ``_avgpool`` and its gradient
+``_avgpool_backward``) take optional output and scratch buffers, so the
+node runs the same arithmetic without full-map temporaries. So do the
+logistic function and the spike nonlinearities (``_sigmoid``, ``_fire``,
+``_surrogate_backward``): each formula is written once.
 
 Set the environment variable ``SPIKEFUSE_DEBUG_NAN=1`` to assert that every
 operation output is finite (the fused LIF node also checks its membrane, its
@@ -440,8 +448,8 @@ def relu(a: Tensor) -> Tensor:
 # spike nonlinearities
 
 
-def _surrogate_z(v: np.ndarray, v_th: float, alpha: float) -> np.ndarray:
-    z = v - v_th
+def _surrogate_z(v: np.ndarray, v_th: float, alpha: float, out=None) -> np.ndarray:
+    z = np.subtract(v, v_th, out=out)
     z *= (math.pi / 2.0) * alpha
     return z
 
@@ -457,14 +465,15 @@ def _fire(v: np.ndarray, v_th: float, alpha: float, smooth: bool, out=None) -> n
     return np.greater_equal(v, v_th, out=np.empty_like(v) if out is None else out)
 
 
-def _surrogate_backward(g: np.ndarray, v: np.ndarray, v_th: float, alpha: float) -> np.ndarray:
+def _surrogate_backward(g, v, v_th: float, alpha: float, out=None, scratch=None) -> np.ndarray:
     """``g`` times the arctan surrogate slope ``(alpha/2) / (1 + z**2)`` at
     ``v``, with ``z = (pi/2) * alpha * (v - v_th)``: the exact derivative of
-    the smooth curve and the stand-in derivative of the step."""
-    z = _surrogate_z(v, v_th, alpha)
+    the smooth curve and the stand-in derivative of the step. The result
+    goes into ``out`` and ``z`` into ``scratch`` when they are given."""
+    z = _surrogate_z(v, v_th, alpha, out=scratch)
     z *= z
     z += 1.0
-    out = g * (alpha / 2.0)
+    out = np.multiply(g, alpha / 2.0, out=out)
     out /= z
     return out
 
@@ -753,31 +762,46 @@ def _im2col(xd, k, stride, padding, h_out, w_out, blk):
     return gather
 
 
+def _avgpool(x: np.ndarray, k: int, out=None) -> np.ndarray:
+    """Non-overlapping k*k means over the last two axes of ``x``, into
+    ``out`` if given: k*k strided-slice sums into one buffer, in row-major
+    window order, scaled once."""
+    windows = [x[..., i::k, j::k] for i in range(k) for j in range(k)]
+    out = np.add(windows[0], windows[1], out=out) if k > 1 else np.positive(x, out=out)
+    for window in windows[2:]:
+        out += window
+    out /= k * k
+    return out
+
+
+def _avgpool_backward(g: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """The gradient of ``_avgpool`` for output gradient ``g``, into ``out``:
+    every element of a window gets its g / (k*k), written by the forward's
+    k*k strided slices."""
+    share = g / (k * k)
+    for i in range(k):
+        for j in range(k):
+            out[..., i::k, j::k] = share
+    return out
+
+
 def avgpool2d(x: Tensor, k: int) -> Tensor:
     """Non-overlapping k*k mean pooling; extents must be divisible by k."""
     if x.ndim != 4:
         raise ShapeError(f"avgpool2d: need 4-D input, got {x.shape}")
-    b, c, h, w = x.shape
+    _check_pool(x.shape, k, "avgpool2d")
+    shape, dtype = x.shape, x.dtype
+    return _result(
+        _avgpool(x.data, k), (x,),
+        lambda g: (_avgpool_backward(g, k, np.empty(shape, dtype=dtype)),),
+    )
+
+
+def _check_pool(shape, k: int, op: str) -> None:
     if k < 1:
-        raise ParameterError(f"avgpool2d: k must be positive, got {k}")
-    if h % k or w % k:
-        raise ShapeError(f"avgpool2d: extents ({h}, {w}) not divisible by {k}")
-    # k*k strided-slice sums into one buffer, scaled once
-    out_data = x.data[:, :, ::k, ::k].copy()
-    for i in range(k):
-        for j in range(k):
-            if i or j:
-                out_data += x.data[:, :, i::k, j::k]
-    out_data /= k * k
-    dtype = x.dtype
-
-    def backward(g):
-        expanded = np.broadcast_to(
-            g[:, :, :, None, :, None] / (k * k), (b, c, h // k, k, w // k, k)
-        )
-        return (expanded.reshape(b, c, h, w).astype(dtype, copy=False),)
-
-    return _result(out_data, (x,), backward)
+        raise ParameterError(f"{op}: k must be positive, got {k}")
+    if shape[-2] % k or shape[-1] % k:
+        raise ShapeError(f"{op}: extents {tuple(shape[-2:])} not divisible by {k}")
 
 
 class BatchNormState:
@@ -791,14 +815,82 @@ class BatchNormState:
         self.initialized = False
 
 
+# Batch norm reduces [N, C, H, W] over every axis but the channel's.
+_BN_AXES = (0, 2, 3)
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
+
+def _bn_batch_stats(x: np.ndarray, state: BatchNormState, momentum: float, eps: float, square=None):
+    """Training-mode batch norm of ``x`` [N, C, H, W]: returns (xhat, std)
+    with ``std`` shaped [1, C, 1, 1], and folds the batch statistics into
+    ``state`` as ``momentum * old + (1 - momentum) * batch`` (the running
+    variance takes the unbiased estimate). The squared deviations go into
+    ``square`` (shaped like ``x``) if given."""
+    c = x.shape[1]
+    n = x.size // c
+    m = x.mean(axis=_BN_AXES, keepdims=True)
+    centered = x - m
+    var = np.multiply(centered, centered, out=square).mean(axis=_BN_AXES, keepdims=True)
+    std = np.sqrt(var + x.dtype.type(eps))
+    xhat = np.divide(centered, std, out=centered)
+    unbias = n / (n - 1) if n > 1 else 1.0
+    # in-place so captured references (checkpointing) stay valid
+    state.mean[...] = momentum * state.mean + (1.0 - momentum) * m.reshape(c)
+    state.var[...] = momentum * state.var + (1.0 - momentum) * unbias * var.reshape(c)
+    state.initialized = True
+    return xhat, std
+
+
+def _bn_eval_coeffs(state: BatchNormState, gamma4: np.ndarray, beta4: np.ndarray, dtype, eps: float):
+    """Eval-mode batch norm as ``x * scale + shift`` from the running
+    statistics: returns (mean, std, scale, shift), each [1, C, 1, 1]."""
+    if not state.initialized:
+        raise StateError("batchnorm: eval mode requested before any statistics exist")
+    c = gamma4.shape[1]
+    m = state.mean.reshape(1, c, 1, 1).astype(dtype)
+    std = np.sqrt(state.var.reshape(1, c, 1, 1).astype(dtype) + dtype.type(eps))
+    scale = gamma4 / std
+    return m, std, scale, beta4 - m * scale
+
+
+def _bn_train_backward(g, xhat, gamma4, std, x_grad: bool, out=None, scratch=None):
+    """(dx, dgamma, dbeta) of training-mode batch norm for output gradient
+    ``g``, in closed form through the batch mean and variance:
+    dx = gamma/std * (g - mean(g) - xhat * mean(g * xhat)). ``dx`` is None
+    unless ``x_grad``; it goes into ``out``, which may be ``g`` itself. The
+    products go into ``scratch`` (shaped like ``g``) if given."""
+    c = g.shape[1]
+    n = g.size // c
+    dbeta = g.sum(axis=_BN_AXES)
+    product = np.multiply(g, xhat, out=scratch)
+    dgamma = product.sum(axis=_BN_AXES)
+    dx = None
+    if x_grad:
+        dx = np.subtract(g, (dbeta / n).reshape(1, c, 1, 1), out=out)
+        dx -= np.multiply(xhat, (dgamma / n).reshape(1, c, 1, 1), out=product)
+        dx *= gamma4 / std
+    return dx, dgamma, dbeta
+
+
+def _bn_eval_backward(g, x, m, std, scale, x_grad: bool, gamma_grad: bool, out=None):
+    """(dx, dgamma, dbeta) of eval-mode batch norm of ``x`` for output
+    gradient ``g``; ``x`` is read only for dgamma. ``dx`` goes into ``out``,
+    which may be ``g`` itself, so it is computed last."""
+    dgamma = (g * ((x - m) / std)).sum(axis=_BN_AXES) if gamma_grad else None
+    dbeta = g.sum(axis=_BN_AXES)
+    dx = np.multiply(g, scale, out=out) if x_grad else None
+    return dx, dgamma, dbeta
+
+
 def batchnorm(
     x: Tensor,
     gamma: Tensor,
     beta: Tensor,
     state: BatchNormState,
     training: bool,
-    momentum: float = 0.9,
-    eps: float = 1e-5,
+    momentum: float = BN_MOMENTUM,
+    eps: float = BN_EPS,
 ) -> Tensor:
     """Per-channel normalization of a [B, C, H, W] tensor.
 
@@ -807,67 +899,43 @@ def batchnorm(
     running variance uses the unbiased estimate). Eval mode normalizes with
     the stored statistics, as a per-channel ``x * scale + shift``, and
     raises if none were ever computed. Either way the result is one graph
-    node over (x, gamma, beta).
+    node over (x, gamma, beta). The numpy helpers it runs are shared with
+    the fused layer node in ``neuron``.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm: need 4-D input, got {x.shape}")
+    _check_norm_params(x.shape[1], gamma, beta, "batchnorm")
     c = x.shape[1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(f"batchnorm: gamma/beta must be shape ({c},)")
-
-    axes = (0, 2, 3)
-    n = x.shape[0] * x.shape[2] * x.shape[3]
     x_grad, gamma_grad, beta_grad = x.requires_grad, gamma.requires_grad, beta.requires_grad
     gamma4 = gamma.data.reshape(1, c, 1, 1)
     beta4 = beta.data.reshape(1, c, 1, 1)
     if training:
-        m = x.data.mean(axis=axes, keepdims=True)
-        centered = x.data - m
-        var = (centered * centered).mean(axis=axes, keepdims=True)
-        std = np.sqrt(var + x.dtype.type(eps))
-        xhat = np.divide(centered, std, out=centered)
+        xhat, std = _bn_batch_stats(x.data, state, momentum, eps)
         out_data = gamma4 * xhat
         out_data += beta4
-        unbias = n / (n - 1) if n > 1 else 1.0
-        # in-place so captured references (checkpointing) stay valid
-        state.mean[...] = momentum * state.mean + (1.0 - momentum) * m.reshape(c)
-        state.var[...] = momentum * state.var + (1.0 - momentum) * unbias * var.reshape(c)
-        state.initialized = True
 
-        def backward(g):
-            # closed form through the batch mean and variance:
-            # dx = gamma/std * (g - mean(g) - xhat * mean(g * xhat))
-            dbeta = g.sum(axis=axes)
-            dgamma = (g * xhat).sum(axis=axes)
-            dx = None
-            if x_grad:
-                dx = g - (dbeta / n).reshape(1, c, 1, 1)
-                dx -= xhat * (dgamma / n).reshape(1, c, 1, 1)
-                dx *= gamma4 / std
-            return (
-                dx,
-                dgamma if gamma_grad else None,
-                dbeta if beta_grad else None,
-            )
+        def grads(g):
+            return _bn_train_backward(g, xhat, gamma4, std, x_grad)
 
     else:
-        if not state.initialized:
-            raise StateError("batchnorm: eval mode requested before any statistics exist")
-        m = state.mean.reshape(1, c, 1, 1).astype(x.dtype)
-        std = np.sqrt(state.var.reshape(1, c, 1, 1).astype(x.dtype) + x.dtype.type(eps))
-        scale = gamma4 / std
+        m, std, scale, shift = _bn_eval_coeffs(state, gamma4, beta4, x.dtype, eps)
         out_data = x.data * scale
-        out_data += beta4 - m * scale
+        out_data += shift
         xd = _data_for(x, gamma)
 
-        def backward(g):
-            return (
-                g * scale if x_grad else None,
-                (g * ((xd - m) / std)).sum(axis=axes) if gamma_grad else None,
-                g.sum(axis=axes) if beta_grad else None,
-            )
+        def grads(g):
+            return _bn_eval_backward(g, xd, m, std, scale, x_grad, gamma_grad)
+
+    def backward(g):
+        dx, dgamma, dbeta = grads(g)
+        return dx, dgamma if gamma_grad else None, dbeta if beta_grad else None
 
     return _result(out_data, (x, gamma, beta), backward)
+
+
+def _check_norm_params(c: int, gamma: Tensor, beta: Tensor, op: str) -> None:
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(f"{op}: gamma/beta must be shape ({c},)")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from spikefuse import training
 from spikefuse.attention import AttentionVariant, init_attention_params
 from spikefuse.network import SpikingNetwork, parse_architecture
-from spikefuse.neuron import LifConfig, lif_sequence
+from spikefuse.neuron import BatchNorm, LifConfig, lif_sequence
 from spikefuse.rng import Rng
 from spikefuse.tensor import BatchNormState, Tensor, avgpool2d, batchnorm, conv2d, reshape, tsum
 
@@ -73,13 +73,20 @@ class TestReleasedValues:
         assert (a * x)._parents == (a._node, x._node)
 
 
+def _contents(cell):
+    try:
+        return cell.cell_contents
+    except ValueError:  # the cell of a branch the call did not take is empty
+        return None
+
+
 class TestSavedSpikes:
     @staticmethod
     def saved_arrays(out):
         """The arrays the node's backward closure keeps, by variable name."""
         fn = out._backward_fn
-        return {name: cell.cell_contents for name, cell in zip(fn.__code__.co_freevars, fn.__closure__)
-                if isinstance(cell.cell_contents, np.ndarray)}
+        cells = {name: _contents(cell) for name, cell in zip(fn.__code__.co_freevars, fn.__closure__)}
+        return {name: value for name, value in cells.items() if isinstance(value, np.ndarray)}
 
     @pytest.mark.parametrize("smooth", [False, True])
     def test_heaviside_spikes_saved_as_bits(self, smooth):
@@ -94,6 +101,22 @@ class TestSavedSpikes:
         assert np.array_equal(saved["s_saved"], spikes.data)
         # the currents are read only for their shape and dtype
         assert not any(a is currents.data for a in saved.values())
+
+    def test_layer_node_saves_no_normalized_or_float_spike_map(self):
+        rng = Rng(6)
+        currents = Tensor(rng.normal(0.3, 1.0, size=(T * B, C, HW, HW)), requires_grad=True)
+        att = init_attention_params(C, 2, AttentionVariant.SCTFA, rng.split("att"), np.float64)
+        norm = BatchNorm(Tensor(np.ones(C), requires_grad=True), Tensor(np.zeros(C), requires_grad=True),
+                         BatchNormState(C, np.float64), True)
+        pooled, v = lif_sequence(currents, CFG, att, timesteps=T, norm=norm, pool=2)
+        saved = self.saved_arrays(pooled)
+        # of all-step maps only the membrane, the spike bits and batch
+        # norm's xhat; the normalized currents, float spikes and pooled
+        # output are not kept
+        maps = sorted(name for name, a in saved.items() if a.size == currents.size)
+        assert maps == ["s_saved", "v", "xhat"]
+        assert saved["v"] is v and saved["s_saved"].dtype == np.bool_
+        assert not any(a is pooled.data or a is currents.data for a in saved.values())
 
 
 class TestTrainForwardMemory:

@@ -173,6 +173,18 @@ class TestSynth:
         assert rc == 0
         assert "4 streams" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--classes", "--n-per-class"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_empty_corpus_rejected(self, tmp_path, capsys, flag, value):
+        argv = ["synth", "--out", str(tmp_path / "c"), "--classes", "2", "--n-per-class", "2"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        assert f"error: {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+        with pytest.raises(ConfigError) as info:
+            harness.cmd_synth(harness.build_parser().parse_args(argv))
+        assert info.value.field == flag
+
 
 class TestTrainCommand:
     def test_run_directory_contents(self, corpus, tmp_path):
@@ -563,6 +575,18 @@ class TestComplexity:
                    "--batch", "2"])
         assert rc == 0
         assert "inference_ms_per_batch" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("batch", ["0", "-2"])
+    def test_batch_below_one_rejected(self, capsys, batch):
+        argv = ["complexity", "--arch", TINY_ARCH, "--height", "16", "--width", "16",
+                "--timesteps", "5", "--batch", batch]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: --batch: must be at least 1, got {batch}" in captured.err
+        assert "inference_ms_per_batch" not in captured.out
+        with pytest.raises(ConfigError) as info:
+            harness.cmd_complexity(harness.build_parser().parse_args(argv))
+        assert info.value.field == "--batch"
 
     def test_attention_delta_closed_form(self, capsys):
         main(["complexity", "--arch", "dvs_gesture", "--variant", "bl", "--no-timing"])

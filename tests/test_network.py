@@ -202,6 +202,18 @@ class TestForward:
         vote = net.forward(frames_for(spec), training=True)
         assert np.all(vote.predictions() == 0)
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_empty_batch_rejected_before_any_layer(self, training):
+        spec = parse_architecture("Input-8C3-BN-AP2-16C3-BN-AP2-64FC-VotingC4P5-AP",
+                                  input_shape=(2, 8, 8), variant="sctfa", timesteps=3)
+        net = SpikingNetwork(spec, seed=2)
+        net.forward(Rng(1).poisson(0.5, size=(2, 3, 2, 8, 8)), training=True)
+        buffers = [a.copy() for _, a in net.named_buffers()]
+        with pytest.raises(ShapeError, match="no samples"):
+            net.forward(np.zeros((0, 3, 2, 8, 8), dtype=np.float32), training=training)
+        for (_, after), before in zip(net.named_buffers(), buffers):
+            assert after.tobytes() == before.tobytes()
+
     def test_wrong_timesteps_rejected(self):
         spec = tiny_spec("bl", timesteps=3)
         net = SpikingNetwork(spec, seed=6)

@@ -238,10 +238,13 @@ class TestLifSequence:
         currents, params, _ = sequence_case(variant, dtype, t_steps, seed=t_steps)
         kw = dict(smooth=smooth, unit_spatial=unit[0], unit_channel=unit[1])
         ref_s, ref_v = composed_sequence(Tensor(currents), SEQ_CFG, params, AttentionVariant(variant), **kw)
-        s, v = lif_sequence(Tensor(currents), SEQ_CFG, params, **kw)
+        s, v = lif_sequence(Tensor(currents), SEQ_CFG, params, keep_membrane=True, **kw)
         assert s.dtype == dtype and v.dtype == dtype
         assert np.array_equal(s.data, ref_s.data)
         assert np.array_equal(v, ref_v)
+        # without the trace the membrane may roll in two steps; the spikes are the same
+        rolled, _ = lif_sequence(Tensor(currents), SEQ_CFG, params, **kw)
+        assert rolled.data.tobytes() == s.data.tobytes()
         if not smooth:
             assert 0 < s.data.sum() < s.size  # the case exercises both spike values
 
@@ -344,7 +347,10 @@ class TestLifSequenceDebugNan:
             lif=SEQ_CFG, reduction=4, timesteps=3,
         )
         net = SpikingNetwork(spec, seed=1)
-        net.layers[2].attention.spatial_weight.data[0, 0, 0, 0] = np.nan
+        # the second conv block (its stage index is 2: the first absorbed the AP2)
+        second_conv = net.layers[1]
+        assert second_conv.name == "layer2"
+        second_conv.attention.spatial_weight.data[0, 0, 0, 0] = np.nan
         frames = Rng(2).poisson(1.0, size=(2, 3, 2, 6, 6)).astype(np.float32)
         with pytest.raises(NumericError):
             net.forward(frames, training=True)
