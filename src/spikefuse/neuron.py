@@ -250,7 +250,7 @@ def lif_sequence(
     unit_spatial: bool = False,
     unit_channel: bool = False,
     *,
-    timesteps: Optional[int] = None,
+    timesteps: int,
     norm: Optional[BatchNorm] = None,
     pool: int = 1,
     keep_membrane: bool = False,
@@ -258,8 +258,8 @@ def lif_sequence(
     """Run one layer's T LIF steps on its input currents as a single graph
     node; returns (spikes, membrane [T, B, ...] or None).
 
-    ``currents`` is [T, B, ...], or with ``timesteps`` = T the step-major
-    [T*B, ...] a synapse produces; the spikes come back in the same layout.
+    ``currents`` is the step-major [T*B, ...] a synapse produces, with
+    ``timesteps`` = T; the spikes come back in the same layout.
     With ``norm`` the currents (then [.., C, H, W]) are batch-normalized
     first, and with ``pool`` = k each step's spikes are k*k average-pooled.
     With ``attention`` every step from the second on gates the decayed
@@ -273,15 +273,10 @@ def lif_sequence(
     reads: do not write it.
     """
     x = currents.data
-    if timesteps is None:
-        if x.ndim < 2:
-            raise ShapeError(f"lif_sequence: currents must be [T, B, ...], got {x.shape}")
-        t_steps, xs = x.shape[0], x
-    else:
-        if timesteps < 1 or x.ndim < 2 or x.shape[0] % timesteps:
-            raise ShapeError(f"lif_sequence: currents {x.shape} do not split into {timesteps} steps")
-        t_steps = timesteps
-        xs = x.reshape((t_steps, x.shape[0] // t_steps) + x.shape[1:])
+    if timesteps < 1 or x.ndim < 2 or x.shape[0] % timesteps:
+        raise ShapeError(f"lif_sequence: currents {x.shape} do not split into {timesteps} steps")
+    t_steps = timesteps
+    xs = x.reshape((t_steps, x.shape[0] // t_steps) + x.shape[1:])
     step_shape = xs.shape[1:]
     if (attention is not None or norm is not None or pool != 1) and len(step_shape) != 4:
         raise ShapeError(f"lif_sequence: a gated, normalized or pooled layer needs [B, C, H, W] steps, got {x.shape}")
@@ -303,14 +298,10 @@ def lif_sequence(
     v_th, alpha = cfg.v_th, SURROGATE_ALPHA
 
     # the membrane: every step when backward reads it or the caller asks,
-    # else two that roll; a trace the caller asks for is sample-major, so
-    # its [B, T, ...] form is no copy. Float spikes: the output itself
-    # without a pool, with one the smooth spikes backward reads, or two
-    # rolling steps
+    # else two that roll. Float spikes: the output itself without a pool,
+    # with one the smooth spikes backward reads, or two rolling steps
     rolling = not (record or keep_membrane)
-    v_shape = ((2,) if rolling else (t_steps,)) + step_shape
-    v_base = np.empty(v_shape[1::-1] + v_shape[2:] if keep_membrane else v_shape, dtype=dtype)
-    v = v_base.swapaxes(0, 1) if keep_membrane else v_base
+    v = np.empty(((2,) if rolling else (t_steps,)) + step_shape, dtype=dtype)
     s = np.empty((t_steps if not pooled or record and smooth else 2,) + step_shape, dtype=dtype)
     # backward reads the spikes only as the reset factor and the gate's
     # input: Heaviside spikes are exactly 0/1 and are kept as bits
@@ -328,7 +319,7 @@ def lif_sequence(
         gamma4, beta4 = norm.gamma.data.reshape(1, c, 1, 1), norm.beta.data.reshape(1, c, 1, 1)
         if norm.training:
             # the squared deviations go into the membrane buffer before its first step
-            square = None if rolling else v_base.reshape(x4.shape)
+            square = None if rolling else v.reshape(x4.shape)
             xhat, std = _bn_batch_stats(x4, norm.state, BN_MOMENTUM, BN_EPS, square=square)
             xhat_s = xhat.reshape(xs.shape)
         else:
@@ -370,8 +361,7 @@ def lif_sequence(
     if not rolling:
         _check_finite(v, "lif_sequence (membrane)")
     out_step, x_shape, seq_shape = out.shape[1:], x.shape, xs.shape
-    if timesteps is not None:
-        out = out.reshape((-1,) + out.shape[2:])
+    out = out.reshape((-1,) + out.shape[2:])
 
     def backward(g):
         g = g.reshape((t_steps,) + out_step)
@@ -384,7 +374,7 @@ def lif_sequence(
         # spikes recast from bits and the decayed history of a gated layer;
         # training batch norm's products reuse their block afterwards
         rows = 3 + pooled + (not full) + (not smooth) + (gate is not None)
-        bn_products = norm is not None and norm.training
+        bn_products = full and norm is not None and norm.training
         work = np.empty((max(rows, t_steps) if bn_products else rows,) + step_shape, dtype=dtype)
         take = iter(work)
         z, ghist, carry_s = next(take), next(take), next(take)
@@ -426,8 +416,8 @@ def lif_sequence(
             if gate is not None:
                 gate.backward(_unbroadcast(hist, u.shape), s_prev, saved[t], gate_grads, carry_s)
             ghist *= kappa
-        grads = [gcur]
-        if norm is not None:
+        grads = [gcur] if norm is None else [gcur, None, None]
+        if norm is not None and full:
             g4 = gcur.reshape((-1,) + step_shape[1:])
             if bn_products:
                 scratch = work[:t_steps].reshape(g4.shape)

@@ -13,7 +13,7 @@ from spikefuse.attention import AttentionVariant, init_attention_params
 from spikefuse.network import SpikingNetwork, parse_architecture
 from spikefuse.neuron import BatchNorm, LifConfig, lif_sequence
 from spikefuse.rng import Rng
-from spikefuse.tensor import BatchNormState, Tensor, avgpool2d, batchnorm, conv2d, reshape, tsum
+from spikefuse.tensor import BatchNormState, Tensor, avgpool2d, batchnorm, conv2d, tsum
 
 CFG = LifConfig(v_th=1.0, kappa=0.7)
 T, B, C, HW = 3, 2, 4, 6
@@ -43,8 +43,8 @@ class TestReleasedValues:
         weight, bias, gamma, beta = params
         conv = conv2d(Tensor(frames), weight, bias, 1, 1)
         bn = batchnorm(conv, gamma, beta, BatchNormState(C, np.float64), True)
-        spikes, _ = lif_sequence(reshape(bn, (T, B, C, HW, HW)), CFG, att)
-        pooled = avgpool2d(reshape(spikes, (T * B, C, HW, HW)), 2)
+        spikes, _ = lif_sequence(bn, CFG, att, timesteps=T)
+        pooled = avgpool2d(spikes, 2)
         loss = tsum(pooled * Tensor(weighting))
         intermediates = [conv.data, bn.data, spikes.data]
         assert spikes.data.dtype == np.float64 and set(np.unique(spikes.data)) == {0.0, 1.0}
@@ -91,14 +91,15 @@ class TestSavedSpikes:
     @pytest.mark.parametrize("smooth", [False, True])
     def test_heaviside_spikes_saved_as_bits(self, smooth):
         rng = Rng(5)
-        currents = Tensor(rng.normal(0.6, 0.8, size=(T, B, C, HW, HW)), requires_grad=True)
+        currents = Tensor(rng.normal(0.6, 0.8, size=(T * B, C, HW, HW)), requires_grad=True)
         att = init_attention_params(C, 2, AttentionVariant.SCTFA, rng.split("att"), np.float64)
-        spikes, v = lif_sequence(currents, CFG, att, smooth=smooth)
+        spikes, v = lif_sequence(currents, CFG, att, smooth=smooth, timesteps=T)
         saved = self.saved_arrays(spikes)
         assert saved["v"] is v
         assert saved["s_saved"].dtype == (np.float64 if smooth else np.bool_)
-        assert (saved["s_saved"] is spikes.data) == smooth
-        assert np.array_equal(saved["s_saved"], spikes.data)
+        # smooth spikes are saved as the output itself, in its [T, B, ...] form
+        assert np.shares_memory(saved["s_saved"], spikes.data) == smooth
+        assert np.array_equal(saved["s_saved"], spikes.data.reshape(T, B, C, HW, HW))
         # the currents are read only for their shape and dtype
         assert not any(a is currents.data for a in saved.values())
 

@@ -1,5 +1,5 @@
 """The layer node with batch norm and pooling against the op composition
-``batchnorm -> reshape -> lif_sequence -> reshape -> avgpool2d``: outputs,
+``batchnorm -> lif_sequence -> avgpool2d``: outputs,
 membrane, running statistics and every gradient bitwise, in f32 and f64."""
 
 import gc
@@ -21,7 +21,6 @@ from spikefuse.tensor import (
     avgpool2d,
     batchnorm,
     no_grad,
-    reshape,
     tsum,
 )
 
@@ -49,14 +48,15 @@ def gate_tensors(att):
             if p is not None]
 
 
-def run_layer(fused, case, mode, pool, smooth, unit=(False, False), passes=1):
+def run_layer(fused, case, mode, pool, smooth, unit=(False, False), passes=1, constant_norm=False):
     """One forward and ``passes`` backward passes of the layer; returns its
     output, membrane, running statistics and the gradients of the currents,
-    gamma, beta and every gate parameter."""
+    gamma, beta and every gate parameter. With ``constant_norm`` the
+    currents, gamma and beta need no gradient: only the gate's flow."""
     currents, gamma, beta, (mean, var), att = case
-    x = Tensor(currents.copy(), requires_grad=True)
-    g = Tensor(gamma.copy(), requires_grad=True)
-    b = Tensor(beta.copy(), requires_grad=True)
+    x = Tensor(currents.copy(), requires_grad=not constant_norm)
+    g = Tensor(gamma.copy(), requires_grad=not constant_norm)
+    b = Tensor(beta.copy(), requires_grad=not constant_norm)
     state = BatchNormState(C, currents.dtype)
     state.mean[...], state.var[...], state.initialized = mean, var, True
     for p in gate_tensors(att):
@@ -67,8 +67,7 @@ def run_layer(fused, case, mode, pool, smooth, unit=(False, False), passes=1):
         out, v = lif_sequence(x, CFG, att, timesteps=T, norm=norm, pool=pool, **kw)
     else:
         cur = x if mode == "none" else batchnorm(x, g, b, state, mode == "train")
-        spikes, v = lif_sequence(reshape(cur, (T, B, C, HW, HW)), CFG, att, **kw)
-        out = reshape(spikes, (T * B, C, HW, HW))
+        out, v = lif_sequence(cur, CFG, att, timesteps=T, **kw)
         if pool > 1:
             out = avgpool2d(out, pool)
     weighting = Rng(99).normal(0, 1, size=out.shape).astype(currents.dtype)
@@ -113,16 +112,17 @@ class TestAgainstComposition:
         for a, b in zip(got[:2] + tuple(got[3]), ref[:2] + tuple(ref[3])):
             assert_bitwise(a, b)
 
-    def test_step_major_and_time_major_layouts_agree(self):
-        currents, gamma, beta, _, att = layer_case("sctfa", np.float64, seed=2)
-        outs = []
-        for x, steps in ((currents, T), (currents.reshape(T, B, C, HW, HW), None)):
-            norm = BatchNorm(Tensor(gamma), Tensor(beta), BatchNormState(C, np.float64), True)
-            out, _ = lif_sequence(Tensor(x), CFG, att, timesteps=steps, norm=norm, pool=2)
-            outs.append(out.data)
-        assert outs[0].shape == (T * B, C, HW // 2, HW // 2)
-        assert outs[1].shape == (T, B, C, HW // 2, HW // 2)
-        assert outs[0].tobytes() == outs[1].tobytes()
+    @pytest.mark.parametrize("pool", [1, 2])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_gate_gradients_through_constant_norm(self, mode, pool):
+        # neither the currents nor gamma/beta need a gradient; the gate does
+        case = layer_case("sctfa", np.float64, seed=5)
+        ref = run_layer(False, case, mode, pool, False, constant_norm=True)
+        got = run_layer(True, case, mode, pool, False, constant_norm=True)
+        assert got[3][:3] == [None, None, None] and ref[3][:3] == [None, None, None]
+        assert len(got[3]) == 7 and all(grad is not None for grad in got[3][3:])
+        for a, b in zip(got[:2] + tuple(got[2]) + tuple(got[3]), ref[:2] + tuple(ref[2]) + tuple(ref[3])):
+            assert_bitwise(a, b)
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_second_backward_accumulates_exactly_twice(self, mode):

@@ -18,7 +18,7 @@ from spikefuse.neuron import (
     lif_step_attended,
 )
 from spikefuse.rng import Rng
-from spikefuse.tensor import Tensor, set_debug_nan, stack, tsum
+from spikefuse.tensor import Tensor, reshape, set_debug_nan, stack, tsum
 
 from oracles import fd_gradient, rel_err
 
@@ -178,14 +178,17 @@ class TestStateHandling:
 # the fused T-step node against the per-step composition
 
 
-def composed_sequence(currents, cfg, params, variant, smooth=False, unit_spatial=False, unit_channel=False):
+def composed_sequence(currents, t_steps, cfg, params, variant, smooth=False, unit_spatial=False,
+                      unit_channel=False):
     """The per-step reference: ``lif_step`` / ``lif_step_attended`` and
-    ``compute_attention`` over the T slices of ``currents``, as separate
-    graph nodes; returns (spikes [T, ...] tensor, membrane [T, ...] array)."""
-    state = initial_state(currents.shape[1:], currents.dtype)
+    ``compute_attention`` over the T steps of the step-major ``currents``
+    [T*B, ...], as separate graph nodes; returns (spikes [T*B, ...] tensor,
+    membrane [T, B, ...] array)."""
+    steps = reshape(currents, (t_steps, currents.shape[0] // t_steps) + currents.shape[1:])
+    state = initial_state(steps.shape[1:], currents.dtype)
     spikes, membrane = [], []
-    for t in range(currents.shape[0]):
-        i_t = currents[t]
+    for t in range(t_steps):
+        i_t = steps[t]
         if t > 0 and params is not None:
             u = compute_attention(state.s, params, variant, unit_spatial=unit_spatial, unit_channel=unit_channel)
             state, s = lif_step_attended(state, i_t, u, cfg, smooth=smooth)
@@ -193,7 +196,7 @@ def composed_sequence(currents, cfg, params, variant, smooth=False, unit_spatial
             state, s = lif_step(state, i_t, cfg, smooth=smooth)
         spikes.append(s)
         membrane.append(state.v.data)
-    return stack(spikes), np.stack(membrane)
+    return reshape(stack(spikes), currents.shape), np.stack(membrane)
 
 
 UNIT_HOOKS = [(False, False), (True, False), (False, True)]
@@ -201,10 +204,11 @@ SEQ_CFG = LifConfig(v_th=1.0, kappa=0.7)
 
 
 def sequence_case(variant, dtype, t_steps, seed=0, shape=(2, 4, 5, 5)):
-    """Currents [T, B, C, H, W] that drive some neurons past threshold, the
-    layer's attention parameters and a random output weighting."""
+    """Step-major currents [T*B, C, H, W] that drive some neurons past
+    threshold, the layer's attention parameters and a random output
+    weighting."""
     rng = Rng(seed)
-    currents = rng.normal(0.6, 0.8, size=(t_steps,) + shape).astype(dtype)
+    currents = rng.normal(0.6, 0.8, size=(t_steps,) + shape).astype(dtype).reshape((-1,) + shape[1:])
     params = init_attention_params(shape[1], 2, AttentionVariant(variant), rng.split("att"), dtype)
     weighting = rng.normal(0, 1, size=currents.shape).astype(dtype)
     return currents, params, weighting
@@ -237,13 +241,13 @@ class TestLifSequence:
     def test_forward_bitwise_equals_composition(self, variant, smooth, dtype, t_steps, unit):
         currents, params, _ = sequence_case(variant, dtype, t_steps, seed=t_steps)
         kw = dict(smooth=smooth, unit_spatial=unit[0], unit_channel=unit[1])
-        ref_s, ref_v = composed_sequence(Tensor(currents), SEQ_CFG, params, AttentionVariant(variant), **kw)
-        s, v = lif_sequence(Tensor(currents), SEQ_CFG, params, keep_membrane=True, **kw)
+        ref_s, ref_v = composed_sequence(Tensor(currents), t_steps, SEQ_CFG, params, AttentionVariant(variant), **kw)
+        s, v = lif_sequence(Tensor(currents), SEQ_CFG, params, timesteps=t_steps, keep_membrane=True, **kw)
         assert s.dtype == dtype and v.dtype == dtype
         assert np.array_equal(s.data, ref_s.data)
         assert np.array_equal(v, ref_v)
         # without the trace the membrane may roll in two steps; the spikes are the same
-        rolled, _ = lif_sequence(Tensor(currents), SEQ_CFG, params, **kw)
+        rolled, _ = lif_sequence(Tensor(currents), SEQ_CFG, params, timesteps=t_steps, **kw)
         assert rolled.data.tobytes() == s.data.tobytes()
         if not smooth:
             assert 0 < s.data.sum() < s.size  # the case exercises both spike values
@@ -256,10 +260,11 @@ class TestLifSequence:
         currents, params, weighting = sequence_case(variant, np.float64, t_steps, seed=10 + t_steps)
         kw = dict(smooth=smooth, unit_spatial=unit[0], unit_channel=unit[1])
         ref = sequence_grads(
-            lambda x: composed_sequence(x, SEQ_CFG, params, AttentionVariant(variant), **kw)[0],
+            lambda x: composed_sequence(x, t_steps, SEQ_CFG, params, AttentionVariant(variant), **kw)[0],
             currents, params, weighting,
         )
-        got = sequence_grads(lambda x: lif_sequence(x, SEQ_CFG, params, **kw)[0], currents, params, weighting)
+        got = sequence_grads(lambda x: lif_sequence(x, SEQ_CFG, params, timesteps=t_steps, **kw)[0],
+                             currents, params, weighting)
         for r, g in zip(ref, got):
             if r is None:  # a unit branch, or no gated step at T=1: the true gradient is 0
                 assert g is None or not np.any(g)
@@ -270,11 +275,11 @@ class TestLifSequence:
     def test_finite_difference_f64_smooth(self):
         currents, params, weighting = sequence_case("sctfa", np.float64, 3, seed=21, shape=(2, 4, 3, 3))
         x = Tensor(currents, requires_grad=True)
-        spikes, _ = lif_sequence(x, SEQ_CFG, params, smooth=True)
+        spikes, _ = lif_sequence(x, SEQ_CFG, params, smooth=True, timesteps=3)
         tsum(spikes * Tensor(weighting)).backward()
 
         def loss():
-            out, _ = lif_sequence(Tensor(currents), SEQ_CFG, params, smooth=True)
+            out, _ = lif_sequence(Tensor(currents), SEQ_CFG, params, smooth=True, timesteps=3)
             return float((out.data * weighting).sum())
 
         for leaf in [x] + param_tensors(params):
@@ -284,13 +289,13 @@ class TestLifSequence:
     def test_one_node_per_layer(self):
         currents, params, _ = sequence_case("sctfa", np.float64, 4)
         x = Tensor(currents, requires_grad=True)
-        spikes, _ = lif_sequence(x, SEQ_CFG, params)
+        spikes, _ = lif_sequence(x, SEQ_CFG, params, timesteps=4)
         assert spikes._parents == tuple(t._node for t in [x] + param_tensors(params))
 
     def test_second_backward_pass_accumulates(self):
         currents, params, weighting = sequence_case("sctfa", np.float64, 3)
         x = Tensor(currents, requires_grad=True)
-        spikes, _ = lif_sequence(x, SEQ_CFG, params)
+        spikes, _ = lif_sequence(x, SEQ_CFG, params, timesteps=3)
         loss = tsum(spikes * Tensor(weighting))
         loss.backward()
         once = [x.grad.copy()] + [p.grad.copy() for p in param_tensors(params)]
@@ -300,16 +305,16 @@ class TestLifSequence:
 
     def test_no_gradient_for_constant_currents(self):
         currents, params, _ = sequence_case("ctfa", np.float64, 3)
-        spikes, _ = lif_sequence(Tensor(currents), SEQ_CFG, params)
+        spikes, _ = lif_sequence(Tensor(currents), SEQ_CFG, params, timesteps=3)
         grads = spikes._backward_fn(np.ones_like(spikes.data))
         assert grads[0] is None and all(g is not None for g in grads[1:])
 
     def test_shape_errors(self):
         _, params, _ = sequence_case("stfa", np.float64, 2)
         with pytest.raises(ShapeError):
-            lif_sequence(Tensor(np.zeros(3)), SEQ_CFG)
+            lif_sequence(Tensor(np.zeros(3)), SEQ_CFG, timesteps=1)
         with pytest.raises(ShapeError):
-            lif_sequence(Tensor(np.zeros((2, 3, 4))), SEQ_CFG, params)
+            lif_sequence(Tensor(np.zeros((2, 3, 4))), SEQ_CFG, params, timesteps=2)
 
 
 class TestLifSequenceDebugNan:
@@ -321,21 +326,21 @@ class TestLifSequenceDebugNan:
 
     def test_nan_current_passes_silently_without_the_flag(self):
         currents, params, _ = sequence_case("sctfa", np.float32, 3)
-        currents[1, 0, 0, 0, 0] = np.nan
-        spikes, v = lif_sequence(Tensor(currents), SEQ_CFG, params)
+        currents[1 * 2, 0, 0, 0] = np.nan  # step 1, sample 0
+        spikes, v = lif_sequence(Tensor(currents), SEQ_CFG, params, timesteps=3)
         assert np.isfinite(spikes.data).all() and not np.isfinite(v).all()
 
     def test_nan_current_raises(self, debug_nan):
         currents, params, _ = sequence_case("sctfa", np.float32, 3)
-        currents[1, 0, 0, 0, 0] = np.nan
+        currents[1 * 2, 0, 0, 0] = np.nan  # step 1, sample 0
         with pytest.raises(NumericError):
-            lif_sequence(Tensor(currents), SEQ_CFG, params)
+            lif_sequence(Tensor(currents), SEQ_CFG, params, timesteps=3)
 
     def test_nan_gradient_raises(self, debug_nan):
         currents, params, _ = sequence_case("sctfa", np.float64, 3)
-        spikes, _ = lif_sequence(Tensor(currents, requires_grad=True), SEQ_CFG, params)
+        spikes, _ = lif_sequence(Tensor(currents, requires_grad=True), SEQ_CFG, params, timesteps=3)
         g = np.ones_like(spikes.data)
-        g[2, 1, 0, 0, 0] = np.nan
+        g[2 * 2 + 1, 0, 0, 0] = np.nan  # step 2, sample 1
         with pytest.raises(NumericError):
             spikes._backward_fn(g)
 
