@@ -33,6 +33,9 @@ from .rng import Rng
 _HEADER = struct.Struct("<4sHHiQI")
 _RECORD = struct.Struct("<QHHBB")
 _MAGIC = b"EVS1"
+# the largest timestamp and coordinate an EventStream stores (uint64, uint16)
+_T_MAX = int(np.iinfo(np.uint64).max)
+_XY_MAX = int(np.iinfo(np.uint16).max)
 
 
 class Event(NamedTuple):
@@ -345,9 +348,17 @@ def _read_csv(path: Path, width: Optional[int], height: Optional[int]) -> EventS
             if not row:
                 continue
             try:
-                rows.append((int(row[0]), int(row[1]), int(row[2]), int(row[3])))
+                record = (int(row[0]), int(row[1]), int(row[2]), int(row[3]))
             except (ValueError, IndexError):
                 raise EventFormatError(f"bad CSV record on line {lineno}", offset=lineno)
+            # t is stored as uint64, x and y as uint16
+            if min(record) < 0 or record[0] > _T_MAX or max(record[1:3]) > _XY_MAX:
+                raise EventFormatError(
+                    f"CSV record out of range on line {lineno}: t must be in [0, {_T_MAX}], "
+                    f"x and y in [0, {_XY_MAX}], polarity 0 or 1",
+                    offset=lineno,
+                )
+            rows.append(record)
     xs = [r[1] for r in rows]
     ys = [r[2] for r in rows]
     width = width if width is not None else (max(xs) + 1 if rows else 1)

@@ -422,7 +422,13 @@ def cmd_train(args) -> int:
     return 0 if summary["status"] == "complete" else 1
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ConfigError(f"must be at least 1, got {threads}", field="--threads")
+
+
 def cmd_ablate(args) -> int:
+    _check_threads(args.threads)
     doc = _read_json_object(args.plan, "--plan")
     plan = plan_from_dict(doc)
     out_dir = Path(args.out)
@@ -438,6 +444,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep_kappa(args) -> int:
+    _check_threads(args.threads)
     doc = _apply_overrides(_read_json_object(args.config, "--config"), args)
     kappas = _parse_list(args.kappas, float, "--kappas")
     for k in kappas:

@@ -29,14 +29,33 @@ strided-slice copies of the padded input, one per kernel offset, into a
 [n, cin, k, k, L] buffer, so the product lands directly in [n, cout, L];
 the backward folds the patch gradients back onto the input (col2im) by the
 same slices, as additions. The batch goes through in blocks of samples
-whose patch matrix fits ``_CONV_BLOCK_BYTES``, in buffers allocated once
-per call. Every sample's product is the same call whatever the block, and
-the weight gradient is the sum of the samples' in sample order, so the
-block size does not change any result. A 1x1 unit-stride kernel is a plain
-contraction over channels with no patch matrix at all. ``avgpool2d`` sums
-k*k strided slices into one buffer and scales it once. ``batchnorm`` is one
-graph node with a closed-form backward. ``transpose`` permutes axes into a
-contiguous copy.
+whose patch matrix fits ``_CONV_BLOCK_BYTES``. Every sample's product is
+the same call whatever the block, and the weight gradient is the sum of
+the samples' in sample order, so the block size does not change any
+result. A 1x1 unit-stride kernel is a plain contraction over channels
+with no patch matrix at all.
+
+The blocks of one call run side by side: on the calling thread and on a
+process-wide pool of ``CONV_WORKERS - 1`` threads, ``CONV_WORKERS`` being
+the number of CPUs the process may run on. numpy and BLAS release the GIL,
+so the threads overlap, and BLAS itself keeps whatever thread count the
+environment gives it. A call splits over ``min(CONV_WORKERS, blocks //
+_CONV_BLOCKS_PER_WORKER)`` threads; a call with fewer blocks stays on its
+caller, since handing a block of about a millisecond to another thread
+does not pay. Each thread claims the next block when it is free, so a
+thread the host deschedules holds up at most the block it is on. Each
+thread has its own patch and col2im buffers, allocated per call on the
+calling thread (a buffer a pool thread allocated would stay in that
+thread's malloc arena); in the backward a block's patch gradients
+overwrite its patches once the weight gradient has read them. Block i's per-sample weight-gradient products wait in
+slot i % threads until every earlier block's are summed, and are then
+added in sample order, so which thread computes a block, and how many
+threads there are, changes no bit. A call returns, or raises the first
+error, only once none of its pool tasks is running.
+
+``avgpool2d`` sums k*k strided slices into one buffer and scales it once.
+``batchnorm`` is one graph node with a closed-form backward. ``transpose``
+permutes axes into a contiguous copy.
 
 The network's conv layers do not call ``batchnorm`` or ``avgpool2d``: their
 layer node in ``neuron`` normalizes, fires and pools one time step at a
@@ -57,6 +76,7 @@ gate and its gradients).
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import math
 import os
@@ -73,6 +93,16 @@ SURROGATE_ALPHA = 2.0
 # fits in this many bytes, about half the L2 cache of a core; a fixed number,
 # so a run's block sizes do not depend on the machine.
 _CONV_BLOCK_BYTES = 1 << 20
+# Threads that may run one conv2d call's blocks side by side: the caller and
+# CONV_WORKERS - 1 threads of a pool shared by the whole process, one per CPU
+# the process may run on.
+CONV_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# A call splits only with at least this many blocks per thread; fewer do not
+# pay for the handoff (see the per-layer table in CHANGES.md).
+_CONV_BLOCKS_PER_WORKER = 2
+# The pool beside the caller; it starts its threads at the first call that
+# splits, so a process whose calls never split runs none.
+_conv_pool = concurrent.futures.ThreadPoolExecutor(max(1, CONV_WORKERS - 1), "spikefuse-conv")
 
 # Graph recording is per-thread: independent graphs may run on separate
 # threads, and one thread's no_grad must not leak into another's training.
@@ -675,56 +705,75 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
     w_flat = weight.data.reshape(cout, cin * kk)
     pointwise = k == 1 and stride == 1 and padding == 0
     blk = max(1, min(b, _CONV_BLOCK_BYTES // max(1, l * cin * kk * x.data.itemsize)))
+    n_blocks = -(-b // blk)
     # the input is read again only for the weight gradient, the weight only
     # for the input gradient
     xd, w_t = _data_for(x, weight), w_flat.T if x.requires_grad else None
     x_shape, x_dtype, w_shape, w_dtype = x.shape, x.dtype, weight.shape, weight.dtype
     bias_grad = bias is not None and bias.requires_grad
+    if bias is not None and bias.shape != (cout,):
+        raise ShapeError(f"conv2d: bias {bias.shape} incompatible with weight {weight.shape}")
 
     out_data = np.empty((b, cout, h_out, w_out), dtype=x.dtype)
     out3 = out_data.reshape(b, cout, l)
-    gather = _im2col(x.data, k, stride, padding, h_out, w_out, blk)
-    for lo in range(0, b, blk):
-        hi = min(lo + blk, b)
-        np.matmul(w_flat, gather(lo, hi), out=out3[lo:hi])
+    parts = max(1, min(CONV_WORKERS, n_blocks // _CONV_BLOCKS_PER_WORKER))
+    gathers = [_im2col(x.data, k, stride, padding, h_out, w_out, blk) for _ in range(parts)]
+
+    def forward_block(part, block):
+        lo, hi = block * blk, min(block * blk + blk, b)
+        np.matmul(w_flat, gathers[part](lo, hi), out=out3[lo:hi])
+
+    _run_blocks(parts, n_blocks, forward_block)
     if bias is not None:
-        if bias.shape != (cout,):
-            raise ShapeError(f"conv2d: bias {bias.shape} incompatible with weight {weight.shape}")
         out_data += bias.data[None, :, None, None]
 
     def backward(g):
         g3 = g.reshape(b, cout, l)
         dw = dx = None
         if xd is not None:
-            # per-sample products summed in sample order, whatever the block
             dw = np.zeros((cout, cin * kk), dtype=w_dtype)
-            dw_part = np.empty((blk, cout, cin * kk), dtype=np.result_type(g, xd))
-            gather = _im2col(xd, k, stride, padding, h_out, w_out, blk)
+            # block i's per-sample products wait in slot i % parts until
+            # every earlier block's are summed
+            dw_parts = np.empty((parts, blk, cout, cin * kk), dtype=np.result_type(g, xd))
+            gathers = [_im2col(xd, k, stride, padding, h_out, w_out, blk) for _ in range(parts)]
         if w_t is not None:
             dx = np.empty(x_shape, dtype=x_dtype)
             dx3 = dx.reshape(b, cin, h * w)
             if not pointwise:
-                dcols = np.empty((blk, cin * kk, l), dtype=np.result_type(w_t, g))
-                dpad = np.empty((blk, cin, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
-        for lo in range(0, b, blk):
-            hi = min(lo + blk, b)
+                dtype = np.result_type(w_t, g)
+                # a block reads its patches before it writes their gradients,
+                # so the gradients go into the patch buffer when the types agree
+                shared = xd is not None and xd.dtype == dtype
+                dcols = None if shared else np.empty((parts, blk, cin * kk, l), dtype=dtype)
+                dpad = np.empty((parts, blk, cin, h + 2 * padding, w + 2 * padding), dtype=dtype)
+
+        def backward_block(part, block):
+            lo, hi = block * blk, min(block * blk + blk, b)
             n, gl = hi - lo, g3[lo:hi]
             if dw is not None:
-                for part in np.matmul(gl, gather(lo, hi).transpose(0, 2, 1), out=dw_part[:n]):
-                    dw += part
+                patches = gathers[part](lo, hi)
+                np.matmul(gl, patches.transpose(0, 2, 1), out=dw_parts[block % parts, :n])
             if dx is None:
-                continue
+                return
             if pointwise:
                 np.matmul(w_t, gl, out=dx3[lo:hi])
-                continue
+                return
             # col2im: im2col's slices, added back into the padded input
-            patches = np.matmul(w_t, gl, out=dcols[:n]).reshape(n, cin, k, k, h_out, w_out)
-            acc = dpad[:n]
+            dpatches = np.matmul(w_t, gl, out=patches if dcols is None else dcols[part, :n])
+            dpatches = dpatches.reshape(n, cin, k, k, h_out, w_out)
+            acc = dpad[part, :n]
             acc.fill(0)
             for i in range(k):
                 for j in range(k):
-                    acc[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += patches[:, :, i, j]
+                    acc[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dpatches[:, :, i, j]
             dx[lo:hi] = acc[:, :, padding : padding + h, padding : padding + w]
+
+        def sum_block(block):
+            # per-sample products summed in sample order, whatever the block
+            for sample in dw_parts[block % parts, : min(blk, b - block * blk)]:
+                np.add(dw, sample, out=dw)
+
+        _run_blocks(parts, n_blocks, backward_block, None if dw is None else sum_block)
         return (
             dx,
             None if dw is None else dw.reshape(w_shape),
@@ -760,6 +809,79 @@ def _im2col(xd, k, stride, padding, h_out, w_out, blk):
         return cols[:n].reshape(n, cin * k * k, l)
 
     return gather
+
+
+class _BlockQueue:
+    """Hands out the blocks of one call, one at a time, to whichever of its
+    ``parts`` threads asks first. With ``commit``, ``commit(i)`` runs once
+    per block in block order, as soon as blocks 0..i are done, and block i
+    is handed out only after block i - parts is committed (the two share a
+    buffer)."""
+
+    def __init__(self, n: int, parts: int, commit=None):
+        self.n, self.commit = n, commit
+        self.window = parts if commit is not None else n
+        self.next = self.committed = 0
+        self.done = set()
+        self.failed = False
+        self.cond = threading.Condition()
+
+    def run(self, part: int, work) -> None:
+        """Call ``work(part, i)`` for blocks i until none is left or a
+        thread has failed."""
+        try:
+            while (block := self._claim()) is not None:
+                work(part, block)
+                if self.commit is not None:
+                    self._finish(block)
+        except BaseException:
+            with self.cond:
+                self.failed = True
+                self.cond.notify_all()
+            raise
+
+    def _claim(self):
+        with self.cond:
+            self.cond.wait_for(
+                lambda: self.failed or self.next >= self.n or self.next < self.committed + self.window
+            )
+            if self.failed or self.next >= self.n:
+                return None
+            self.next += 1
+            return self.next - 1
+
+    def _finish(self, block: int) -> None:
+        with self.cond:
+            self.done.add(block)
+            while self.committed in self.done:
+                self.done.remove(self.committed)
+                self.commit(self.committed)
+                self.committed += 1
+            self.cond.notify_all()
+
+
+def _run_blocks(parts: int, n: int, work, commit=None) -> None:
+    """Run ``work(part, i)`` for every block i < n on ``parts`` threads: the
+    caller and ``parts - 1`` pool tasks, each with its own buffers (``part``).
+    Returns or raises only when no task is still running."""
+    if parts == 1:
+        for block in range(n):
+            work(0, block)
+            if commit is not None:
+                commit(block)
+        return
+    queue = _BlockQueue(n, parts, commit)
+    tasks = [_conv_pool.submit(queue.run, part, work) for part in range(1, parts)]
+    try:
+        queue.run(0, work)
+    finally:
+        # a task that has not started would find no block left
+        for task in tasks:
+            task.cancel()
+        concurrent.futures.wait(tasks)
+    for task in tasks:
+        if not task.cancelled() and task.exception() is not None:
+            raise task.exception()
 
 
 def _avgpool(x: np.ndarray, k: int, out=None) -> np.ndarray:

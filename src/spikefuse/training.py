@@ -25,6 +25,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import tensor
 from .errors import ArchError, ConfigError, DivergenceError, ParameterError, ShapeError, StateError
 from .events import (
     CorruptionSpec,
@@ -335,14 +336,16 @@ class RunRecord:
 
     def timing_json(self) -> str:
         # volatile sidecar: wall clock plus the threading context the kernels
-        # ran under (bitwise reproducibility is per fixed thread count)
+        # ran under (bitwise reproducibility is per fixed BLAS thread count;
+        # the conv2d worker count changes no result)
         env = {
             k: os.environ[k]
             for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
             if k in os.environ
         }
         return json.dumps(
-            {"timing_ms": self.timing_ms, "cpu_count": os.cpu_count(), "blas_env": env},
+            {"timing_ms": self.timing_ms, "cpu_count": os.cpu_count(),
+             "conv_workers": tensor.CONV_WORKERS, "blas_env": env},
             sort_keys=True,
         )
 

@@ -319,6 +319,30 @@ class TestEventFiles:
         with pytest.raises(EventFormatError):
             read_events(path, width=8, height=8)
 
+    @pytest.mark.parametrize("record,width", [
+        ("-1,0,0,1", None),
+        ("1,-1,0,1", 8),
+        ("1,0,-1,1", None),
+        ("1,0,0,-1", None),
+        ("1,70000,0,1", None),
+        ("1,0,65536,1", None),
+        (f"{2**64},0,0,1", None),
+    ])
+    def test_csv_field_outside_its_stored_type_rejected(self, tmp_path, record, width):
+        path = tmp_path / "s.csv"
+        path.write_text(f"t_us,x,y,polarity\n10,1,2,1\n{record}\n")
+        with pytest.raises(EventFormatError) as exc:
+            read_events(path, width=width, height=width)
+        assert "line 3" in str(exc.value)
+        assert exc.value.offset == 3
+
+    def test_csv_largest_stored_values_accepted(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(f"t_us,x,y,polarity\n{2**64 - 1},65535,65535,0\n")
+        stream = read_events(path)
+        assert stream[0] == (2**64 - 1, 65535, 65535, 0)
+        assert stream.width == stream.height == 65536
+
     def test_csv_bad_header(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("time,col,row,sign\n")

@@ -235,6 +235,40 @@ class TestTrainCommand:
             args = build_parser().parse_args(command + ["--out", "o", "--threads", "2"])
             assert args.threads == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize("command", [["ablate", "--plan"], ["sweep-kappa", "--config"]])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, command, threads):
+        argv = command + [str(tmp_path / "missing.json"), "--out", str(tmp_path / "o"),
+                          "--threads", threads]
+        assert main(argv) == 2
+        assert f"error: --threads: must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        args = harness.build_parser().parse_args(argv)
+        with pytest.raises(ConfigError) as info:
+            args.func(args)
+        assert info.value.field == "--threads"
+
+    def test_timing_records_conv_workers_and_not_the_record(self, corpus, tmp_path, monkeypatch,
+                                                          conv_workers):
+        import spikefuse.tensor as tensor_module
+
+        train_dir, test_dir = corpus
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_doc(train_dir, test_dir, variant="sctfa")))
+        # one sample per conv block, so every call splits over the workers
+        monkeypatch.setattr(tensor_module, "_CONV_BLOCK_BYTES", 1)
+        records = []
+        for workers in (1, 2):
+            conv_workers(workers)
+            out = tmp_path / f"w{workers}"
+            assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+            run_dir = out / "run_seed5_sctfa"
+            timing = json.loads((run_dir / "timing.json").read_text())
+            assert timing["conv_workers"] == workers
+            assert timing["cpu_count"] >= 1
+            records.append((run_dir / "run_record.json").read_bytes())
+        assert records[0] == records[1]
+
     def test_failed_write_leaves_no_counted_run(self, corpus, tmp_path, monkeypatch):
         train_dir, test_dir = corpus
         cfg = config_from_dict(config_doc(train_dir, test_dir))

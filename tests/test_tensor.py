@@ -159,7 +159,7 @@ class TestConv2dBackward:
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("padding", [0, 1, 2])
-    def test_results_do_not_depend_on_the_block(self, monkeypatch, k, stride, padding, dtype):
+    def test_results_do_not_depend_on_the_block(self, monkeypatch, conv_workers, k, stride, padding, dtype):
         import spikefuse.tensor as tensor_module
 
         x = rand((5, 2, 7, 8), 10 * k + stride).astype(dtype)
@@ -168,22 +168,144 @@ class TestConv2dBackward:
         w_out = (8 + 2 * padding - k) // stride + 1
         g = rand((5, 3, h_out, w_out), 30 + stride + padding).astype(dtype)
         per_sample = h_out * w_out * 2 * k * k * x.itemsize
-        runs = []
-        # blocks of 1 sample, of 2, 2 and 1, the default (the whole batch
-        # here) and one whole-batch block
-        for budget in (1, 2 * per_sample, tensor_module._CONV_BLOCK_BYTES, 1 << 40):
-            monkeypatch.setattr(tensor_module, "_CONV_BLOCK_BYTES", budget)
-            dx, dw, out = conv_grads(x, w, g, stride, padding)
-            runs.append([out.data.tobytes(), dx.tobytes(), dw.tobytes()])
-        assert all(run == runs[0] for run in runs[1:])
-        # every sample alone, and dW as the sum of the samples' in sample order
-        dw_sum = np.zeros_like(w)
+        # every sample alone, on one thread, and dW as the sum of the
+        # samples' in sample order; db is the same sum over the samples
+        out_ref, dx_ref, dw_ref = [], [], np.zeros_like(w)
         for i in range(5):
             dx_i, dw_i, out_i = conv_grads(x[i : i + 1], w, g[i : i + 1], stride, padding)
-            assert out_i.data.tobytes() == out.data[i : i + 1].tobytes()
-            assert dx_i.tobytes() == dx[i : i + 1].tobytes()
-            dw_sum += dw_i
-        assert dw_sum.tobytes() == dw.tobytes()
+            out_ref.append(out_i.data)
+            dx_ref.append(dx_i)
+            dw_ref += dw_i
+        ref = [np.concatenate(out_ref).tobytes(), np.concatenate(dx_ref).tobytes(), dw_ref.tobytes(),
+               g.sum(axis=(0, 2, 3)).tobytes()]
+        # blocks of 1 sample, of 2, 2 and 1, the default (the whole batch
+        # here) and one whole-batch block, on 1, 2 and 3 threads: split
+        # whenever there are at least as many blocks as threads
+        for workers in (1, 2, 3):
+            conv_workers(workers)
+            for budget in (1, 2 * per_sample, tensor_module._CONV_BLOCK_BYTES, 1 << 40):
+                monkeypatch.setattr(tensor_module, "_CONV_BLOCK_BYTES", budget)
+                dx, dw, out = conv_grads(x, w, g, stride, padding)
+                db = out._backward_fn(g)[2]
+                assert [out.data.tobytes(), dx.tobytes(), dw.tobytes(), db.tobytes()] == ref
+
+    def test_wider_gradient_than_input_vs_loop_oracle(self):
+        # an f64 gradient into an f32 conv: its patch gradients cannot share
+        # the f32 patch buffer
+        x, w = rand((3, 2, 7, 8), 59).astype(np.float32), rand((3, 2, 3, 3), 60).astype(np.float32)
+        g = rand((3, 3, 4, 4), 61)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        dx, dw, _ = conv2d(xt, wt, None, 2, 1)._backward_fn(g)
+        ref_dx, ref_dw = conv2d_grad_loops(x.astype(np.float64), w.astype(np.float64), g, 2, 1)
+        assert dx.dtype == dw.dtype == np.float32
+        assert np.max(np.abs(dx - ref_dx)) < 1e-5
+        assert np.max(np.abs(dw - ref_dw)) < 1e-5
+
+    def test_call_below_the_gate_submits_no_pool_task(self, monkeypatch):
+        import spikefuse.tensor as tensor_module
+
+        submitted = []
+
+        class Pool:
+            def submit(self, fn, *args):
+                submitted.append(args)
+                raise AssertionError("a call below the gate used the pool")
+
+        monkeypatch.setattr(tensor_module, "_conv_pool", Pool())
+        monkeypatch.setattr(tensor_module, "CONV_WORKERS", 2)
+        monkeypatch.setattr(tensor_module, "_CONV_BLOCK_BYTES", 1)  # one sample per block
+        w = rand((3, 2, 3, 3), 55)
+        # one block fewer than the gate for two threads runs on the caller
+        n = 2 * tensor_module._CONV_BLOCKS_PER_WORKER - 1
+        conv_grads(rand((n, 2, 6, 6), 54), w, rand((n, 3, 6, 6), 56), 1, 1)
+        assert submitted == []
+        with pytest.raises(AssertionError, match="used the pool"):
+            conv_grads(rand((n + 1, 2, 6, 6), 54), w, rand((n + 1, 3, 6, 6), 56), 1, 1)
+        assert len(submitted) == 1
+
+    @pytest.mark.parametrize("failing", [0, 1, 4])
+    def test_failing_block_raises_after_every_part_ends(self, monkeypatch, conv_workers, failing):
+        import threading
+        import time
+
+        import spikefuse.tensor as tensor_module
+
+        conv_workers(3)
+        x, w = rand((6, 2, 6, 6), 57), rand((3, 2, 3, 3), 58)
+        monkeypatch.setattr(tensor_module, "_CONV_BLOCK_BYTES", 1)  # one sample per block
+        serial = conv2d(Tensor(x), Tensor(w), None, 1, 1).data
+        in_flight, threads = set(), set()
+        other_started = threading.Event()
+        im2col = tensor_module._im2col
+
+        def slow_im2col(*args):
+            gather = im2col(*args)
+
+            def slow_gather(lo, hi):
+                in_flight.add(lo)
+                threads.add(threading.get_ident())
+                try:
+                    if lo == failing:
+                        # fail while another thread is inside its block
+                        other_started.wait(5)
+                        raise RuntimeError(f"block {lo} failed")
+                    other_started.set()
+                    time.sleep(0.02)
+                    return gather(lo, hi)
+                finally:
+                    in_flight.discard(lo)
+
+            return slow_gather
+
+        monkeypatch.setattr(tensor_module, "_im2col", slow_im2col)
+        with pytest.raises(RuntimeError, match=f"block {failing} failed"):
+            conv2d(Tensor(x), Tensor(w), None, 1, 1)
+        assert in_flight == set()
+        assert len(threads) > 1
+        monkeypatch.setattr(tensor_module, "_im2col", im2col)
+        assert conv2d(Tensor(x), Tensor(w), None, 1, 1).data.tobytes() == serial.tobytes()
+
+    def test_blocks_commit_in_order_and_no_task_outlives_the_call(self, conv_workers):
+        import sys
+        import threading
+        import time
+
+        import spikefuse.tensor as tensor_module
+
+        # more threads than cores, switching as often as the interpreter allows
+        parts, n = 5, 300
+        conv_workers(parts)
+        lock = threading.Lock()
+        slots, done, committed, in_flight = [None] * parts, [0] * n, [], [0]
+
+        def work(part, block):
+            with lock:
+                in_flight[0] += 1
+            # the slot's last block was committed before this one overwrites it
+            assert block - parts < len(committed)
+            slots[block % parts] = block
+            # early blocks of each round finish last, as on a descheduled thread
+            time.sleep(0.001 if block % 7 == 0 else 0)
+            with lock:
+                done[block] += 1
+                in_flight[0] -= 1
+
+        def commit(block):
+            assert done[block] == 1 and slots[block % parts] == block
+            committed.append(block)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=tensor_module._run_blocks, args=(parts, n, work, commit))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert in_flight == [0]
+        assert done == [1] * n
+        assert committed == list(range(n))
 
     @pytest.mark.parametrize("k,stride,padding", [(1, 1, 0), (5, 2, 2)])
     def test_input_without_grad_gets_no_dx(self, k, stride, padding):
