@@ -42,16 +42,19 @@ so the threads overlap, and BLAS itself keeps whatever thread count the
 environment gives it. A call splits over ``min(CONV_WORKERS, blocks //
 _CONV_BLOCKS_PER_WORKER)`` threads; a call with fewer blocks stays on its
 caller, since handing a block of about a millisecond to another thread
-does not pay. Each thread claims the next block when it is free, so a
-thread the host deschedules holds up at most the block it is on. Each
-thread has its own patch and col2im buffers, allocated per call on the
-calling thread (a buffer a pool thread allocated would stay in that
-thread's malloc arena); in the backward a block's patch gradients
-overwrite its patches once the weight gradient has read them. Block i's per-sample weight-gradient products wait in
-slot i % threads until every earlier block's are summed, and are then
-added in sample order, so which thread computes a block, and how many
-threads there are, changes no bit. A call returns, or raises the first
-error, only once none of its pool tasks is running.
+does not pay. That gate and the timings behind it were measured with two
+threads and BLAS pinned to one thread; with more CPUs, or with BLAS
+starting its own threads inside each part, they are unmeasured. Each
+thread claims the next block when it is free, so a thread the host
+deschedules holds up at most the block it is on. Each thread has its own
+patch and col2im buffers, allocated per call on the calling thread (a
+buffer a pool thread allocated would stay in that thread's malloc arena);
+in the backward a block's patch gradients overwrite its patches once the
+weight gradient has read them. Block i's per-sample weight-gradient
+products wait in slot i % threads until every earlier block's are summed,
+and are then added in sample order, so which thread computes a block, and
+how many threads there are, changes no bit. A call returns, or raises the
+first error, only once none of its pool tasks is running.
 
 ``avgpool2d`` sums k*k strided slices into one buffer and scales it once.
 ``batchnorm`` is one graph node with a closed-form backward. ``transpose``
@@ -98,7 +101,8 @@ _CONV_BLOCK_BYTES = 1 << 20
 # the process may run on.
 CONV_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # A call splits only with at least this many blocks per thread; fewer do not
-# pay for the handoff (see the per-layer table in CHANGES.md).
+# pay for the handoff (see the per-layer table in CHANGES.md, measured with
+# two threads and BLAS pinned to one thread).
 _CONV_BLOCKS_PER_WORKER = 2
 # The pool beside the caller; it starts its threads at the first call that
 # splits, so a process whose calls never split runs none.
@@ -863,13 +867,8 @@ class _BlockQueue:
 def _run_blocks(parts: int, n: int, work, commit=None) -> None:
     """Run ``work(part, i)`` for every block i < n on ``parts`` threads: the
     caller and ``parts - 1`` pool tasks, each with its own buffers (``part``).
+    With one part the caller runs the blocks in order and submits nothing.
     Returns or raises only when no task is still running."""
-    if parts == 1:
-        for block in range(n):
-            work(0, block)
-            if commit is not None:
-                commit(block)
-        return
     queue = _BlockQueue(n, parts, commit)
     tasks = [_conv_pool.submit(queue.run, part, work) for part in range(1, parts)]
     try:
