@@ -12,16 +12,12 @@ From a layer's binary spike map [B, C, H, W] the full block builds
 Variants: ``sctfa`` fuses both branches, ``stfa`` keeps only the spatial
 branch, ``ctfa`` only the channel branch, ``bl`` produces no gate at all.
 The omitted branch's parameters are never allocated.
-
-``unit_spatial`` / ``unit_channel`` replace a branch with exact ones; they
-exist for structural-equivalence testing (a unit branch must reproduce the
-corresponding degenerate variant bitwise).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -66,6 +62,12 @@ class AttentionParams:
     spatial_bias: Optional[Tensor] = None  # [1]
     reduce_weight: Optional[Tensor] = None  # [C/r, C]
     expand_weight: Optional[Tensor] = None  # [C, C/r]
+
+    def named(self):
+        """(field name, tensor) of every branch parameter present, spatial
+        before channel: the order of checkpoints and of the gate's parents."""
+        pairs = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        return [(name, p) for name, p in pairs if p is not None]
 
 
 def init_attention_params(
@@ -126,36 +128,26 @@ def compute_attention(
     s: Tensor,
     params: Optional[AttentionParams],
     variant: AttentionVariant,
-    unit_spatial: bool = False,
-    unit_channel: bool = False,
 ) -> Optional[Tensor]:
     """Build the gate for one layer from its previous-step spike map.
 
     Returns None for the baseline variant. For the degenerate variants the
     surviving branch broadcasts over the missing axis at multiply time, so
-    no values are materialized that a fused gate with a unit branch would
-    not produce bitwise.
+    no values are materialized that a fused gate whose other branch is
+    exactly one would not produce bitwise.
     """
     if variant == AttentionVariant.BL:
         return None
     if params is None:
         raise ParameterError(f"variant {variant.value} requires attention parameters")
-    b, c, h, w = s.shape
+    b, c = s.shape[:2]
 
     u_s = None
     if variant.has_spatial:
-        if unit_spatial:
-            u_s = Tensor(np.ones((b, 1, h, w), dtype=s.dtype))
-        else:
-            u_s = spatial_excitation(s, params.spatial_weight, params.spatial_bias)
+        u_s = spatial_excitation(s, params.spatial_weight, params.spatial_bias)
     u_c = None
     if variant.has_channel:
-        if unit_channel:
-            u_c = Tensor(np.ones((b, c), dtype=s.dtype))
-        else:
-            u_c = channel_excitation(
-                channel_squeeze(s), params.reduce_weight, params.expand_weight
-            )
+        u_c = channel_excitation(channel_squeeze(s), params.reduce_weight, params.expand_weight)
 
     if variant == AttentionVariant.SCTFA:
         return fuse(u_s, u_c)

@@ -17,13 +17,14 @@ Every convolutional layer carries conv -> (BN) -> LIF dynamics unrolled
 over T timesteps; from the second step on, a non-baseline variant gates the
 decayed membrane history with the attention tensor computed from the
 layer's own previous-step spikes. Fully connected and voting layers always
-use the plain update. The synapse of a spiking layer runs once over all T*B
-frames; the rest of the layer is one ``neuron.lif_sequence`` node. For a
-conv layer that node also runs its batch norm and the ``AP<k>`` pool that
-directly follows it, which the conv block absorbs at build time; a pool
-after anything else stays a layer of its own. Pooling acts on spikes, so
-deeper layers receive fractional input current in [0, 1]; the first layer
-receives raw frame counts.
+use the plain update. Conv, fully connected and voting layers are one
+class: a synapse that runs once over all T*B frames, then one
+``neuron.lif_sequence`` node. For a conv layer that node also runs its
+batch norm and the ``AP<k>`` pool that directly follows it, which the conv
+layer absorbs at build time; a pool after anything else stays a layer of
+its own, as does dropout. Pooling acts on spikes, so deeper layers receive
+fractional input current in [0, 1]; the first layer receives raw frame
+counts.
 """
 
 from __future__ import annotations
@@ -120,6 +121,10 @@ class VotingStage:
     classes: int
     per_class: int
 
+    @property
+    def out_features(self) -> int:
+        return self.classes * self.per_class
+
     def token(self) -> str:
         return f"VotingC{self.classes}P{self.per_class}"
 
@@ -159,9 +164,9 @@ def parse_architecture(
 ) -> NetworkSpec:
     """Parse and shape-check an architecture string against an input shape.
 
-    Raises ArchError naming the token index on unknown tokens, inconsistent
-    shapes, or a voting layer that is not last, and ArchError for an unknown
-    variant or a reduction ratio or timestep count below 1. A spec without a
+    Raises ArchError naming the token index on unknown tokens, zero sizes,
+    inconsistent shapes, or a voting layer that is not last, and ArchError
+    for an unknown variant or a reduction ratio or timestep count below 1. A spec without a
     voting layer is valid for the complexity counters but cannot be
     instantiated.
     """
@@ -177,8 +182,8 @@ def parse_architecture(
     tokens = s.split("-")
     if not tokens or tokens[0] != "Input":
         raise ArchError("architecture must start with 'Input'", token_index=0)
-    if len(input_shape) != 3 or input_shape[0] != 2:
-        raise ArchError(f"input shape must be (2, H, W), got {input_shape}")
+    if len(input_shape) != 3 or input_shape[0] != 2 or min(input_shape[1:]) < 1:
+        raise ArchError(f"input shape must be (2, H, W) with H, W >= 1, got {input_shape}")
 
     stages: List[Stage] = []
     channels, (h, w) = input_shape[0], (input_shape[1], input_shape[2])
@@ -220,6 +225,8 @@ def parse_architecture(
             if features is not None:
                 raise ArchError("spatial pool after a fully connected stage", token_index=i)
             k = int(m.group(1))
+            if k < 1:
+                raise ArchError(f"bad pool token {tok!r}", token_index=i)
             if h % k or w % k:
                 raise ArchError(
                     f"AP{k} needs extents divisible by {k}, got ({h}, {w})", token_index=i
@@ -233,6 +240,8 @@ def parse_architecture(
         m = _FC_RE.match(tok)
         if m:
             out_features = int(m.group(1))
+            if out_features < 1:
+                raise ArchError(f"bad fully connected token {tok!r}", token_index=i)
             in_features = features if features is not None else channels * h * w
             stages.append(DenseStage(in_features, out_features))
             features = out_features
@@ -288,11 +297,8 @@ def count_parameters(spec: NetworkSpec) -> int:
             if st.batch_norm:
                 total += 2 * st.out_channels
             total += _attention_param_count(st.out_channels, spec.variant, spec.reduction)
-        elif isinstance(st, DenseStage):
+        elif isinstance(st, (DenseStage, VotingStage)):
             total += st.in_features * st.out_features + st.out_features
-        elif isinstance(st, VotingStage):
-            out = st.classes * st.per_class
-            total += st.in_features * out + out
     return total
 
 
@@ -313,10 +319,8 @@ def count_mult_adds(spec: NetworkSpec, timesteps: Optional[int] = None) -> int:
                 per_step += st.out_channels * oh * ow
             if spec.variant.has_channel:
                 per_step += 2 * st.out_channels**2 // spec.reduction
-        elif isinstance(st, DenseStage):
+        elif isinstance(st, (DenseStage, VotingStage)):
             per_step += st.in_features * st.out_features
-        elif isinstance(st, VotingStage):
-            per_step += st.in_features * st.classes * st.per_class
     return per_step * t
 
 
@@ -330,50 +334,47 @@ class _ForwardCtx:
     rng: Optional[Rng]
     smooth: bool
     record_hidden: bool
-    unit_spatial: bool
-    unit_channel: bool
     hidden_trace: Optional[np.ndarray] = None
 
 
-class _ConvBlock:
-    def __init__(self, st: ConvStage, spec: NetworkSpec, name: str, rng: Rng, dtype):
-        self.st = st
+class _SpikingLayer:
+    """A conv, fully connected or voting layer: the synapse runs once over
+    all T*B frames (``conv2d`` when the weight is 4-D, else flatten and
+    ``linear``), then one ``lif_sequence`` node with the layer's batch norm,
+    attention gate and absorbed ``AP<k>``, where it has them. A voting
+    layer reads out the mean spike of each class's group per step."""
+
+    def __init__(self, st: Stage, spec: NetworkSpec, name: str, rng: Rng, dtype):
         self.lif = spec.lif
         self.name = name
         self.is_last_conv = False
-        self.pool = 1  # k of the AP<k> that follows, absorbed at build time
-        fan_in = st.in_channels * st.kernel**2
-        self.weight = kaiming_uniform(
-            (st.out_channels, st.in_channels, st.kernel, st.kernel),
-            fan_in, rng.split(f"{name}.conv.weight"), dtype,
-        )
-        self.bias = zeros_param((st.out_channels,), dtype)
-        if st.batch_norm:
-            self.bn_gamma = ones_param((st.out_channels,), dtype)
-            self.bn_beta = zeros_param((st.out_channels,), dtype)
-            self.bn_state = BatchNormState(st.out_channels, dtype)
+        self.pool = 1  # k of the AP<k> that follows a conv layer, absorbed at build time
+        self.groups = (st.classes, st.per_class) if isinstance(st, VotingStage) else None
+        self.bn_gamma = self.bn_beta = self.bn_state = self.attention = None
+        if isinstance(st, ConvStage):
+            self.prefix, self.stride, self.padding = f"{name}.conv", st.stride, st.padding
+            shape = (st.out_channels, st.in_channels, st.kernel, st.kernel)
+            fan_in = st.in_channels * st.kernel**2
+            if st.batch_norm:
+                self.bn_gamma = ones_param((st.out_channels,), dtype)
+                self.bn_beta = zeros_param((st.out_channels,), dtype)
+                self.bn_state = BatchNormState(st.out_channels, dtype)
+            self.attention = init_attention_params(
+                st.out_channels, spec.reduction, spec.variant, rng.split(f"{name}.att"), dtype
+            )
         else:
-            self.bn_gamma = self.bn_beta = self.bn_state = None
-        self.attention = init_attention_params(
-            st.out_channels, spec.reduction, spec.variant, rng.split(f"{name}.att"), dtype
-        )
+            self.prefix = name
+            shape, fan_in = (st.out_features, st.in_features), st.in_features
+        # every parameter draws from its own named stream, so the order here is free
+        self.weight = kaiming_uniform(shape, fan_in, rng.split(f"{self.prefix}.weight"), dtype)
+        self.bias = zeros_param((shape[0],), dtype)
 
     def named_parameters(self):
-        out = [(f"{self.name}.conv.weight", self.weight), (f"{self.name}.conv.bias", self.bias)]
+        out = [(f"{self.prefix}.weight", self.weight), (f"{self.prefix}.bias", self.bias)]
         if self.bn_gamma is not None:
             out += [(f"{self.name}.bn.gamma", self.bn_gamma), (f"{self.name}.bn.beta", self.bn_beta)]
-        a = self.attention
-        if a is not None:
-            if a.spatial_weight is not None:
-                out += [
-                    (f"{self.name}.att.spatial_weight", a.spatial_weight),
-                    (f"{self.name}.att.spatial_bias", a.spatial_bias),
-                ]
-            if a.reduce_weight is not None:
-                out += [
-                    (f"{self.name}.att.reduce_weight", a.reduce_weight),
-                    (f"{self.name}.att.expand_weight", a.expand_weight),
-                ]
+        if self.attention is not None:
+            out += [(f"{self.name}.att.{field}", p) for field, p in self.attention.named()]
         return out
 
     def named_buffers(self):
@@ -385,46 +386,50 @@ class _ConvBlock:
         ]
 
     def forward_sequence(self, x: Tensor, t_steps: int, batch: int, ctx: _ForwardCtx) -> Tensor:
-        """conv -> (BN) -> gated LIF -> (AP<k>): conv2d, then one node."""
+        if self.weight.ndim == 4:
+            cur = conv2d(x, self.weight, self.bias, self.stride, self.padding)
+        else:
+            if x.ndim != 2:
+                x = reshape(x, (t_steps * batch, int(np.prod(x.shape[1:]))))
+            cur = linear(x, self.weight, self.bias)
         norm = None
         if self.bn_state is not None:
             norm = BatchNorm(self.bn_gamma, self.bn_beta, self.bn_state, ctx.training)
         trace = ctx.record_hidden and self.is_last_conv
         spikes, v = lif_sequence(
-            conv2d(x, self.weight, self.bias, self.st.stride, self.st.padding), self.lif,
-            self.attention, smooth=ctx.smooth, unit_spatial=ctx.unit_spatial,
-            unit_channel=ctx.unit_channel, timesteps=t_steps, norm=norm, pool=self.pool,
-            keep_membrane=trace,
+            cur, self.lif, self.attention, smooth=ctx.smooth, timesteps=t_steps, norm=norm,
+            pool=self.pool, keep_membrane=trace,
         )
         if trace:
             ctx.hidden_trace = np.ascontiguousarray(v.swapaxes(0, 1))  # [B, T, C, H, W]
-        return spikes
+        if self.groups is None:
+            return spikes
+        m, p = self.groups
+        votes = tmean(reshape(spikes, (t_steps, batch, m, p)), axis=3)  # group means [T, B, M]
+        return transpose(votes, (1, 2, 0))  # [B, M, T]
 
 
-class _PoolLayer:
-    def __init__(self, st: PoolStage):
-        self.st = st
+class _NoParameters:
+    """A layer with no parameters and no buffers."""
 
     def named_parameters(self):
         return []
 
     def named_buffers(self):
         return []
+
+
+class _PoolLayer(_NoParameters):
+    def __init__(self, st: PoolStage):
+        self.st = st
 
     def forward_sequence(self, x, t_steps, batch, ctx):
         return avgpool2d(x, self.st.k)
 
 
-class _DropoutLayer:
-    def __init__(self, st: DropoutStage, name: str):
+class _DropoutLayer(_NoParameters):
+    def __init__(self, st: DropoutStage):
         self.rate = st.rate
-        self.name = name
-
-    def named_parameters(self):
-        return []
-
-    def named_buffers(self):
-        return []
 
     def forward_sequence(self, x, t_steps, batch, ctx):
         if not ctx.training:
@@ -436,57 +441,6 @@ class _DropoutLayer:
         mask = (ctx.rng.random((batch,) + rest) >= self.rate).astype(x.data.dtype)
         tiled = np.tile(mask, (t_steps,) + (1,) * len(rest))
         return dropout(x, self.rate, tiled, training=True)
-
-
-class _SpikingDense:
-    def __init__(self, st: DenseStage, lif: LifConfig, name: str, rng: Rng, dtype):
-        self.st = st
-        self.lif = lif
-        self.name = name
-        self.weight = kaiming_uniform(
-            (st.out_features, st.in_features), st.in_features,
-            rng.split(f"{name}.weight"), dtype,
-        )
-        self.bias = zeros_param((st.out_features,), dtype)
-
-    def named_parameters(self):
-        return [(f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias)]
-
-    def named_buffers(self):
-        return []
-
-    def forward_sequence(self, x, t_steps, batch, ctx):
-        if x.ndim != 2:
-            x = reshape(x, (t_steps * batch, int(np.prod(x.shape[1:]))))
-        cur = linear(x, self.weight, self.bias)
-        return lif_sequence(cur, self.lif, smooth=ctx.smooth, timesteps=t_steps)[0]
-
-
-class _VotingLayer:
-    def __init__(self, st: VotingStage, lif: LifConfig, name: str, rng: Rng, dtype):
-        self.st = st
-        self.lif = lif
-        self.name = name
-        out = st.classes * st.per_class
-        self.weight = kaiming_uniform(
-            (out, st.in_features), st.in_features, rng.split(f"{name}.weight"), dtype
-        )
-        self.bias = zeros_param((out,), dtype)
-
-    def named_parameters(self):
-        return [(f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias)]
-
-    def named_buffers(self):
-        return []
-
-    def forward_sequence(self, x, t_steps, batch, ctx):
-        if x.ndim != 2:
-            x = reshape(x, (t_steps * batch, int(np.prod(x.shape[1:]))))
-        m, p = self.st.classes, self.st.per_class
-        cur = linear(x, self.weight, self.bias)
-        spikes, _ = lif_sequence(cur, self.lif, smooth=ctx.smooth, timesteps=t_steps)
-        votes = tmean(reshape(spikes, (t_steps, batch, m, p)), axis=3)  # group means [T, B, M]
-        return transpose(votes, (1, 2, 0))  # [B, M, T]
 
 
 @dataclass
@@ -508,9 +462,7 @@ class SpikingNetwork:
     """A spec instantiated into parameterized layers with LIF dynamics.
 
     ``smooth`` replaces every Heaviside spike with the smooth surrogate so
-    an end-to-end loss becomes finite-difference checkable. ``unit_spatial``
-    and ``unit_channel`` force the corresponding attention branch to exact
-    ones (structural-equivalence test hooks).
+    an end-to-end loss becomes finite-difference checkable.
     """
 
     def __init__(self, spec: NetworkSpec, seed: int = 0, dtype=np.float32, smooth: bool = False):
@@ -520,33 +472,28 @@ class SpikingNetwork:
         self.seed = int(seed)
         self.dtype = np.dtype(dtype).type
         self.smooth = smooth
-        self.unit_spatial = False
-        self.unit_channel = False
         self._hidden: Optional[np.ndarray] = None
 
         rng = Rng(self.seed).split("init")
         self.layers = []
-        conv_blocks = []
+        last_conv = None
         for i, st in enumerate(spec.stages):
-            name = f"layer{i}"
-            if isinstance(st, ConvStage):
-                block = _ConvBlock(st, spec, name, rng, self.dtype)
-                conv_blocks.append(block)
-                self.layers.append(block)
-            elif isinstance(st, PoolStage):
+            if isinstance(st, PoolStage):
+                # a spiking layer before a pool is a conv layer: the parser
+                # rejects a spatial pool after a fully connected stage
                 last = self.layers[-1] if self.layers else None
-                if isinstance(last, _ConvBlock) and last.pool == 1:
-                    last.pool = st.k  # the conv block's node pools its spikes
+                if isinstance(last, _SpikingLayer) and last.pool == 1:
+                    last.pool = st.k  # the conv layer's node pools its spikes
                 else:
                     self.layers.append(_PoolLayer(st))
             elif isinstance(st, DropoutStage):
-                self.layers.append(_DropoutLayer(st, name))
-            elif isinstance(st, DenseStage):
-                self.layers.append(_SpikingDense(st, spec.lif, name, rng, self.dtype))
-            elif isinstance(st, VotingStage):
-                self.layers.append(_VotingLayer(st, spec.lif, name, rng, self.dtype))
-        if conv_blocks:
-            conv_blocks[-1].is_last_conv = True
+                self.layers.append(_DropoutLayer(st))
+            else:
+                self.layers.append(_SpikingLayer(st, spec, f"layer{i}", rng, self.dtype))
+                if isinstance(st, ConvStage):
+                    last_conv = self.layers[-1]
+        if last_conv is not None:
+            last_conv.is_last_conv = True
 
     def named_parameters(self):
         out = []
@@ -608,14 +555,11 @@ class SpikingNetwork:
             rng=rng,
             smooth=self.smooth,
             record_hidden=record_hidden,
-            unit_spatial=self.unit_spatial,
-            unit_channel=self.unit_channel,
         )
-        for layer in self.layers[:-1]:
+        for layer in self.layers:
             x = layer.forward_sequence(x, t_steps, b, ctx)
-        out = self.layers[-1].forward_sequence(x, t_steps, b, ctx)
         self._hidden = ctx.hidden_trace
-        return VoteOutput(o=out)
+        return VoteOutput(o=x)
 
     def hidden_activation(self) -> np.ndarray:
         """Last conv layer's membrane trajectory [B, T, C, H, W] recorded by

@@ -10,7 +10,9 @@ with an optional gating tensor ``u`` multiplying the decayed history term:
 
 ``u`` is the per-neuron attention value from the previous timestep; with
 ``u`` identically one the gated update degenerates to the plain one bitwise
-(the factor ordering below is chosen to guarantee that).
+(the factor ordering below is chosen to guarantee that), so a gate branch
+whose parameters make it exactly one, a spatial branch with weight 0 and
+bias 40 say, reproduces the variant without that branch.
 
 ``lif_sequence`` is what the network layers run: the whole tail of one
 layer after its synapse as a single graph node. For a conv layer that is
@@ -148,28 +150,17 @@ def lif_step_attended(
 # the fused T-step node
 
 
-def _gate_params(params: AttentionParams, unit_spatial: bool, unit_channel: bool):
-    """The parameters of every gate branch that is computed."""
-    out = []
-    if params.spatial_weight is not None and not unit_spatial:
-        out += [params.spatial_weight, params.spatial_bias]
-    if params.reduce_weight is not None and not unit_channel:
-        out += [params.reduce_weight, params.expand_weight]
-    return out
-
-
 class _Gate:
     """The attention gate of one layer in numpy: the same operations as
     ``attention.compute_attention`` (the 1x1 ``conv2d`` is its contraction
-    over channels plus the bias) and a backward for them. It holds the
-    arrays of the parameters ``_gate_params`` lists, not their tensors."""
+    over channels plus the bias) and a backward for them. It computes the
+    branches whose parameters ``params`` holds, and holds their arrays in
+    ``AttentionParams.named`` order, not their tensors."""
 
-    def __init__(self, params: AttentionParams, unit_spatial: bool, unit_channel: bool):
+    def __init__(self, params: AttentionParams):
         self.spatial = params.spatial_weight is not None
         self.channel = params.reduce_weight is not None
-        self.unit_spatial = unit_spatial
-        self.unit_channel = unit_channel
-        self.weights = [p.data for p in _gate_params(params, unit_spatial, unit_channel)]
+        self.weights = [p.data for _, p in params.named()]
 
     def forward(self, s: np.ndarray):
         """Gate u (broadcastable to s) from the spike map s [B, C, H, W], and
@@ -178,21 +169,15 @@ class _Gate:
         b, c, h, w = s.shape
         us = uc = hidden = mean = None
         if self.spatial:
-            if self.unit_spatial:
-                us = np.ones((b, 1, h, w), dtype=s.dtype)
-            else:
-                weight, bias = self.weights[0], self.weights[1]
-                z = np.matmul(weight.reshape(1, c), s.reshape(b, c, h * w)).reshape(b, 1, h, w)
-                z += bias[None, :, None, None]
-                us = _sigmoid(z)
+            weight, bias = self.weights[0], self.weights[1]
+            z = np.matmul(weight.reshape(1, c), s.reshape(b, c, h * w)).reshape(b, 1, h, w)
+            z += bias[None, :, None, None]
+            us = _sigmoid(z)
         if self.channel:
-            if self.unit_channel:
-                uc = np.ones((b, c), dtype=s.dtype)
-            else:
-                reduce_w, expand_w = self.weights[-2], self.weights[-1]
-                mean = s.mean(axis=(2, 3))
-                hidden = np.maximum(mean @ reduce_w.T, 0.0).astype(s.dtype, copy=False)
-                uc = _sigmoid(hidden @ expand_w.T)
+            reduce_w, expand_w = self.weights[-2], self.weights[-1]
+            mean = s.mean(axis=(2, 3))
+            hidden = np.maximum(mean @ reduce_w.T, 0.0).astype(s.dtype, copy=False)
+            uc = _sigmoid(hidden @ expand_w.T)
         return self.combine(us, uc), (us, uc, hidden, mean)
 
     @staticmethod
@@ -212,7 +197,7 @@ class _Gate:
         us, uc, hidden, mean = saved
         b, c, h, w = s.shape
         grads = iter(grads)
-        if self.spatial and not self.unit_spatial:
+        if self.spatial:
             # the sum over channels of du * u_channel, as a product
             dus = du if uc is None else np.matmul(uc[:, None, :], du.reshape(b, c, h * w))
             dz = _sigmoid_backward(dus.reshape(b, 1, h * w), us.reshape(b, 1, h * w))
@@ -220,7 +205,7 @@ class _Gate:
             next(grads)[...] += dw.reshape(1, c, 1, 1)
             next(grads)[...] += dz.sum()
             ds += self.weights[0].reshape(1, c, 1, 1) * dz.reshape(b, 1, h, w)
-        if self.channel and not self.unit_channel:
+        if self.channel:
             # the sum over space of du * u_spatial, as a product
             duc = du if us is None else np.matmul(du.reshape(b, c, h * w), us.reshape(b, h * w, 1))
             reduce_w, expand_w = self.weights[-2], self.weights[-1]
@@ -247,8 +232,6 @@ def lif_sequence(
     cfg: LifConfig,
     attention: Optional[AttentionParams] = None,
     smooth: bool = False,
-    unit_spatial: bool = False,
-    unit_channel: bool = False,
     *,
     timesteps: int,
     norm: Optional[BatchNorm] = None,
@@ -265,7 +248,6 @@ def lif_sequence(
     With ``attention`` every step from the second on gates the decayed
     history with the gate built from the previous step's spikes; its
     branches are those whose parameters ``attention`` holds.
-    ``unit_spatial`` / ``unit_channel`` replace a branch with exact ones.
 
     The membrane of all T steps is kept when a graph is recorded (backward
     reads it) or ``keep_membrane`` asks for it; otherwise two steps roll and
@@ -289,8 +271,8 @@ def lif_sequence(
         parents += [norm.gamma, norm.beta]
     gate = None
     if attention is not None:
-        gate = _Gate(attention, unit_spatial, unit_channel)
-        parents += _gate_params(attention, unit_spatial, unit_channel)
+        gate = _Gate(attention)
+        parents += [p for _, p in attention.named()]
     record = _grad_enabled() and any(p.requires_grad for p in parents)
     needs_grad = [p.requires_grad for p in parents]
     dtype = x.dtype

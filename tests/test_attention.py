@@ -17,6 +17,7 @@ from spikefuse.rng import Rng
 from spikefuse.tensor import Tensor, tsum
 
 from oracles import channel_mean_loops, fd_gradient, linear_loops, rel_err
+from seams import pin_spatial
 
 
 def sigmoid(x):
@@ -137,27 +138,28 @@ class TestComputeAttention:
         assert np.all(expanded == expanded[:, :, :1, :1])
 
     def test_unit_channel_matches_stfa_bitwise(self):
+        # a channel branch of exact ones fuses to the spatial-only gate
         s = spikes(11)
         p = params_for(seed=11)
-        fused = compute_attention(s, p, AttentionVariant.SCTFA, unit_channel=True)
+        fused = fuse(spatial_excitation(s, p.spatial_weight, p.spatial_bias), Tensor(np.ones((2, 4))))
         p_stfa = params_for(variant=AttentionVariant.STFA, seed=11)
         spatial_only = compute_attention(s, p_stfa, AttentionVariant.STFA)
         assert np.array_equal(fused.data, np.broadcast_to(spatial_only.data, fused.shape))
 
     def test_unit_spatial_matches_ctfa_bitwise(self):
         s = spikes(12)
-        p = params_for(seed=12)
-        fused = compute_attention(s, p, AttentionVariant.SCTFA, unit_spatial=True)
+        fused = compute_attention(s, pin_spatial(params_for(seed=12)), AttentionVariant.SCTFA)
         p_ctfa = params_for(variant=AttentionVariant.CTFA, seed=12)
         channel_only = compute_attention(s, p_ctfa, AttentionVariant.CTFA)
         assert np.array_equal(fused.data, np.broadcast_to(channel_only.data, fused.shape))
 
     def test_both_unit_branches_give_exact_ones(self):
-        u = compute_attention(
-            spikes(13), params_for(seed=13), AttentionVariant.SCTFA,
-            unit_spatial=True, unit_channel=True,
-        )
-        assert np.all(u.data == 1.0)
+        for dtype in (np.float32, np.float64):
+            s = spikes(13, dtype=dtype)
+            p = pin_spatial(params_for(seed=13, dtype=dtype))
+            ones = Tensor(np.ones((2, 4), dtype=dtype))
+            u = fuse(spatial_excitation(s, p.spatial_weight, p.spatial_bias), ones)
+            assert u.dtype == dtype and np.all(u.data == 1.0)
 
     def test_missing_params_rejected(self):
         with pytest.raises(ParameterError):

@@ -1,0 +1,72 @@
+"""What ``bench/`` reads from the engine, checked without timing anything.
+
+The benchmark patches engine names by ``getattr`` and reads layer
+attributes directly, so a refactor that renames or drops one breaks the
+benchmark, not the engine's own tests. These checks import
+``bench/tracer.py`` and install its patches, but run no workload.
+"""
+
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from spikefuse import harness, network, tensor
+from spikefuse.network import SpikingNetwork, parse_architecture
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import tracer
+    finally:
+        sys.path.remove(str(BENCH))
+    return tracer
+
+
+def gesture_net():
+    """The layer structure of the ``gesture_step`` workload on a small input."""
+    spec = parse_architecture(harness.ARCH_PRESETS["dvs_gesture"], input_shape=(2, 64, 64),
+                              variant="sctfa", timesteps=2)
+    return SpikingNetwork(spec, seed=0)
+
+
+def test_every_patched_name_resolves(tracer_module):
+    missing = [op for op in tracer_module.TENSOR_OPS if not callable(getattr(tensor, op, None))]
+    missing += [f"{module.__name__}.{attr}" for module, attr, _ in tracer_module.FUNCTION_SPANS
+                if not callable(getattr(module, attr, None))]
+    assert missing == []
+
+
+def test_install_wraps_every_layer_and_restores(tracer_module):
+    net = gesture_net()
+    classes = {type(layer) for layer in net.layers}
+    originals = {cls: cls.__dict__["forward_sequence"] for cls in classes}
+    tr = tracer_module.Tracer()
+    tr.install()
+    try:
+        patched = {owner for owner, attr, _ in tr.patches.saved if attr == "forward_sequence"}
+        assert patched and classes <= patched
+        assert all(cls.__dict__["forward_sequence"] is not originals[cls] for cls in classes)
+    finally:
+        assert tr.restore() is True
+    assert all(cls.__dict__["forward_sequence"] is originals[cls] for cls in classes)
+    assert all(getattr(network, cls.__name__) is cls for cls in classes)
+
+
+def test_forward_takes_the_benchmark_keywords():
+    params = inspect.signature(SpikingNetwork.forward).parameters
+    assert {"training", "rng", "record_hidden"} <= set(params)
+
+
+def test_batch_norm_layers_expose_their_state():
+    # the gesture workload resets each BN layer's ``bn_state`` between units
+    net = gesture_net()
+    bn_layers = [st for st in net.spec.stages if getattr(st, "batch_norm", False)]
+    states = [layer.bn_state for layer in net.layers if getattr(layer, "bn_state", None) is not None]
+    assert len(states) == len(bn_layers) == 5
+    assert all(hasattr(state, "initialized") for state in states)

@@ -622,6 +622,18 @@ class TestComplexity:
             harness.cmd_complexity(harness.build_parser().parse_args(argv))
         assert info.value.field == "--batch"
 
+    def test_zero_input_extent_rejected(self, capsys):
+        argv = ["complexity", "--arch", "Input-AP2-VotingC2P2-AP", "--height", "0", "--width", "4"]
+        assert main(argv) == 2
+        assert "H, W >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arch", ["Input-4C3-AP0-VotingC2P2-AP", "Input-4C3-0FC-VotingC2P2-AP"])
+    def test_zero_size_token_rejected(self, capsys, arch):
+        assert main(["complexity", "--arch", arch, "--height", "8", "--width", "8"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "token 2" in captured.err
+        assert "parameters:" not in captured.out
+
     def test_attention_delta_closed_form(self, capsys):
         main(["complexity", "--arch", "dvs_gesture", "--variant", "bl", "--no-timing"])
         bl = int(capsys.readouterr().out.splitlines()[0].split(": ")[1])

@@ -11,7 +11,7 @@ import pytest
 from spikefuse import training
 from spikefuse.attention import AttentionVariant, init_attention_params
 from spikefuse.errors import ParameterError, ShapeError, StateError
-from spikefuse.network import SpikingNetwork, _ConvBlock, parse_architecture
+from spikefuse.network import SpikingNetwork, _SpikingLayer, parse_architecture
 from spikefuse.neuron import BatchNorm, LifConfig, lif_sequence
 from spikefuse.rng import Rng
 from spikefuse.tensor import (
@@ -23,6 +23,8 @@ from spikefuse.tensor import (
     no_grad,
     tsum,
 )
+
+from seams import apply_seams, pin_spatial
 
 CFG = LifConfig(v_th=1.0, kappa=0.7)
 T, B, C, HW = 3, 2, 4, 6
@@ -42,13 +44,10 @@ def layer_case(variant, dtype, seed=0):
 
 
 def gate_tensors(att):
-    if att is None:
-        return []
-    return [p for p in (att.spatial_weight, att.spatial_bias, att.reduce_weight, att.expand_weight)
-            if p is not None]
+    return [] if att is None else [p for _, p in att.named()]
 
 
-def run_layer(fused, case, mode, pool, smooth, unit=(False, False), passes=1, constant_norm=False):
+def run_layer(fused, case, mode, pool, smooth, passes=1, constant_norm=False):
     """One forward and ``passes`` backward passes of the layer; returns its
     output, membrane, running statistics and the gradients of the currents,
     gamma, beta and every gate parameter. With ``constant_norm`` the
@@ -61,13 +60,12 @@ def run_layer(fused, case, mode, pool, smooth, unit=(False, False), passes=1, co
     state.mean[...], state.var[...], state.initialized = mean, var, True
     for p in gate_tensors(att):
         p.grad = None
-    kw = dict(smooth=smooth, unit_spatial=unit[0], unit_channel=unit[1])
     if fused:
         norm = None if mode == "none" else BatchNorm(g, b, state, mode == "train")
-        out, v = lif_sequence(x, CFG, att, timesteps=T, norm=norm, pool=pool, **kw)
+        out, v = lif_sequence(x, CFG, att, smooth=smooth, timesteps=T, norm=norm, pool=pool)
     else:
         cur = x if mode == "none" else batchnorm(x, g, b, state, mode == "train")
-        out, v = lif_sequence(cur, CFG, att, timesteps=T, **kw)
+        out, v = lif_sequence(cur, CFG, att, smooth=smooth, timesteps=T)
         if pool > 1:
             out = avgpool2d(out, pool)
     weighting = Rng(99).normal(0, 1, size=out.shape).astype(currents.dtype)
@@ -104,13 +102,27 @@ class TestAgainstComposition:
         if not smooth and pool == 1:  # the case exercises both spike values
             assert 0 < ref[0].sum() < ref[0].size
 
+    # (pin the spatial branch to exactly 1, remove the channel branch): see seams.py
     @pytest.mark.parametrize("unit", [(True, False), (False, True), (True, True)])
     def test_unit_branches_bitwise(self, unit):
-        case = layer_case("sctfa", np.float64, seed=4)
-        ref = run_layer(False, case, "train", 2, False, unit)
-        got = run_layer(True, case, "train", 2, False, unit)
+        *case, att = layer_case("sctfa", np.float64, seed=4)
+        case = (*case, apply_seams(att, *unit))
+        ref = run_layer(False, case, "train", 2, False)
+        got = run_layer(True, case, "train", 2, False)
         for a, b in zip(got[:2] + tuple(got[3]), ref[:2] + tuple(ref[3])):
             assert_bitwise(a, b)
+
+    @pytest.mark.parametrize("variant", ["stfa", "sctfa"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pinned_spatial_gate_bitwise(self, variant, dtype):
+        # a spatial gate of exactly 1, forward and backward
+        *case, att = layer_case(variant, dtype, seed=6)
+        case = (*case, pin_spatial(att))
+        ref = run_layer(False, case, "train", 2, False)
+        got = run_layer(True, case, "train", 2, False)
+        for a, b in zip(got[:2] + tuple(got[3]), ref[:2] + tuple(ref[3])):
+            assert_bitwise(a, b)
+        assert not got[3][3].any()  # the sigmoid's slope at exactly 1 is 0
 
     @pytest.mark.parametrize("pool", [1, 2])
     @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -201,7 +213,7 @@ def small_net(hw=16, t_steps=4):
 class TestNetworkStructure:
     def test_conv_layer_is_conv2d_plus_one_node(self):
         net = small_net()
-        assert [type(layer).__name__ for layer in net.layers] == ["_ConvBlock", "_ConvBlock", "_VotingLayer"]
+        assert [type(layer).__name__ for layer in net.layers] == ["_SpikingLayer"] * 3
         assert [layer.pool for layer in net.layers[:2]] == [2, 2]
         frames = Rng(4).poisson(0.5, size=(2, 4, 2, 16, 16)).astype(np.float32)
         loss = training.mse_vote_loss(net.forward(frames, training=True).o, training.one_hot([0, 1], 2))
@@ -218,8 +230,8 @@ class TestNetworkStructure:
                                   variant="bl", lif=CFG, timesteps=2)
         net = SpikingNetwork(spec, seed=1)
         kinds = [type(layer).__name__ for layer in net.layers]
-        assert kinds == ["_PoolLayer", "_ConvBlock", "_PoolLayer", "_VotingLayer"]
-        assert net.layers[1].pool == 2 and isinstance(net.layers[1], _ConvBlock)
+        assert kinds == ["_PoolLayer", "_SpikingLayer", "_PoolLayer", "_SpikingLayer"]
+        assert net.layers[1].pool == 2 and isinstance(net.layers[1], _SpikingLayer)
         out = net.forward(np.ones((1, 2, 2, 8, 8), dtype=np.float32), training=True).o
         assert out.shape == (1, 2, 2)
 

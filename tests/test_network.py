@@ -1,5 +1,6 @@
 """Architecture parsing, unrolled forward, counters, checkpoints."""
 
+import hashlib
 import json
 import re
 
@@ -20,6 +21,8 @@ from spikefuse.network import (
 )
 from spikefuse.neuron import LifConfig
 from spikefuse.rng import Rng
+
+from seams import seam_network
 
 GESTURE_ARCH = (
     "Input-128C5S2-BN-AP2-128C3-BN-AP2-128C3-BN-AP2-128C3-BN-AP2-128C3-BN-AP2"
@@ -71,6 +74,14 @@ class TestParse:
         with pytest.raises(ArchError) as exc:
             parse_architecture("Input-VotingC2P2-4FC", input_shape=(2, 8, 8))
         assert exc.value.token_index == 2
+
+    @pytest.mark.parametrize("arch, index", [("Input-4C3-AP0-VotingC2P2-AP", 2),
+                                             ("Input-4C3-0FC-VotingC2P2-AP", 2),
+                                             ("Input-4C3-AP2-00FC-VotingC2P2-AP", 3)])
+    def test_zero_pool_or_fully_connected_size_is_error(self, arch, index):
+        with pytest.raises(ArchError) as exc:
+            parse_architecture(arch, input_shape=(2, 8, 8))
+        assert exc.value.token_index == index
 
     def test_bn_needs_preceding_conv(self):
         with pytest.raises(ArchError):
@@ -246,33 +257,32 @@ class TestForward:
 
 
 class TestStructuralEquivalence:
+    """A branch made exactly 1 through its parameters (``seams``) reproduces
+    the variant without that branch, through the real gated multiply: the
+    votes and the last conv layer's membrane, bitwise."""
+
+    @staticmethod
+    def run(variant, seed, frames, spatial=False, channel=False):
+        net = seam_network(SpikingNetwork(tiny_spec(variant), seed=seed), spatial, channel)
+        votes = net.forward(frames, training=True, record_hidden=True).o.data
+        return votes.tobytes() + net.hidden_activation().tobytes()
+
     @pytest.mark.parametrize("seed", range(10))
     def test_both_unit_branches_equal_baseline_bitwise(self, seed):
         frames = frames_for(tiny_spec("bl"), seed=seed + 100)
-        bl = SpikingNetwork(tiny_spec("bl"), seed=seed).forward(frames, training=True)
-        net = SpikingNetwork(tiny_spec("sctfa"), seed=seed)
-        net.unit_spatial = True
-        net.unit_channel = True
-        fused = net.forward(frames, training=True)
-        assert np.array_equal(bl.o.data, fused.o.data)
+        bl = self.run("bl", seed, frames)
+        assert bl == self.run("sctfa", seed, frames, spatial=True, channel=True)
+        assert bl == self.run("stfa", seed, frames, spatial=True)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_unit_spatial_equals_channel_variant_bitwise(self, seed):
         frames = frames_for(tiny_spec("bl"), seed=seed + 200)
-        ctfa = SpikingNetwork(tiny_spec("ctfa"), seed=seed).forward(frames, training=True)
-        net = SpikingNetwork(tiny_spec("sctfa"), seed=seed)
-        net.unit_spatial = True
-        fused = net.forward(frames, training=True)
-        assert np.array_equal(ctfa.o.data, fused.o.data)
+        assert self.run("ctfa", seed, frames) == self.run("sctfa", seed, frames, spatial=True)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_unit_channel_equals_spatial_variant_bitwise(self, seed):
         frames = frames_for(tiny_spec("bl"), seed=seed + 300)
-        stfa = SpikingNetwork(tiny_spec("stfa"), seed=seed).forward(frames, training=True)
-        net = SpikingNetwork(tiny_spec("sctfa"), seed=seed)
-        net.unit_channel = True
-        fused = net.forward(frames, training=True)
-        assert np.array_equal(stfa.o.data, fused.o.data)
+        assert self.run("stfa", seed, frames) == self.run("sctfa", seed, frames, channel=True)
 
 
 class TestFirstStepIsPlain:
@@ -345,6 +355,25 @@ class TestCheckpoint:
         names = [line.split("\t")[0] for line in manifest[1:]]
         expected = [n for n, _ in net.named_parameters()] + [n for n, _ in net.named_buffers()]
         assert names == expected
+
+    # SHA-256 of the checkpoint and its manifest: the tensor names, their
+    # order and every init stream are part of the file format
+    LAYOUT_ARCH = "Input-8C3-BN-AP2-8C3-AP2-DP-16FC-VotingC2P2-AP"
+    LAYOUT_DIGESTS = {
+        "bl": ("d0a9f6251342e0300d182499a9487e36705dbc72e4d9959e02460fcaa12c708e",
+               "8fb3c436125e45f77d14fceaba9c9f8f95b40bd8f439e60a0f43711913d75256"),
+        "sctfa": ("c5a26d9c40b22ec78adb1406cfb44948af168820d94060c262253fd1524e30b3",
+                  "9a9fe484f858dc6ff80062b88054bdb777e83bdba99140cb0e5f0f14137172bf"),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(LAYOUT_DIGESTS))
+    def test_layout_pinned_by_digest(self, tmp_path, variant):
+        spec = parse_architecture(self.LAYOUT_ARCH, input_shape=(2, 16, 16), variant=variant,
+                                  lif=LifConfig(v_th=1.0, kappa=0.7), reduction=4, timesteps=3)
+        save_checkpoint(tmp_path / "net.snn", SpikingNetwork(spec, seed=3))
+        digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                        for name in ("net.snn", "net.manifest.tsv"))
+        assert digests == self.LAYOUT_DIGESTS[variant]
 
     def test_f64_round_trip(self, tmp_path):
         net = SpikingNetwork(tiny_spec("bl"), seed=14, dtype=np.float64)
@@ -443,6 +472,10 @@ class TestCheckpoint:
         for key, bad in [("variant", "zz"), ("arch", "Input-8Q"), ("kappa", 3.0), ("reduction", 0),
                          ("timesteps", -1), ("input_height", 0)]:
             write_config(dict(config, **{key: bad}))
+            with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: config does not describe a network"):
+                load_checkpoint(path)
+        for arch in ("Input-4C3-AP0-VotingC2P2-AP", "Input-4C3-0FC-VotingC2P2-AP"):
+            write_config(dict(config, arch=arch))
             with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: config does not describe a network"):
                 load_checkpoint(path)
         write_config(dict(config, v_th=1))  # an integral float is stored as a JSON int

@@ -21,6 +21,7 @@ from spikefuse.rng import Rng
 from spikefuse.tensor import Tensor, reshape, set_debug_nan, stack, tsum
 
 from oracles import fd_gradient, rel_err
+from seams import apply_seams, variant_of
 
 
 def state_with(v, s, dtype=np.float64):
@@ -178,8 +179,7 @@ class TestStateHandling:
 # the fused T-step node against the per-step composition
 
 
-def composed_sequence(currents, t_steps, cfg, params, variant, smooth=False, unit_spatial=False,
-                      unit_channel=False):
+def composed_sequence(currents, t_steps, cfg, params, variant, smooth=False):
     """The per-step reference: ``lif_step`` / ``lif_step_attended`` and
     ``compute_attention`` over the T steps of the step-major ``currents``
     [T*B, ...], as separate graph nodes; returns (spikes [T*B, ...] tensor,
@@ -190,7 +190,7 @@ def composed_sequence(currents, t_steps, cfg, params, variant, smooth=False, uni
     for t in range(t_steps):
         i_t = steps[t]
         if t > 0 and params is not None:
-            u = compute_attention(state.s, params, variant, unit_spatial=unit_spatial, unit_channel=unit_channel)
+            u = compute_attention(state.s, params, variant)
             state, s = lif_step_attended(state, i_t, u, cfg, smooth=smooth)
         else:
             state, s = lif_step(state, i_t, cfg, smooth=smooth)
@@ -199,7 +199,8 @@ def composed_sequence(currents, t_steps, cfg, params, variant, smooth=False, uni
     return reshape(stack(spikes), currents.shape), np.stack(membrane)
 
 
-UNIT_HOOKS = [(False, False), (True, False), (False, True)]
+# (pin the spatial branch to exactly 1, remove the channel branch): see seams.py
+UNIT_SEAMS = [(False, False), (True, False), (False, True)]
 SEQ_CFG = LifConfig(v_th=1.0, kappa=0.7)
 
 
@@ -215,10 +216,7 @@ def sequence_case(variant, dtype, t_steps, seed=0, shape=(2, 4, 5, 5)):
 
 
 def param_tensors(params):
-    if params is None:
-        return []
-    return [p for p in (params.spatial_weight, params.spatial_bias, params.reduce_weight, params.expand_weight)
-            if p is not None]
+    return [] if params is None else [p for _, p in params.named()]
 
 
 def sequence_grads(run, currents, params, weighting):
@@ -237,17 +235,17 @@ class TestLifSequence:
     @pytest.mark.parametrize("smooth", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("t_steps", [1, 2, 5])
-    @pytest.mark.parametrize("unit", UNIT_HOOKS)
+    @pytest.mark.parametrize("unit", UNIT_SEAMS)
     def test_forward_bitwise_equals_composition(self, variant, smooth, dtype, t_steps, unit):
         currents, params, _ = sequence_case(variant, dtype, t_steps, seed=t_steps)
-        kw = dict(smooth=smooth, unit_spatial=unit[0], unit_channel=unit[1])
-        ref_s, ref_v = composed_sequence(Tensor(currents), t_steps, SEQ_CFG, params, AttentionVariant(variant), **kw)
-        s, v = lif_sequence(Tensor(currents), SEQ_CFG, params, timesteps=t_steps, keep_membrane=True, **kw)
+        params = apply_seams(params, *unit)
+        ref_s, ref_v = composed_sequence(Tensor(currents), t_steps, SEQ_CFG, params, variant_of(params), smooth=smooth)
+        s, v = lif_sequence(Tensor(currents), SEQ_CFG, params, smooth=smooth, timesteps=t_steps, keep_membrane=True)
         assert s.dtype == dtype and v.dtype == dtype
         assert np.array_equal(s.data, ref_s.data)
         assert np.array_equal(v, ref_v)
         # without the trace the membrane may roll in two steps; the spikes are the same
-        rolled, _ = lif_sequence(Tensor(currents), SEQ_CFG, params, timesteps=t_steps, **kw)
+        rolled, _ = lif_sequence(Tensor(currents), SEQ_CFG, params, smooth=smooth, timesteps=t_steps)
         assert rolled.data.tobytes() == s.data.tobytes()
         if not smooth:
             assert 0 < s.data.sum() < s.size  # the case exercises both spike values
@@ -255,18 +253,18 @@ class TestLifSequence:
     @pytest.mark.parametrize("variant", ["bl", "stfa", "ctfa", "sctfa"])
     @pytest.mark.parametrize("smooth", [False, True])
     @pytest.mark.parametrize("t_steps", [1, 2, 5])
-    @pytest.mark.parametrize("unit", UNIT_HOOKS)
+    @pytest.mark.parametrize("unit", UNIT_SEAMS)
     def test_gradients_match_composition_f64(self, variant, smooth, t_steps, unit):
         currents, params, weighting = sequence_case(variant, np.float64, t_steps, seed=10 + t_steps)
-        kw = dict(smooth=smooth, unit_spatial=unit[0], unit_channel=unit[1])
+        params = apply_seams(params, *unit)
         ref = sequence_grads(
-            lambda x: composed_sequence(x, t_steps, SEQ_CFG, params, AttentionVariant(variant), **kw)[0],
+            lambda x: composed_sequence(x, t_steps, SEQ_CFG, params, variant_of(params), smooth=smooth)[0],
             currents, params, weighting,
         )
-        got = sequence_grads(lambda x: lif_sequence(x, SEQ_CFG, params, timesteps=t_steps, **kw)[0],
+        got = sequence_grads(lambda x: lif_sequence(x, SEQ_CFG, params, smooth=smooth, timesteps=t_steps)[0],
                              currents, params, weighting)
         for r, g in zip(ref, got):
-            if r is None:  # a unit branch, or no gated step at T=1: the true gradient is 0
+            if r is None:  # no gated step at T=1: the true gradient is 0
                 assert g is None or not np.any(g)
                 continue
             assert g.shape == r.shape
@@ -352,7 +350,7 @@ class TestLifSequenceDebugNan:
             lif=SEQ_CFG, reduction=4, timesteps=3,
         )
         net = SpikingNetwork(spec, seed=1)
-        # the second conv block (its stage index is 2: the first absorbed the AP2)
+        # the second conv layer (its stage index is 2: the first absorbed the AP2)
         second_conv = net.layers[1]
         assert second_conv.name == "layer2"
         second_conv.attention.spatial_weight.data[0, 0, 0, 0] = np.nan
