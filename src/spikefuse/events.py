@@ -19,6 +19,7 @@ is accepted by the reader.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass, field
@@ -66,7 +67,7 @@ class EventStream:
         if not (len(self.x) == len(self.y) == len(self.polarity) == n):
             raise ParameterError("event arrays must have equal length")
         if n:
-            if np.any(np.diff(self.t.astype(np.int64)) < 0):
+            if np.any(self.t[1:] < self.t[:-1]):
                 raise ParameterError("events must be sorted non-decreasing by t")
             if int(self.x.max()) >= self.width or int(self.y.max()) >= self.height:
                 raise ParameterError("event coordinates exceed stream bounds")
@@ -325,8 +326,10 @@ def _read_evs1(path: Path) -> EventStream:
             f"record {i} out of bounds (x={x[i]}, y={y[i]}, polarity={p[i]})",
             offset=_HEADER.size + i * _RECORD.size,
         )
-    if count and np.any(np.diff(t.astype(np.int64)) < 0):
-        i = int(np.argmax(np.diff(t.astype(np.int64)) < 0)) + 1
+    # compared as uint64: a timestamp of 2**63 or more must not wrap negative
+    unsorted = t[1:] < t[:-1]
+    if np.any(unsorted):
+        i = int(np.argmax(unsorted)) + 1
         raise EventFormatError("timestamps not sorted", offset=_HEADER.size + i * _RECORD.size)
     return EventStream(
         width=width, height=height, t=t, x=x, y=y, polarity=p,
@@ -335,7 +338,13 @@ def _read_evs1(path: Path) -> EventStream:
 
 
 def _read_csv(path: Path, width: Optional[int], height: Optional[int]) -> EventStream:
-    with open(path, newline="") as fh:
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise EventFormatError(f"byte that is not UTF-8 on line {lineno}", offset=lineno)
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -30,7 +30,6 @@ counts.
 from __future__ import annotations
 
 import json
-import math
 import re
 import struct
 from dataclasses import dataclass
@@ -716,17 +715,26 @@ def load_checkpoint(path, smooth: bool = False):
             f"{path}: checkpoint has {count} tensors, network expects {len(entries)}"
         )
     arrays = []
-    for name, _ in entries:
+    for name, target in entries:
+        # rank and shape are checked against the network before the data is read
+        at = pos
         (ndim,) = unpack("<B", f"rank of tensor {name}")
+        if ndim != target.ndim:
+            raise CheckpointError(
+                f"{path}: tensor {name} has rank {ndim} at byte offset {at}, network expects {target.ndim}"
+            )
+        at = pos
         shape = unpack(f"<{ndim}I", f"shape of tensor {name}")
-        data = read(math.prod(shape) * store_dtype.itemsize, f"data of tensor {name}")
+        if shape != target.shape:
+            raise CheckpointError(
+                f"{path}: tensor {name} has shape {shape} at byte offset {at}, network expects {target.shape}"
+            )
+        data = read(target.size * store_dtype.itemsize, f"data of tensor {name}")
         arrays.append(np.frombuffer(data, dtype=store_dtype).reshape(shape))
     if pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes at byte offset {pos}")
 
     for (name, target), arr in zip(entries, arrays):
-        if tuple(target.shape) != tuple(arr.shape):
-            raise CheckpointError(f"{path}: tensor {name} shape {arr.shape} != {target.shape}")
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
         target[...] = arr.astype(target.dtype)

@@ -39,6 +39,27 @@ values, batch norm's normalized input and the spikes; Heaviside spikes are
 exactly 0/1, so they are saved as bits (``bool``) and recast per step.
 Smooth spikes are real-valued and saved as they are. The per-step
 functions stay as the reference it is tested against.
+
+Its steps run over ranges of samples, on the caller and on the pool
+conv2d uses (``tensor._run_blocks``), one range per thread when a step
+holds at least ``_SPLIT_STEP_BYTES`` per range; a smaller call runs its
+one range, the whole batch, directly. A range computes what is per
+sample: the normalized current, the gated membrane update, the spikes and
+their bits, the pool, and the next step's spatial gate and channel means;
+in the backward the pool gradient, the carries, the surrogate slope, the
+reset term, the spatial branch's per-sample gradients and the gradient of
+the channel gate's input. Every reduction over samples stays on the
+caller, on the whole batch, in the serial order: batch norm's statistics
+and closed-form gradient, the channel branch's matrix products (BLAS may
+block a product of fewer rows differently) and the sums over samples of
+the spatial weight and bias gradients. An elementwise operation or a
+per-sample product gives a sample the same bits in any range, so every
+output, membrane, running statistic and gradient is bitwise the same for
+any number of threads. The channel branch needs every sample's mean of
+step t for the gate of step t+1, so with one, split ranges meet once per
+step, each run carrying step t's update and step t+1's per-sample gate
+work (in the backward, the rest of step t+1 and step t). A layer without
+one, or a call with one range, runs all T steps in one go.
 """
 
 from __future__ import annotations
@@ -48,6 +69,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from . import tensor
 from .attention import AttentionParams
 from .errors import ParameterError, ShapeError
 from .tensor import (
@@ -155,65 +177,76 @@ class _Gate:
     ``attention.compute_attention`` (the 1x1 ``conv2d`` is its contraction
     over channels plus the bias) and a backward for them. It computes the
     branches whose parameters ``params`` holds, and holds their arrays in
-    ``AttentionParams.named`` order, not their tensors."""
+    ``AttentionParams.named`` order, not their tensors.
+
+    The work is split the way the node splits a step: ``sample_forward``
+    and ``sample_backward`` act on any range of samples, and
+    ``channel_forward`` and ``channel_backward`` run the channel branch's
+    matrix products on all B rows at once."""
 
     def __init__(self, params: AttentionParams):
         self.spatial = params.spatial_weight is not None
         self.channel = params.reduce_weight is not None
         self.weights = [p.data for _, p in params.named()]
 
-    def forward(self, s: np.ndarray):
-        """Gate u (broadcastable to s) from the spike map s [B, C, H, W], and
-        what backward needs: (spatial sigmoid, channel sigmoid, post-ReLU
-        hidden, channel mean)."""
-        b, c, h, w = s.shape
-        us = uc = hidden = mean = None
+    def sample_forward(self, s: np.ndarray, us, mean) -> None:
+        """From the spike map s [n, C, H, W] of a sample range: the spatial
+        sigmoid into ``us`` [n, 1, H, W] and the channel mean into ``mean``
+        [n, C], for the branches there are."""
+        n, c, h, w = s.shape
         if self.spatial:
             weight, bias = self.weights[0], self.weights[1]
-            z = np.matmul(weight.reshape(1, c), s.reshape(b, c, h * w)).reshape(b, 1, h, w)
+            z = np.matmul(weight.reshape(1, c), s.reshape(n, c, h * w)).reshape(n, 1, h, w)
             z += bias[None, :, None, None]
-            us = _sigmoid(z)
+            us[...] = _sigmoid(z)
         if self.channel:
-            reduce_w, expand_w = self.weights[-2], self.weights[-1]
-            mean = s.mean(axis=(2, 3))
-            hidden = np.maximum(mean @ reduce_w.T, 0.0).astype(s.dtype, copy=False)
-            uc = _sigmoid(hidden @ expand_w.T)
-        return self.combine(us, uc), (us, uc, hidden, mean)
+            s.mean(axis=(2, 3), out=mean)
+
+    def channel_forward(self, mean: np.ndarray):
+        """(post-ReLU hidden, channel sigmoid [B, C]) from the channel means."""
+        reduce_w, expand_w = self.weights[-2], self.weights[-1]
+        hidden = np.maximum(mean @ reduce_w.T, 0.0).astype(mean.dtype, copy=False)
+        return hidden, _sigmoid(hidden @ expand_w.T)
 
     @staticmethod
-    def combine(us, uc):
-        """The gate from its spatial [B, 1, H, W] and channel [B, C] parts."""
+    def combine(us, uc, out):
+        """The gate from its spatial [n, 1, H, W] and channel [n, C] parts;
+        a product of both goes into ``out``."""
         if us is None:
             return uc[:, :, None, None]  # broadcasts over space
         if uc is None:
             return us  # broadcasts over channels
-        return us * uc[:, :, None, None]
+        return np.multiply(us, uc[:, :, None, None], out=out)
 
-    def backward(self, du: np.ndarray, s: np.ndarray, saved, grads, ds: np.ndarray) -> None:
-        """Backward of the gate built from spike map s, for gate gradient
-        ``du`` (shaped like the gate): add the parameter gradients to
-        ``grads`` (one array per entry of ``weights``) and the gradient of s
-        to ``ds``."""
-        us, uc, hidden, mean = saved
-        b, c, h, w = s.shape
-        grads = iter(grads)
+    def sample_backward(self, du, s, us, uc, ds, dz, dw, duc, scratch) -> None:
+        """Backward of a sample range's gate, built from spike map s, for
+        gate gradient ``du`` (shaped like the gate): the spatial branch's
+        sigmoid gradient into ``dz`` [n, 1, H*W], its per-sample weight
+        gradients into ``dw`` [n, C, 1] and its share of the gradient of s
+        added to ``ds`` (through ``scratch``, shaped like s); the gradient
+        of the channel sigmoid's input sum into ``duc`` [n, C]."""
+        n, c, h, w = s.shape
         if self.spatial:
             # the sum over channels of du * u_channel, as a product
-            dus = du if uc is None else np.matmul(uc[:, None, :], du.reshape(b, c, h * w))
-            dz = _sigmoid_backward(dus.reshape(b, 1, h * w), us.reshape(b, 1, h * w))
-            dw = np.matmul(s.reshape(b, c, h * w), dz.transpose(0, 2, 1)).sum(axis=0)
-            next(grads)[...] += dw.reshape(1, c, 1, 1)
-            next(grads)[...] += dz.sum()
-            ds += self.weights[0].reshape(1, c, 1, 1) * dz.reshape(b, 1, h, w)
+            dus = du if uc is None else np.matmul(uc[:, None, :], du.reshape(n, c, h * w))
+            dz[...] = _sigmoid_backward(dus.reshape(n, 1, h * w), us.reshape(n, 1, h * w))
+            np.matmul(s.reshape(n, c, h * w), dz.transpose(0, 2, 1), out=dw)
+            ds += np.multiply(self.weights[0].reshape(1, c, 1, 1), dz.reshape(n, 1, h, w), out=scratch)
         if self.channel:
             # the sum over space of du * u_spatial, as a product
-            duc = du if us is None else np.matmul(du.reshape(b, c, h * w), us.reshape(b, h * w, 1))
-            reduce_w, expand_w = self.weights[-2], self.weights[-1]
-            dy = _sigmoid_backward(duc.reshape(b, c), uc)
-            dhidden = (dy @ expand_w) * (hidden > 0)
-            next(grads)[...] += dhidden.T @ mean
-            next(grads)[...] += dy.T @ hidden
-            ds += ((dhidden @ reduce_w) / (h * w)).reshape(b, c, 1, 1)
+            duc_r = du if us is None else np.matmul(du.reshape(n, c, h * w), us.reshape(n, h * w, 1))
+            duc[...] = duc_r.reshape(n, c)
+
+    def channel_backward(self, duc, uc, hidden, mean, grads, hw: int) -> np.ndarray:
+        """The channel branch's products on all B rows: add the gradients
+        of its two weights to the last two of ``grads`` and return its
+        share of the gradient of the spike map, [B, C, 1, 1]."""
+        reduce_w, expand_w = self.weights[-2], self.weights[-1]
+        dy = _sigmoid_backward(duc, uc)
+        dhidden = (dy @ expand_w) * (hidden > 0)
+        grads[-2][...] += dhidden.T @ mean
+        grads[-1][...] += dy.T @ hidden
+        return ((dhidden @ reduce_w) / hw)[:, :, None, None]
 
 
 class BatchNorm(NamedTuple):
@@ -225,6 +258,31 @@ class BatchNorm(NamedTuple):
     beta: Tensor
     state: BatchNormState
     training: bool
+
+
+# A call splits its steps over sample ranges, one per thread, only when one
+# step of its currents holds at least this many bytes per range; smaller
+# steps do not pay for the handoffs (measured with two threads and BLAS
+# pinned to one thread).
+_SPLIT_STEP_BYTES = 1 << 19
+
+
+def _sample_ranges(b: int, step_bytes: int):
+    """The bounds of the sample ranges a call whose steps hold ``b`` samples
+    in ``step_bytes`` splits into: [0, b] below the split gate."""
+    parts = max(1, min(tensor.CONV_WORKERS, b, step_bytes // _SPLIT_STEP_BYTES))
+    return [b * i // parts for i in range(parts + 1)]
+
+
+def _run_ranges(bounds, body) -> None:
+    """``body(lo, hi)`` for each range: one range runs directly on the
+    caller; more run on the caller and the conv pool, and return or raise
+    once every range has ended."""
+    parts = len(bounds) - 1
+    if parts == 1:
+        body(bounds[0], bounds[1])
+    else:
+        tensor._run_blocks(parts, parts, lambda _, i: body(bounds[i], bounds[i + 1]))
 
 
 def lif_sequence(
@@ -278,6 +336,12 @@ def lif_sequence(
     dtype = x.dtype
     kappa = dtype.type(cfg.kappa)
     v_th, alpha = cfg.v_th, SURROGATE_ALPHA
+    b = step_shape[0]
+    bounds = _sample_ranges(b, xs[0].nbytes)
+    spatial, channel = gate is not None and gate.spatial, gate is not None and gate.channel
+    # the channel MLP needs every sample's mean of step t for the gate of
+    # step t+1: split ranges meet after each step, one range runs it itself
+    each_step = channel and len(bounds) > 2
 
     # the membrane: every step when backward reads it or the caller asks,
     # else two that roll. Float spikes: the output itself without a pool,
@@ -290,9 +354,10 @@ def lif_sequence(
     s_saved = None if not record else s if smooth else np.empty(xs.shape, dtype=bool)
     out = s
     if pooled:
-        b, c, h, w = step_shape
+        _, c, h, w = step_shape
         out = np.empty((t_steps, b, c, h // pool, w // pool), dtype=dtype)
-    # step buffers: the step's normalized current and its 1 - s_{t-1}
+    # step buffers: the step's normalized current and its 1 - s_{t-1} (first
+    # the gate, when both branches make it)
     cur = np.empty(step_shape, dtype=dtype) if norm is not None else None
     keep = np.empty(step_shape, dtype=dtype)
     if norm is not None:
@@ -307,39 +372,67 @@ def lif_sequence(
         else:
             m, std, scale, shift = _bn_eval_coeffs(norm.state, gamma4, beta4, dtype, BN_EPS)
             x_read = x4 if needs_grad[1] else None  # for the gamma gradient
+    # the gate of each step t >= 1, built from s_{t-1}: its spatial sigmoid
+    # and channel mean per sample, then the channel MLP's hidden layer and
+    # sigmoid; every step's when backward reads them, else two that roll
+    if gate is not None:
+        _, c, h, w = step_shape
+        slots = 2 if rolling else t_steps
+        us_all = np.empty((slots, b, 1, h, w), dtype=dtype) if spatial else None
+        mean_all = np.empty((slots, b, c), dtype=dtype) if channel else None
+        hidden_all, uc_all = [None] * t_steps, [None] * t_steps
 
-    saved = [None] * t_steps  # gate internals of each gated step
-    for t in range(t_steps):
-        v_t, s_t = v[t % len(v)], s[t % len(s)]
-        if norm is None:
-            i_t = xs[t]
-        elif norm.training:
-            i_t = np.multiply(gamma4, xhat_s[t], out=cur)
-            i_t += beta4
-        else:
-            i_t = np.multiply(xs[t], scale, out=cur)
-            i_t += shift
-        if t == 0:
-            # v_{-1} = s_{-1} = 0: the history term is +0, as the full update makes it
-            np.add(i_t, 0.0, out=v_t)
-        else:
-            s_prev = s[(t - 1) % len(s)]
-            np.multiply(v[(t - 1) % len(v)], kappa, out=v_t)
-            if gate is not None:
-                u, internals = gate.forward(s_prev)
-                _check_finite(u, "lif_sequence (attention gate)")
-                v_t *= u
-                if record:
-                    saved[t] = internals
-            v_t *= np.subtract(1.0, s_prev, out=keep)
-            v_t += i_t
-        if rolling:
-            _check_finite(v_t, "lif_sequence (membrane)")
-        _fire(v_t, v_th, alpha, smooth, out=s_t)
-        if s_saved is not None and not smooth:
-            s_saved[t] = s_t
-        if pooled:
-            _avgpool(s_t, pool, out=out[t])
+    def forward_steps(lo, hi, t0, t1):
+        """Steps t0..t1-1 of samples lo:hi."""
+        v_r, s_r, keep_r, out_r = v[:, lo:hi], s[:, lo:hi], keep[lo:hi], out[:, lo:hi]
+        x_r = (xhat_s if norm is not None and norm.training else xs)[:, lo:hi]
+        cur_r = None if norm is None else cur[lo:hi]
+        bits_r = None if s_saved is None or smooth else s_saved[:, lo:hi]
+        us_r = us_all[:, lo:hi] if spatial else None
+        mean_r = mean_all[:, lo:hi] if channel else None
+        for t in range(t0, t1):
+            v_t, s_t = v_r[t % len(v)], s_r[t % len(s)]
+            if norm is None:
+                i_t = x_r[t]
+            elif norm.training:
+                i_t = np.multiply(gamma4, x_r[t], out=cur_r)
+                i_t += beta4
+            else:
+                i_t = np.multiply(x_r[t], scale, out=cur_r)
+                i_t += shift
+            if t == 0:
+                # v_{-1} = s_{-1} = 0: the history term is +0, as the full update makes it
+                np.add(i_t, 0.0, out=v_t)
+            else:
+                s_prev = s_r[(t - 1) % len(s)]
+                np.multiply(v_r[(t - 1) % len(v)], kappa, out=v_t)
+                if gate is not None:
+                    u = gate.combine(us_r[t % slots] if spatial else None,
+                                     uc_all[t][lo:hi] if channel else None, out=keep_r)
+                    _check_finite(u, "lif_sequence (attention gate)")
+                    v_t *= u
+                v_t *= np.subtract(1.0, s_prev, out=keep_r)
+                v_t += i_t
+            if rolling:
+                _check_finite(v_t, "lif_sequence (membrane)")
+            _fire(v_t, v_th, alpha, smooth, out=s_t)
+            if bits_r is not None:
+                bits_r[t] = s_t
+            if pooled:
+                _avgpool(s_t, pool, out=out_r[t])
+            if gate is not None and t + 1 < t_steps:
+                gate.sample_forward(s_t, us_r[(t + 1) % slots] if spatial else None,
+                                    mean_r[(t + 1) % slots] if channel else None)
+                if channel and not each_step:
+                    hidden_all[t + 1], uc_all[t + 1] = gate.channel_forward(mean_r[(t + 1) % slots])
+
+    if each_step:
+        for t in range(t_steps):
+            _run_ranges(bounds, lambda lo, hi: forward_steps(lo, hi, t, t + 1))
+            if t + 1 < t_steps:
+                hidden_all[t + 1], uc_all[t + 1] = gate.channel_forward(mean_all[(t + 1) % slots])
+    else:
+        _run_ranges(bounds, lambda lo, hi: forward_steps(lo, hi, 0, t_steps))
     if not rolling:
         _check_finite(v, "lif_sequence (membrane)")
     out_step, x_shape, seq_shape = out.shape[1:], x.shape, xs.shape
@@ -351,10 +444,12 @@ def lif_sequence(
         # parent reads it, else of one step at a time
         full = needs_grad[0] or norm is not None and (needs_grad[1] or needs_grad[2])
         gcur = np.empty(seq_shape, dtype=dtype) if full else None
-        # step buffers: z of the surrogate slope, the carries into step t-1,
-        # the expanded pool gradient, gv (when gcur does not hold it), the
-        # spikes recast from bits and the decayed history of a gated layer;
-        # training batch norm's products reuse their block afterwards
+        # step buffers: z of the surrogate slope (then the gate of both
+        # branches, then the gate's share of the reset term), the carries
+        # into step t-1, the expanded pool gradient, gv (when gcur does not
+        # hold it), the spikes recast from bits and the decayed history of
+        # a gated layer; training batch norm's products reuse their block
+        # afterwards
         rows = 3 + pooled + (not full) + (not smooth) + (gate is not None)
         bn_products = full and norm is not None and norm.training
         work = np.empty((max(rows, t_steps) if bn_products else rows,) + step_shape, dtype=dtype)
@@ -365,39 +460,81 @@ def lif_sequence(
         s_step = None if smooth else next(take)
         hist = None if gate is None else next(take)
         gate_grads = [np.zeros_like(w) for w in gate.weights] if gate is not None else []
-        for t in reversed(range(t_steps)):
-            g_t = _avgpool_backward(g[t], pool, g_step) if pooled else g[t]
-            if t < t_steps - 1:  # s_t also fed step t+1
-                carry_s += g_t
-                g_t = carry_s
-            gv = _surrogate_backward(g_t, v[t], v_th, alpha, out=gcur[t] if full else gv_step, scratch=z)
-            if t < t_steps - 1:
-                gv += ghist  # the gradient of v_t through step t+1
-            if t == 0:
-                break
-            # v_t = (kappa * v_{t-1}) [* u_t] * (1 - s_{t-1}) + i_t, in place:
-            # hist is the decayed history, ghist the gradient of the gated one
-            if smooth:
-                s_prev = s_saved[t - 1]
-            else:
-                s_prev = s_step
-                s_prev[...] = s_saved[t - 1]
-            np.subtract(1.0, s_prev, out=ghist)
-            ghist *= gv
+        if gate is not None:
+            # per-sample gate gradients: the spatial ones of every step,
+            # summed over samples after the last, the channel sigmoid's of one
+            _, c, h, w = step_shape
+            dz_all = np.empty((t_steps, b, 1, h * w), dtype=dtype) if spatial else None
+            dw_all = np.empty((t_steps, b, c, 1), dtype=dtype) if spatial else None
+            duc = np.empty((b, c), dtype=dtype) if channel else None
+        ds_channel = None  # the channel branch's share of the gradient of s_{t-1}
+
+        def backward_steps(lo, hi, t0, t1):
+            """Steps t1-1 down to t0 of samples lo:hi; first the rest of
+            step t1 when there is one."""
+            nonlocal ds_channel
+            z_r, ghist_r, carry_r = z[lo:hi], ghist[lo:hi], carry_s[lo:hi]
+            g_r, v_r, s_r = g[:, lo:hi], v[:, lo:hi], s_saved[:, lo:hi]
+            gv_r = gcur[:, lo:hi] if full else gv_step[lo:hi]
+            g_step_r = g_step[lo:hi] if pooled else None
+            s_step_r = None if smooth else s_step[lo:hi]
             if gate is not None:
-                us, uc, _, _ = saved[t]
-                u = gate.combine(us, uc)
-                np.multiply(v[t - 1], kappa, out=hist)
-                np.multiply(hist, u, out=carry_s)
-                hist *= ghist  # the gate's gradient, before the sum over broadcast axes
-                ghist *= u
-            else:
-                np.multiply(v[t - 1], kappa, out=carry_s)
-            carry_s *= gv
-            np.negative(carry_s, out=carry_s)  # the reset term: d/ds of (.) * (1 - s)
-            if gate is not None:
-                gate.backward(_unbroadcast(hist, u.shape), s_prev, saved[t], gate_grads, carry_s)
-            ghist *= kappa
+                hist_r = hist[lo:hi]
+                us_r = us_all[:, lo:hi] if spatial else None
+                dz_r, dw_r = (dz_all[:, lo:hi], dw_all[:, lo:hi]) if spatial else (None, None)
+                duc_r = duc[lo:hi] if channel else None
+            for t in reversed(range(t0, t1)):
+                if t + 1 < t_steps:  # the rest of step t+1
+                    if channel:
+                        carry_r += ds_channel[lo:hi]
+                    ghist_r *= kappa
+                g_t = _avgpool_backward(g_r[t], pool, g_step_r) if pooled else g_r[t]
+                if t < t_steps - 1:  # s_t also fed step t+1
+                    carry_r += g_t
+                    g_t = carry_r
+                gv = _surrogate_backward(g_t, v_r[t], v_th, alpha, out=gv_r[t] if full else gv_r, scratch=z_r)
+                if t < t_steps - 1:
+                    gv += ghist_r  # the gradient of v_t through step t+1
+                if t == 0:
+                    return
+                # v_t = (kappa * v_{t-1}) [* u_t] * (1 - s_{t-1}) + i_t, in place:
+                # hist is the decayed history, ghist the gradient of the gated one
+                if smooth:
+                    s_prev = s_r[t - 1]
+                else:
+                    s_prev = s_step_r
+                    s_prev[...] = s_r[t - 1]
+                np.subtract(1.0, s_prev, out=ghist_r)
+                ghist_r *= gv
+                if gate is not None:
+                    us = us_r[t] if spatial else None
+                    uc = uc_all[t][lo:hi] if channel else None
+                    u = gate.combine(us, uc, out=z_r)
+                    np.multiply(v_r[t - 1], kappa, out=hist_r)
+                    np.multiply(hist_r, u, out=carry_r)
+                    hist_r *= ghist_r  # the gate's gradient, before the sum over broadcast axes
+                    ghist_r *= u
+                else:
+                    np.multiply(v_r[t - 1], kappa, out=carry_r)
+                carry_r *= gv
+                np.negative(carry_r, out=carry_r)  # the reset term: d/ds of (.) * (1 - s)
+                if gate is not None:
+                    gate.sample_backward(_unbroadcast(hist_r, u.shape), s_prev, us, uc, carry_r,
+                                         dz_r[t] if spatial else None, dw_r[t] if spatial else None, duc_r, z_r)
+                if channel and not each_step:
+                    ds_channel = gate.channel_backward(duc, uc_all[t], hidden_all[t], mean_all[t], gate_grads, h * w)
+
+        if each_step:
+            for t in reversed(range(t_steps)):
+                _run_ranges(bounds, lambda lo, hi: backward_steps(lo, hi, t, t + 1))
+                if t > 0:
+                    ds_channel = gate.channel_backward(duc, uc_all[t], hidden_all[t], mean_all[t], gate_grads, h * w)
+        else:
+            _run_ranges(bounds, lambda lo, hi: backward_steps(lo, hi, 0, t_steps))
+        if spatial:  # the spatial weight and bias gradients, summed over samples
+            for t in reversed(range(1, t_steps)):
+                gate_grads[0][...] += dw_all[t].sum(axis=0).reshape(1, c, 1, 1)
+                gate_grads[1][...] += dz_all[t].sum()
         grads = [gcur] if norm is None else [gcur, None, None]
         if norm is not None and full:
             g4 = gcur.reshape((-1,) + step_shape[1:])

@@ -54,7 +54,9 @@ weight gradient has read them. Block i's per-sample weight-gradient
 products wait in slot i % threads until every earlier block's are summed,
 and are then added in sample order, so which thread computes a block, and
 how many threads there are, changes no bit. A call returns, or raises the
-first error, only once none of its pool tasks is running.
+first error, only once none of its pool tasks is running. The layer node
+in ``neuron`` hands the sample ranges of its time steps to the same pool
+through ``_run_blocks``, so the node starts no thread of its own.
 
 ``avgpool2d`` sums k*k strided slices into one buffer and scales it once.
 ``batchnorm`` is one graph node with a closed-form backward. ``transpose``
@@ -96,9 +98,9 @@ SURROGATE_ALPHA = 2.0
 # fits in this many bytes, about half the L2 cache of a core; a fixed number,
 # so a run's block sizes do not depend on the machine.
 _CONV_BLOCK_BYTES = 1 << 20
-# Threads that may run one conv2d call's blocks side by side: the caller and
-# CONV_WORKERS - 1 threads of a pool shared by the whole process, one per CPU
-# the process may run on.
+# Threads that may run one conv2d call's blocks, or one layer-node call's
+# sample ranges, side by side: the caller and CONV_WORKERS - 1 threads of a
+# pool shared by the whole process, one per CPU the process may run on.
 CONV_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # A call splits only with at least this many blocks per thread; fewer do not
 # pay for the handoff (see the per-layer table in CHANGES.md, measured with

@@ -348,3 +348,35 @@ class TestEventFiles:
         path.write_text("time,col,row,sign\n")
         with pytest.raises(EventFormatError):
             read_events(path)
+
+    def test_csv_byte_that_is_not_utf8_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"t_us,x,y,polarity\n10,1,2,1\n20,\xff,0,0\n")
+        with pytest.raises(EventFormatError, match="not UTF-8 on line 3") as exc:
+            read_events(path)
+        assert exc.value.offset == 3
+
+    def test_evs1_with_corrupted_magic_rejected(self, tmp_path):
+        path = tmp_path / "bad.evs"
+        write_events(path, make_stream(44, n=3))
+        raw = bytearray(path.read_bytes())
+        raw[0] = 0xFF  # no longer EVS1, so read as CSV, whose first byte is not UTF-8
+        path.write_bytes(bytes(raw))
+        with pytest.raises(EventFormatError, match="not UTF-8 on line 1"):
+            read_events(path)
+
+    def test_timestamp_past_int64_compared_unsigned(self, tmp_path):
+        # 2**63 + 5 wraps negative as int64, which would read as sorted before 3
+        path = tmp_path / "wrap.evs"
+        write_events(path, EventStream.from_events(4, 4, [(2**63 + 5, 0, 0, 1), (2**63 + 6, 1, 1, 0)]))
+        raw = bytearray(path.read_bytes())
+        raw[24 + 14 : 24 + 22] = (3).to_bytes(8, "little")  # record 1's t
+        path.write_bytes(bytes(raw))
+        with pytest.raises(EventFormatError, match="timestamps not sorted") as exc:
+            read_events(path)
+        assert exc.value.offset == 24 + 14
+        with pytest.raises(ParameterError, match="sorted"):
+            EventStream.from_events(4, 4, [(2**63 + 5, 0, 0, 1), (3, 1, 1, 0)])
+        # the same two stamps in order read back
+        write_events(path, EventStream.from_events(4, 4, [(3, 0, 0, 1), (2**63 + 5, 1, 1, 0)]))
+        assert read_events(path)[1] == (2**63 + 5, 1, 1, 0)

@@ -255,10 +255,11 @@ class TestTrainCommand:
         train_dir, test_dir = corpus
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_doc(train_dir, test_dir, variant="sctfa")))
-        # one sample per conv block, so every call splits over the workers
+        # one sample per conv block, so every conv2d call splits over the
+        # workers; the fixture splits every layer-node call
         monkeypatch.setattr(tensor_module, "_CONV_BLOCK_BYTES", 1)
         records = []
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             conv_workers(workers)
             out = tmp_path / f"w{workers}"
             assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -267,7 +268,7 @@ class TestTrainCommand:
             assert timing["conv_workers"] == workers
             assert timing["cpu_count"] >= 1
             records.append((run_dir / "run_record.json").read_bytes())
-        assert records[0] == records[1]
+        assert records[0] == records[1] == records[2]
 
     def test_failed_write_leaves_no_counted_run(self, corpus, tmp_path, monkeypatch):
         train_dir, test_dir = corpus

@@ -30,12 +30,12 @@ CFG = LifConfig(v_th=1.0, kappa=0.7)
 T, B, C, HW = 3, 2, 4, 6
 
 
-def layer_case(variant, dtype, seed=0):
+def layer_case(variant, dtype, seed=0, batch=B):
     """Conv-output currents [T*B, C, H, W] that drive some neurons past
     threshold after batch norm, the norm and gate parameters, and running
     statistics as an earlier training forward leaves them."""
     rng = Rng(seed)
-    currents = rng.normal(0.3, 1.2, size=(T * B, C, HW, HW)).astype(dtype)
+    currents = rng.normal(0.3, 1.2, size=(T * batch, C, HW, HW)).astype(dtype)
     gamma = rng.uniform(0.8, 1.6, size=C).astype(dtype)
     beta = rng.normal(0.5, 0.3, size=C).astype(dtype)
     stats = (rng.normal(0, 0.2, size=C).astype(dtype), rng.uniform(0.5, 2.0, size=C).astype(dtype))
@@ -143,6 +143,137 @@ class TestAgainstComposition:
         twice = run_layer(True, case, mode, 2, False, passes=2)[3]
         for a, b in zip(once, twice):
             assert_bitwise(2 * a, b)
+
+
+def split_runs(case, mode, pool, smooth):
+    """The layer's recorded forward and backward (``run_layer``), and its
+    no-grad forward with the membrane kept and rolled; every array, as bytes."""
+    out, v, stats, grads = run_layer(True, case, mode, pool, smooth)
+    currents, gamma, beta, (mean, var), att = case
+    runs = [out, v, *stats, *grads]
+    for keep_membrane in (True, False):
+        state = BatchNormState(C, currents.dtype)
+        state.mean[...], state.var[...], state.initialized = mean, var, True
+        norm = None if mode == "none" else BatchNorm(Tensor(gamma), Tensor(beta), state, mode == "train")
+        with no_grad():
+            out, v = lif_sequence(Tensor(currents), CFG, att, smooth=smooth, timesteps=T, norm=norm,
+                                  pool=pool, keep_membrane=keep_membrane)
+        runs += [out.data, v, state.mean, state.var]
+    return [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in runs]
+
+
+class TestSampleSplit:
+    """The node's steps split over sample ranges on 1, 2 and 3 threads
+    (every call splits: see conftest.conv_workers) give every output,
+    membrane, running statistic and gradient bitwise."""
+
+    @pytest.mark.parametrize("variant", ["bl", "stfa", "ctfa", "sctfa"])
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("pool", [1, 2])
+    @pytest.mark.parametrize("mode", ["train", "eval", "none"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_for_any_worker_count(self, conv_workers, variant, smooth, pool, mode, dtype):
+        # B = 1 never splits; 3 splits 2 + 1 on two threads; 4 splits 1 + 1 + 2 on three
+        for batch in (1, 3, 4):
+            case = layer_case(variant, dtype, seed=batch + pool, batch=batch)
+            runs = []
+            for workers in (1, 2, 3):
+                conv_workers(workers)
+                runs.append(split_runs(case, mode, pool, smooth))
+            assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_more_threads_than_cores_switching_often(self, conv_workers):
+        import sys
+        import threading
+
+        case = layer_case("sctfa", np.float32, seed=9, batch=5)
+        conv_workers(1)
+        ref = split_runs(case, "train", 2, False)
+        conv_workers(5)
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: got.append(split_runs(case, "train", 2, False)))
+            runner.start()
+            runner.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert got == [ref]
+
+    def test_call_below_the_gate_submits_no_pool_task(self, monkeypatch):
+        import spikefuse.neuron as neuron_module
+        import spikefuse.tensor as tensor_module
+
+        submitted = []
+
+        class Pool:
+            def submit(self, fn, *args):
+                submitted.append(args)
+                raise AssertionError("a call below the gate used the pool")
+
+        monkeypatch.setattr(tensor_module, "_conv_pool", Pool())
+        monkeypatch.setattr(tensor_module, "CONV_WORKERS", 2)
+        case = layer_case("sctfa", np.float64, seed=2)
+        step_bytes = B * C * HW * HW * 8
+        # a step one byte short of two ranges' worth runs on the caller
+        monkeypatch.setattr(neuron_module, "_SPLIT_STEP_BYTES", step_bytes // 2 + 1)
+        run_layer(True, case, "train", 2, False)
+        assert submitted == []
+        monkeypatch.setattr(neuron_module, "_SPLIT_STEP_BYTES", step_bytes // 2)
+        with pytest.raises(AssertionError, match="used the pool"):
+            run_layer(True, case, "train", 2, False)
+        assert len(submitted) == 1
+
+    def test_nan_gate_in_one_part_raises_after_every_part_ends(self, monkeypatch, conv_workers):
+        import threading
+        import time
+
+        import spikefuse.neuron as neuron_module
+        from spikefuse.errors import NumericError
+        from spikefuse.tensor import set_debug_nan
+
+        conv_workers(2)
+        currents, _, _, _, att = layer_case("stfa", np.float64, seed=3)
+        clean = lif_sequence(Tensor(currents), CFG, att, smooth=True, timesteps=T)[0].data
+        # sample 1's first smooth spikes are NaN, and so is its gate of step 1
+        currents[1, 0, 0, 0] = np.nan
+        lock, in_flight, threads, at_failure = threading.Lock(), [0], set(), []
+        fire, check = neuron_module._fire, neuron_module._check_finite
+
+        def slow_fire(*args, **kwargs):
+            with lock:
+                in_flight[0] += 1
+                threads.add(threading.get_ident())
+            try:
+                time.sleep(0.02)
+                return fire(*args, **kwargs)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        def waiting_check(data, what="an operation"):
+            if what.endswith("(attention gate)") and not np.isfinite(data).all():
+                # fail while the other part is inside a step
+                deadline = time.monotonic() + 5
+                while in_flight[0] < 1 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                at_failure.append(in_flight[0])
+            check(data, what)
+
+        monkeypatch.setattr(neuron_module, "_fire", slow_fire)
+        monkeypatch.setattr(neuron_module, "_check_finite", waiting_check)
+        set_debug_nan(True)
+        try:
+            with pytest.raises(NumericError, match="attention gate"):
+                lif_sequence(Tensor(currents, requires_grad=True), CFG, att, smooth=True, timesteps=T)
+        finally:
+            set_debug_nan(False)
+        assert at_failure == [1] and in_flight[0] == 0 and len(threads) == 2
+        monkeypatch.setattr(neuron_module, "_fire", fire)
+        currents[1, 0, 0, 0] = layer_case("stfa", np.float64, seed=3)[0][1, 0, 0, 0]
+        assert lif_sequence(Tensor(currents), CFG, att, smooth=True, timesteps=T)[0].data.tobytes() == clean.tobytes()
 
 
 class TestNoGrad:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -425,6 +426,30 @@ class TestCheckpoint:
                 load_checkpoint(path)
             message = str(info.value)
             assert message.startswith(f"{path}: truncated at byte offset {offset}:"), (where, message)
+
+    def test_corrupted_rank_or_shape_names_the_tensor_and_offset(self, tmp_path):
+        net = SpikingNetwork(tiny_spec("sctfa"), seed=15)
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, net)
+        raw = path.read_bytes()
+        rows = (tmp_path / "checkpoint.manifest.tsv").read_text().strip().splitlines()[1:]
+        name, shape, offset = rows[0].split("\t")
+        rank = len(shape.split("x"))
+        assert rank == 4
+        rank_at, shape_at = int(offset) - 4 * rank - 1, int(offset) - 4 * rank
+        # a rank numpy cannot reshape to
+        path.write_bytes(raw[:rank_at] + bytes([104]) + raw[rank_at + 1 :])
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: tensor {name} has rank 104 at byte offset {rank_at}, network expects 4"
+        # a zero extent beside huge ones: no data to read, and no array to make
+        huge = struct.pack("<4I", 0, 2**32 - 1, 2**32 - 1, 2**32 - 1)
+        path.write_bytes(raw[:shape_at] + huge + raw[shape_at + 16 :])
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        expected = tuple(int(n) for n in shape.split("x"))
+        assert str(info.value) == (f"{path}: tensor {name} has shape (0, {2**32 - 1}, {2**32 - 1}, {2**32 - 1}) "
+                                   f"at byte offset {shape_at}, network expects {expected}")
 
     def test_trailing_bytes_and_bad_precision_flag(self, tmp_path):
         net = SpikingNetwork(tiny_spec("bl"), seed=16)
