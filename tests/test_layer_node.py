@@ -247,7 +247,7 @@ class TestSampleSplit:
                 in_flight[0] += 1
                 threads.add(threading.get_ident())
             try:
-                time.sleep(0.02)
+                time.sleep(0.05)
                 return fire(*args, **kwargs)
             finally:
                 with lock:
