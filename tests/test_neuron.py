@@ -199,27 +199,10 @@ def composed_sequence(currents, t_steps, cfg, params, variant, smooth=False):
     return reshape(stack(spikes), currents.shape), np.stack(membrane)
 
 
-# (pin the spatial branch to exactly 1, remove the channel branch): see seams.py
+# (pin the spatial branch to exactly 1, remove the channel branch): see seams.py;
+# on a variant without that branch the seam leaves the parameters as they are
 UNIT_SEAMS = [(False, False), (True, False), (False, True)]
-# the seams that change each variant's parameters (a seam on a branch the
-# variant lacks would repeat the unseamed case), by index in UNIT_SEAMS
-VARIANT_SEAMS = {"bl": [0], "stfa": [0, 1], "ctfa": [0, 2], "sctfa": [0, 1, 2]}
 SEQ_CFG = LifConfig(v_th=1.0, kappa=0.7)
-
-
-def seam_cases(dtypes):
-    """(variant, smooth, [dtype,] t_steps, unit) for every seam that changes
-    the variant, with the ids stacked parametrizations would give them."""
-    cases = []
-    for variant, seams in VARIANT_SEAMS.items():
-        for smooth in (False, True):
-            for dtype in dtypes:
-                for t_steps in (1, 2, 5):
-                    for i in seams:
-                        args = (variant, smooth) + (() if dtype is None else (dtype,)) + (t_steps, UNIT_SEAMS[i])
-                        dtype_id = "" if dtype is None else f"{dtype.__name__}-"
-                        cases.append(pytest.param(*args, id=f"unit{i}-{t_steps}-{dtype_id}{smooth}-{variant}"))
-    return cases
 
 
 def sequence_case(variant, dtype, t_steps, seed=0, shape=(2, 4, 5, 5)):
@@ -249,7 +232,11 @@ def sequence_grads(run, currents, params, weighting):
 
 
 class TestLifSequence:
-    @pytest.mark.parametrize("variant, smooth, dtype, t_steps, unit", seam_cases([np.float32, np.float64]))
+    @pytest.mark.parametrize("variant", ["bl", "stfa", "ctfa", "sctfa"])
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t_steps", [1, 2, 5])
+    @pytest.mark.parametrize("unit", UNIT_SEAMS)
     def test_forward_bitwise_equals_composition(self, variant, smooth, dtype, t_steps, unit):
         currents, params, _ = sequence_case(variant, dtype, t_steps, seed=t_steps)
         params = apply_seams(params, *unit)
@@ -264,7 +251,10 @@ class TestLifSequence:
         if not smooth:
             assert 0 < s.data.sum() < s.size  # the case exercises both spike values
 
-    @pytest.mark.parametrize("variant, smooth, t_steps, unit", seam_cases([None]))
+    @pytest.mark.parametrize("variant", ["bl", "stfa", "ctfa", "sctfa"])
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("t_steps", [1, 2, 5])
+    @pytest.mark.parametrize("unit", UNIT_SEAMS)
     def test_gradients_match_composition_f64(self, variant, smooth, t_steps, unit):
         currents, params, weighting = sequence_case(variant, np.float64, t_steps, seed=10 + t_steps)
         params = apply_seams(params, *unit)
