@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +34,8 @@ from .errors import EventFormatError, ParameterError
 from .rng import Rng
 
 _HEADER = struct.Struct("<4sHHiQI")
-_RECORD = struct.Struct("<QHHBB")
+# one EVS1 event record
+_RECORD = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1"), ("pad", "u1")])
 _MAGIC = b"EVS1"
 # the largest timestamp and coordinate an EventStream stores (uint64, uint16)
 _T_MAX = int(np.iinfo(np.uint64).max)
@@ -157,6 +160,8 @@ def slice_to_frames(stream: EventStream, delta_t_ms: float, timesteps: int) -> F
 
 
 BAR_DIRECTIONS = ("left_right", "right_left", "top_bottom", "bottom_top")
+BAR_WIDTH = 2  # pixels
+BAR_JITTER_MS = 8.0
 
 
 def synth_moving_bar(
@@ -166,15 +171,14 @@ def synth_moving_bar(
     duration_ms: float,
     rate: float,
     rng: Rng,
-    bar_width: int = 2,
-    jitter_ms: float = 8.0,
 ) -> EventStream:
-    """Synthesize a bar sweeping across the field in one of 4 directions.
+    """Synthesize a bar ``BAR_WIDTH`` pixels wide sweeping across the field
+    in one of 4 directions.
 
     The leading edge emits polarity-1 events, the trailing edge polarity-0;
     each pixel crossing draws Poisson(rate) events jittered uniformly within
-    ``jitter_ms``. Label = direction index. ``rate`` 0 gives a valid empty
-    stream.
+    ``BAR_JITTER_MS``. Label = direction index. ``rate`` 0 gives a valid
+    empty stream.
     """
     if height < 8 or width < 8:
         raise ParameterError("field must be at least 8x8")
@@ -186,19 +190,19 @@ def synth_moving_bar(
     along = width if direction < 2 else height
     across = height if direction < 2 else width
     gen = rng.generator
-    step_ms = duration_ms / (along + bar_width)  # bar fully exits the field
+    step_ms = duration_ms / (along + BAR_WIDTH)  # bar fully exits the field
 
     ts, xs, ys, ps = [], [], [], []
     for pos in range(along):
         lead_ms = (pos + 1) * step_ms
-        trail_ms = (pos + 1 + bar_width) * step_ms
+        trail_ms = (pos + 1 + BAR_WIDTH) * step_ms
         for pol, edge_ms in ((1, lead_ms), (0, trail_ms)):
             counts = gen.poisson(rate, size=across)
             total = int(counts.sum())
             if total == 0:
                 continue
             perp = np.repeat(np.arange(across), counts)
-            jitter = gen.uniform(0.0, jitter_ms, size=total)
+            jitter = gen.uniform(0.0, BAR_JITTER_MS, size=total)
             t_us = np.minimum((edge_ms + jitter) * 1000.0, duration_ms * 1000.0 - 1.0)
             if direction == 0:  # left -> right
                 ex, ey = np.full(total, pos), perp
@@ -269,12 +273,7 @@ def write_events(path, stream: EventStream) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, stream.width, stream.height, label, len(stream), 0))
         if len(stream):
-            records = np.zeros(
-                len(stream),
-                dtype=np.dtype(
-                    [("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1"), ("pad", "u1")]
-                ),
-            )
+            records = np.zeros(len(stream), dtype=_RECORD)
             records["t"] = stream.t
             records["x"] = stream.x
             records["y"] = stream.y
@@ -305,16 +304,13 @@ def _read_evs1(path: Path) -> EventStream:
     if magic != _MAGIC:
         raise EventFormatError("bad magic", offset=0)
     body = raw[_HEADER.size:]
-    expected = count * _RECORD.size
+    expected = count * _RECORD.itemsize
     if len(body) != expected:
         raise EventFormatError(
             f"expected {count} records ({expected} bytes), found {len(body)} bytes",
             offset=_HEADER.size + min(len(body), expected),
         )
-    records = np.frombuffer(
-        body,
-        dtype=np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1"), ("pad", "u1")]),
-    )
+    records = np.frombuffer(body, dtype=_RECORD)
     t = records["t"].astype(np.uint64)
     x = records["x"].astype(np.uint16)
     y = records["y"].astype(np.uint16)
@@ -324,17 +320,27 @@ def _read_evs1(path: Path) -> EventStream:
         i = int(np.argmax(bad))
         raise EventFormatError(
             f"record {i} out of bounds (x={x[i]}, y={y[i]}, polarity={p[i]})",
-            offset=_HEADER.size + i * _RECORD.size,
+            offset=_HEADER.size + i * _RECORD.itemsize,
         )
     # compared as uint64: a timestamp of 2**63 or more must not wrap negative
     unsorted = t[1:] < t[:-1]
     if np.any(unsorted):
         i = int(np.argmax(unsorted)) + 1
-        raise EventFormatError("timestamps not sorted", offset=_HEADER.size + i * _RECORD.size)
+        raise EventFormatError("timestamps not sorted", offset=_HEADER.size + i * _RECORD.itemsize)
     return EventStream(
         width=width, height=height, t=t, x=x, y=y, polarity=p,
         label=None if label < 0 else label,
     )
+
+
+# a line ends at LF, CR LF or CR, as the CSV reader splits them
+_LINE_END = re.compile(rb"\r\n?|\n")
+
+
+def _line_start(raw: bytes, lineno: int) -> int:
+    """The byte offset where line ``lineno`` (from 1) of ``raw`` starts."""
+    ends = [m.end() for m in itertools.islice(_LINE_END.finditer(raw), lineno - 1)]
+    return ends[-1] if ends else 0
 
 
 def _read_csv(path: Path, width: Optional[int], height: Optional[int]) -> EventStream:
@@ -342,8 +348,8 @@ def _read_csv(path: Path, width: Optional[int], height: Optional[int]) -> EventS
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise EventFormatError(f"byte that is not UTF-8 on line {lineno}", offset=lineno)
+        lineno = len(_LINE_END.findall(raw, 0, exc.start)) + 1
+        raise EventFormatError(f"byte that is not UTF-8 on line {lineno}", offset=exc.start)
     with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -352,27 +358,29 @@ def _read_csv(path: Path, width: Optional[int], height: Optional[int]) -> EventS
             raise EventFormatError("empty file", offset=0)
         if [h.strip() for h in header] != ["t_us", "x", "y", "polarity"]:
             raise EventFormatError(f"unexpected CSV header {header!r}", offset=0)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
+        rows, linenos = [], []
+        for row in reader:
+            lineno = reader.line_num  # a quoted field may span lines
             if not row:
                 continue
             try:
                 record = (int(row[0]), int(row[1]), int(row[2]), int(row[3]))
             except (ValueError, IndexError):
-                raise EventFormatError(f"bad CSV record on line {lineno}", offset=lineno)
+                raise EventFormatError(f"bad CSV record on line {lineno}", offset=_line_start(raw, lineno))
             # t is stored as uint64, x and y as uint16
             if min(record) < 0 or record[0] > _T_MAX or max(record[1:3]) > _XY_MAX:
                 raise EventFormatError(
                     f"CSV record out of range on line {lineno}: t must be in [0, {_T_MAX}], "
                     f"x and y in [0, {_XY_MAX}], polarity 0 or 1",
-                    offset=lineno,
+                    offset=_line_start(raw, lineno),
                 )
             rows.append(record)
+            linenos.append(lineno)
     xs = [r[1] for r in rows]
     ys = [r[2] for r in rows]
     width = width if width is not None else (max(xs) + 1 if rows else 1)
     height = height if height is not None else (max(ys) + 1 if rows else 1)
-    for lineno, (t, x, y, p) in enumerate(rows, start=2):
+    for lineno, (t, x, y, p) in zip(linenos, rows):
         if x >= width or y >= height or p not in (0, 1):
-            raise EventFormatError(f"record out of bounds on line {lineno}", offset=lineno)
+            raise EventFormatError(f"record out of bounds on line {lineno}", offset=_line_start(raw, lineno))
     return EventStream.from_events(width, height, rows)

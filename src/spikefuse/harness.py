@@ -183,11 +183,7 @@ def _load_dataset(cfg: TrainConfig, which: str) -> LabeledFrames:
         raise ConfigError("missing corpus directory", field=f"data.{which}")
     streams = load_corpus(directory, (cfg.input_width, cfg.input_height))
     return frames_from_streams(
-        streams,
-        cfg.data.delta_t_ms,
-        cfg.data.timesteps,
-        binarize=cfg.data.binarize,
-        dtype=np.float64 if cfg.precision == "f64" else np.float32,
+        streams, cfg.data.delta_t_ms, cfg.data.timesteps, binarize=cfg.data.binarize, dtype=cfg.dtype
     )
 
 
@@ -501,14 +497,19 @@ def _corruption_specs(args) -> List[CorruptionSpec]:
     return specs
 
 
-def cmd_robustness(args) -> int:
-    specs = _corruption_specs(args)
+def _load_run(args):
+    """The checkpoint's network, its corpus streams, and the slicing the
+    run trained with: (net, streams, delta_t_ms, timesteps, binarize)."""
     net, config = load_checkpoint(args.checkpoint)
     streams = load_corpus(args.data, (int(config["input_width"]), int(config["input_height"])))
-    results = evaluate_sweep(
-        net, streams, float(config.get("delta_t_ms", 100.0)), int(config["timesteps"]),
-        specs, binarize=bool(config.get("binarize", False)),
-    )
+    return (net, streams, float(config.get("delta_t_ms", 100.0)), int(config["timesteps"]),
+            bool(config.get("binarize", False)))
+
+
+def cmd_robustness(args) -> int:
+    specs = _corruption_specs(args)
+    net, streams, delta_t_ms, timesteps, binarize = _load_run(args)
+    results = evaluate_sweep(net, streams, delta_t_ms, timesteps, specs, binarize=binarize)
     out_rows = [("clean", 0.0, "accuracy", next(results).accuracy)]
     for spec, result in zip(specs, results):
         out_rows.append((spec.kind, spec.parameter, "accuracy", result.accuracy))
@@ -560,13 +561,8 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    net, config = load_checkpoint(args.checkpoint)
-    streams = load_corpus(args.data, (int(config["input_width"]), int(config["input_height"])))
-    result = evaluate(
-        net, streams,
-        float(config.get("delta_t_ms", 100.0)), int(config["timesteps"]),
-        binarize=bool(config.get("binarize", False)),
-    )
+    net, streams, delta_t_ms, timesteps, binarize = _load_run(args)
+    result = evaluate(net, streams, delta_t_ms, timesteps, binarize=binarize)
     print(f"accuracy: {result.accuracy:.4f}")
     print("confusion:")
     for row in result.confusion.tolist():

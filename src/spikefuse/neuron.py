@@ -40,10 +40,10 @@ exactly 0/1, so they are saved as bits (``bool``) and recast per step.
 Smooth spikes are real-valued and saved as they are. The per-step
 functions stay as the reference it is tested against.
 
-Its steps run over ranges of samples, on the caller and on the pool
-conv2d uses (``tensor._run_blocks``), one range per thread when a step
-holds at least ``_SPLIT_STEP_BYTES`` per range; a smaller call runs its
-one range, the whole batch, directly. A range computes what is per
+Its steps run over ranges of samples through ``tensor._run_blocks``, the
+runner conv2d uses, one range per thread when a step holds at least
+``_SPLIT_STEP_BYTES`` per range; a smaller call has one range, the whole
+batch, which the runner runs on the caller. A range computes what is per
 sample: the normalized current, the gated membrane update, the spikes and
 their bits, the pool, and the next step's spatial gate and channel means;
 in the backward the pool gradient, the carries, the surrogate slope, the
@@ -73,8 +73,6 @@ from . import tensor
 from .attention import AttentionParams
 from .errors import ParameterError, ShapeError
 from .tensor import (
-    BN_EPS,
-    BN_MOMENTUM,
     SURROGATE_ALPHA,
     BatchNormState,
     Tensor,
@@ -274,17 +272,6 @@ def _sample_ranges(b: int, step_bytes: int):
     return [b * i // parts for i in range(parts + 1)]
 
 
-def _run_ranges(bounds, body) -> None:
-    """``body(lo, hi)`` for each range: one range runs directly on the
-    caller; more run on the caller and the conv pool, and return or raise
-    once every range has ended."""
-    parts = len(bounds) - 1
-    if parts == 1:
-        body(bounds[0], bounds[1])
-    else:
-        tensor._run_blocks(parts, parts, lambda _, i: body(bounds[i], bounds[i + 1]))
-
-
 def lif_sequence(
     currents: Tensor,
     cfg: LifConfig,
@@ -338,10 +325,16 @@ def lif_sequence(
     v_th, alpha = cfg.v_th, SURROGATE_ALPHA
     b = step_shape[0]
     bounds = _sample_ranges(b, xs[0].nbytes)
+    parts = len(bounds) - 1
+
+    def run_ranges(steps, t0, t1):
+        """``steps(lo, hi, t0, t1)`` for every sample range, one range a thread."""
+        tensor._run_blocks(parts, parts, lambda _, i: steps(bounds[i], bounds[i + 1], t0, t1))
+
     spatial, channel = gate is not None and gate.spatial, gate is not None and gate.channel
     # the channel MLP needs every sample's mean of step t for the gate of
     # step t+1: split ranges meet after each step, one range runs it itself
-    each_step = channel and len(bounds) > 2
+    each_step = channel and parts > 1
 
     # the membrane: every step when backward reads it or the caller asks,
     # else two that roll. Float spikes: the output itself without a pool,
@@ -360,6 +353,9 @@ def lif_sequence(
     # the gate, when both branches make it)
     cur = np.empty(step_shape, dtype=dtype) if norm is not None else None
     keep = np.empty(step_shape, dtype=dtype)
+    # the steps' currents, batch-normalized as src * scale + shift: in
+    # training src is the normalized input and (scale, shift) = (gamma, beta)
+    src = xs
     if norm is not None:
         c = step_shape[1]
         x4 = x.reshape((-1,) + step_shape[1:])
@@ -367,10 +363,10 @@ def lif_sequence(
         if norm.training:
             # the squared deviations go into the membrane buffer before its first step
             square = None if rolling else v.reshape(x4.shape)
-            xhat, std = _bn_batch_stats(x4, norm.state, BN_MOMENTUM, BN_EPS, square=square)
-            xhat_s = xhat.reshape(xs.shape)
+            xhat, std = _bn_batch_stats(x4, norm.state, square=square)
+            src, scale, shift = xhat.reshape(xs.shape), gamma4, beta4
         else:
-            m, std, scale, shift = _bn_eval_coeffs(norm.state, gamma4, beta4, dtype, BN_EPS)
+            m, std, scale, shift = _bn_eval_coeffs(norm.state, gamma4, beta4, dtype)
             x_read = x4 if needs_grad[1] else None  # for the gamma gradient
     # the gate of each step t >= 1, built from s_{t-1}: its spatial sigmoid
     # and channel mean per sample, then the channel MLP's hidden layer and
@@ -385,20 +381,16 @@ def lif_sequence(
     def forward_steps(lo, hi, t0, t1):
         """Steps t0..t1-1 of samples lo:hi."""
         v_r, s_r, keep_r, out_r = v[:, lo:hi], s[:, lo:hi], keep[lo:hi], out[:, lo:hi]
-        x_r = (xhat_s if norm is not None and norm.training else xs)[:, lo:hi]
+        x_r = src[:, lo:hi]
         cur_r = None if norm is None else cur[lo:hi]
         bits_r = None if s_saved is None or smooth else s_saved[:, lo:hi]
         us_r = us_all[:, lo:hi] if spatial else None
         mean_r = mean_all[:, lo:hi] if channel else None
         for t in range(t0, t1):
             v_t, s_t = v_r[t % len(v)], s_r[t % len(s)]
-            if norm is None:
-                i_t = x_r[t]
-            elif norm.training:
-                i_t = np.multiply(gamma4, x_r[t], out=cur_r)
-                i_t += beta4
-            else:
-                i_t = np.multiply(x_r[t], scale, out=cur_r)
+            i_t = x_r[t]
+            if norm is not None:
+                i_t = np.multiply(i_t, scale, out=cur_r)
                 i_t += shift
             if t == 0:
                 # v_{-1} = s_{-1} = 0: the history term is +0, as the full update makes it
@@ -428,11 +420,11 @@ def lif_sequence(
 
     if each_step:
         for t in range(t_steps):
-            _run_ranges(bounds, lambda lo, hi: forward_steps(lo, hi, t, t + 1))
+            run_ranges(forward_steps, t, t + 1)
             if t + 1 < t_steps:
                 hidden_all[t + 1], uc_all[t + 1] = gate.channel_forward(mean_all[(t + 1) % slots])
     else:
-        _run_ranges(bounds, lambda lo, hi: forward_steps(lo, hi, 0, t_steps))
+        run_ranges(forward_steps, 0, t_steps)
     if not rolling:
         _check_finite(v, "lif_sequence (membrane)")
     out_step, x_shape, seq_shape = out.shape[1:], x.shape, xs.shape
@@ -440,23 +432,20 @@ def lif_sequence(
 
     def backward(g):
         g = g.reshape((t_steps,) + out_step)
-        # the gradient of the (normalized) currents, of every step when a
-        # parent reads it, else of one step at a time
-        full = needs_grad[0] or norm is not None and (needs_grad[1] or needs_grad[2])
-        gcur = np.empty(seq_shape, dtype=dtype) if full else None
+        # the gradient of the (normalized) currents of every step: a conv or
+        # linear synapse with a trainable weight reads it
+        gcur = np.empty(seq_shape, dtype=dtype)
         # step buffers: z of the surrogate slope (then the gate of both
         # branches, then the gate's share of the reset term), the carries
-        # into step t-1, the expanded pool gradient, gv (when gcur does not
-        # hold it), the spikes recast from bits and the decayed history of
-        # a gated layer; training batch norm's products reuse their block
-        # afterwards
-        rows = 3 + pooled + (not full) + (not smooth) + (gate is not None)
-        bn_products = full and norm is not None and norm.training
+        # into step t-1, the expanded pool gradient, the spikes recast from
+        # bits and the decayed history of a gated layer; training batch
+        # norm's products reuse their block afterwards
+        rows = 3 + pooled + (not smooth) + (gate is not None)
+        bn_products = norm is not None and norm.training
         work = np.empty((max(rows, t_steps) if bn_products else rows,) + step_shape, dtype=dtype)
         take = iter(work)
         z, ghist, carry_s = next(take), next(take), next(take)
         g_step = next(take) if pooled else None
-        gv_step = None if full else next(take)
         s_step = None if smooth else next(take)
         hist = None if gate is None else next(take)
         gate_grads = [np.zeros_like(w) for w in gate.weights] if gate is not None else []
@@ -475,7 +464,7 @@ def lif_sequence(
             nonlocal ds_channel
             z_r, ghist_r, carry_r = z[lo:hi], ghist[lo:hi], carry_s[lo:hi]
             g_r, v_r, s_r = g[:, lo:hi], v[:, lo:hi], s_saved[:, lo:hi]
-            gv_r = gcur[:, lo:hi] if full else gv_step[lo:hi]
+            gv_r = gcur[:, lo:hi]
             g_step_r = g_step[lo:hi] if pooled else None
             s_step_r = None if smooth else s_step[lo:hi]
             if gate is not None:
@@ -492,7 +481,7 @@ def lif_sequence(
                 if t < t_steps - 1:  # s_t also fed step t+1
                     carry_r += g_t
                     g_t = carry_r
-                gv = _surrogate_backward(g_t, v_r[t], v_th, alpha, out=gv_r[t] if full else gv_r, scratch=z_r)
+                gv = _surrogate_backward(g_t, v_r[t], v_th, alpha, out=gv_r[t], scratch=z_r)
                 if t < t_steps - 1:
                     gv += ghist_r  # the gradient of v_t through step t+1
                 if t == 0:
@@ -526,17 +515,17 @@ def lif_sequence(
 
         if each_step:
             for t in reversed(range(t_steps)):
-                _run_ranges(bounds, lambda lo, hi: backward_steps(lo, hi, t, t + 1))
+                run_ranges(backward_steps, t, t + 1)
                 if t > 0:
                     ds_channel = gate.channel_backward(duc, uc_all[t], hidden_all[t], mean_all[t], gate_grads, h * w)
         else:
-            _run_ranges(bounds, lambda lo, hi: backward_steps(lo, hi, 0, t_steps))
+            run_ranges(backward_steps, 0, t_steps)
         if spatial:  # the spatial weight and bias gradients, summed over samples
             for t in reversed(range(1, t_steps)):
                 gate_grads[0][...] += dw_all[t].sum(axis=0).reshape(1, c, 1, 1)
                 gate_grads[1][...] += dz_all[t].sum()
         grads = [gcur] if norm is None else [gcur, None, None]
-        if norm is not None and full:
+        if norm is not None:
             g4 = gcur.reshape((-1,) + step_shape[1:])
             if bn_products:
                 scratch = work[:t_steps].reshape(g4.shape)

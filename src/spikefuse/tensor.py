@@ -54,9 +54,11 @@ weight gradient has read them. Block i's per-sample weight-gradient
 products wait in slot i % threads until every earlier block's are summed,
 and are then added in sample order, so which thread computes a block, and
 how many threads there are, changes no bit. A call returns, or raises the
-first error, only once none of its pool tasks is running. The layer node
-in ``neuron`` hands the sample ranges of its time steps to the same pool
-through ``_run_blocks``, so the node starts no thread of its own.
+first error, only once none of its pool tasks is running. A call on one
+thread runs its blocks on the caller directly, with no queue. The layer
+node in ``neuron`` runs the sample ranges of its time steps through the
+same runner, ``_run_blocks``, so the node starts no thread of its own and
+its one-range calls take the same direct path.
 
 ``avgpool2d`` sums k*k strided slices into one buffer and scales it once.
 ``batchnorm`` is one graph node with a closed-form backward. ``transpose``
@@ -213,14 +215,8 @@ class Tensor:
             _raise_scalar(self)
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def backward(self) -> None:
         """Populate ``grad`` on every reachable ``requires_grad`` leaf.
@@ -869,8 +865,14 @@ class _BlockQueue:
 def _run_blocks(parts: int, n: int, work, commit=None) -> None:
     """Run ``work(part, i)`` for every block i < n on ``parts`` threads: the
     caller and ``parts - 1`` pool tasks, each with its own buffers (``part``).
-    With one part the caller runs the blocks in order and submits nothing.
+    With one part the caller runs the blocks and commits in order, directly.
     Returns or raises only when no task is still running."""
+    if parts == 1:
+        for block in range(n):
+            work(0, block)
+            if commit is not None:
+                commit(block)
+        return
     queue = _BlockQueue(n, parts, commit)
     tasks = [_conv_pool.submit(queue.run, part, work) for part in range(1, parts)]
     try:
@@ -944,35 +946,35 @@ BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
 
 
-def _bn_batch_stats(x: np.ndarray, state: BatchNormState, momentum: float, eps: float, square=None):
+def _bn_batch_stats(x: np.ndarray, state: BatchNormState, square=None):
     """Training-mode batch norm of ``x`` [N, C, H, W]: returns (xhat, std)
     with ``std`` shaped [1, C, 1, 1], and folds the batch statistics into
-    ``state`` as ``momentum * old + (1 - momentum) * batch`` (the running
-    variance takes the unbiased estimate). The squared deviations go into
-    ``square`` (shaped like ``x``) if given."""
+    ``state`` as ``BN_MOMENTUM * old + (1 - BN_MOMENTUM) * batch`` (the
+    running variance takes the unbiased estimate). The squared deviations
+    go into ``square`` (shaped like ``x``) if given."""
     c = x.shape[1]
     n = x.size // c
     m = x.mean(axis=_BN_AXES, keepdims=True)
     centered = x - m
     var = np.multiply(centered, centered, out=square).mean(axis=_BN_AXES, keepdims=True)
-    std = np.sqrt(var + x.dtype.type(eps))
+    std = np.sqrt(var + x.dtype.type(BN_EPS))
     xhat = np.divide(centered, std, out=centered)
     unbias = n / (n - 1) if n > 1 else 1.0
     # in-place so captured references (checkpointing) stay valid
-    state.mean[...] = momentum * state.mean + (1.0 - momentum) * m.reshape(c)
-    state.var[...] = momentum * state.var + (1.0 - momentum) * unbias * var.reshape(c)
+    state.mean[...] = BN_MOMENTUM * state.mean + (1.0 - BN_MOMENTUM) * m.reshape(c)
+    state.var[...] = BN_MOMENTUM * state.var + (1.0 - BN_MOMENTUM) * unbias * var.reshape(c)
     state.initialized = True
     return xhat, std
 
 
-def _bn_eval_coeffs(state: BatchNormState, gamma4: np.ndarray, beta4: np.ndarray, dtype, eps: float):
+def _bn_eval_coeffs(state: BatchNormState, gamma4: np.ndarray, beta4: np.ndarray, dtype):
     """Eval-mode batch norm as ``x * scale + shift`` from the running
     statistics: returns (mean, std, scale, shift), each [1, C, 1, 1]."""
     if not state.initialized:
         raise StateError("batchnorm: eval mode requested before any statistics exist")
     c = gamma4.shape[1]
     m = state.mean.reshape(1, c, 1, 1).astype(dtype)
-    std = np.sqrt(state.var.reshape(1, c, 1, 1).astype(dtype) + dtype.type(eps))
+    std = np.sqrt(state.var.reshape(1, c, 1, 1).astype(dtype) + dtype.type(BN_EPS))
     scale = gamma4 / std
     return m, std, scale, beta4 - m * scale
 
@@ -1006,21 +1008,13 @@ def _bn_eval_backward(g, x, m, std, scale, x_grad: bool, gamma_grad: bool, out=N
     return dx, dgamma, dbeta
 
 
-def batchnorm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    state: BatchNormState,
-    training: bool,
-    momentum: float = BN_MOMENTUM,
-    eps: float = BN_EPS,
-) -> Tensor:
+def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool) -> Tensor:
     """Per-channel normalization of a [B, C, H, W] tensor.
 
     Training mode normalizes with batch statistics over (B, H, W) and folds
-    them into ``state`` as ``momentum * old + (1 - momentum) * batch`` (the
-    running variance uses the unbiased estimate). Eval mode normalizes with
-    the stored statistics, as a per-channel ``x * scale + shift``, and
+    them into ``state`` as ``BN_MOMENTUM * old + (1 - BN_MOMENTUM) * batch``
+    (the running variance uses the unbiased estimate). Eval mode normalizes
+    with the stored statistics, as a per-channel ``x * scale + shift``, and
     raises if none were ever computed. Either way the result is one graph
     node over (x, gamma, beta). The numpy helpers it runs are shared with
     the fused layer node in ``neuron``.
@@ -1033,7 +1027,7 @@ def batchnorm(
     gamma4 = gamma.data.reshape(1, c, 1, 1)
     beta4 = beta.data.reshape(1, c, 1, 1)
     if training:
-        xhat, std = _bn_batch_stats(x.data, state, momentum, eps)
+        xhat, std = _bn_batch_stats(x.data, state)
         out_data = gamma4 * xhat
         out_data += beta4
 
@@ -1041,7 +1035,7 @@ def batchnorm(
             return _bn_train_backward(g, xhat, gamma4, std, x_grad)
 
     else:
-        m, std, scale, shift = _bn_eval_coeffs(state, gamma4, beta4, x.dtype, eps)
+        m, std, scale, shift = _bn_eval_coeffs(state, gamma4, beta4, x.dtype)
         out_data = x.data * scale
         out_data += shift
         xd = _data_for(x, gamma)

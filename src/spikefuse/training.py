@@ -20,7 +20,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +36,7 @@ from .events import (
     drop_frames,
     slice_to_frames,
 )
-from .network import SpikingNetwork, build_network, parse_architecture
+from .network import NetworkSpec, SpikingNetwork, parse_architecture
 from .neuron import LifConfig
 from .rng import Rng
 from .tensor import Tensor, no_grad, tmean, tsum
@@ -75,9 +75,8 @@ def lr_schedule(eta: float, gamma: float, epoch: int) -> float:
 class Adam:
     """Standard bias-corrected Adam over named parameter tensors."""
 
-    def __init__(self, named_params, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
+    def __init__(self, named_params):
         self.named_params = list(named_params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.named_params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.named_params}
@@ -85,19 +84,19 @@ class Adam:
     def step(self, lr: float) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - ADAM_BETA1**t
+        bc2 = 1.0 - ADAM_BETA2**t
         for name, p in self.named_params:
             if p.grad is None:
                 raise StateError(f"adam: parameter {name} has no gradient")
             g = p.grad
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for _, p in self.named_params:
@@ -134,43 +133,25 @@ class TrainConfig:
     input_width: int = 128
     master_seed: Optional[int] = None
 
-    def network_config(self) -> dict:
-        return {
-            "arch": self.arch,
-            "variant": self.variant,
-            "v_th": self.lif.v_th,
-            "kappa": self.lif.kappa,
-            "reduction": self.reduction,
-            "timesteps": self.data.timesteps,
-            "input_height": self.input_height,
-            "input_width": self.input_width,
-            "precision": self.precision,
-        }
+    @property
+    def dtype(self):
+        return np.float64 if self.precision == "f64" else np.float32
+
+    def spec(self) -> NetworkSpec:
+        """The network this config describes; raises ArchError if it is none."""
+        return parse_architecture(
+            self.arch,
+            input_shape=(2, self.input_height, self.input_width),
+            variant=self.variant,
+            lif=self.lif,
+            reduction=self.reduction,
+            timesteps=self.data.timesteps,
+        )
 
     def to_dict(self) -> dict:
-        out = {
-            "arch": self.arch,
-            "variant": self.variant,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "lr_decay": self.lr_decay,
-            "seed": self.seed,
-            "reduction": self.reduction,
-            "precision": self.precision,
-            "input_height": self.input_height,
-            "input_width": self.input_width,
-            "lif": {"v_th": self.lif.v_th, "kappa": self.lif.kappa},
-            "data": {
-                "delta_t_ms": self.data.delta_t_ms,
-                "timesteps": self.data.timesteps,
-                "train_dir": self.data.train_dir,
-                "test_dir": self.data.test_dir,
-                "binarize": self.data.binarize,
-            },
-        }
-        if self.master_seed is not None:
-            out["master_seed"] = self.master_seed
+        out = asdict(self)
+        if self.master_seed is None:
+            del out["master_seed"]
         return out
 
 
@@ -244,16 +225,8 @@ def config_from_dict(doc: dict) -> TrainConfig:
         input_width=int(doc.get("input_width", 128)),
         master_seed=doc.get("master_seed"),
     )
-    # Surface architecture problems at config time.
     try:
-        parse_architecture(
-            cfg.arch,
-            input_shape=(2, cfg.input_height, cfg.input_width),
-            variant=cfg.variant,
-            lif=cfg.lif,
-            reduction=cfg.reduction,
-            timesteps=cfg.data.timesteps,
-        )
+        cfg.spec()  # surface architecture problems at config time
     except ArchError as exc:
         raise ConfigError(str(exc), field="arch")
     return cfg
@@ -416,7 +389,7 @@ def train(
         raise ParameterError("datasets must be non-empty")
     if cfg.epochs < 1:
         raise ParameterError("epochs must be >= 1")
-    net = build_network(cfg.network_config(), seed=cfg.seed)
+    net = SpikingNetwork(cfg.spec(), seed=cfg.seed, dtype=cfg.dtype)
     classes = net.spec.classes
     if int(train_set.labels.max()) >= classes or int(test_set.labels.max()) >= classes:
         raise ParameterError(f"dataset labels exceed {classes} classes")

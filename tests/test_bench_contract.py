@@ -6,13 +6,16 @@ benchmark, not the engine's own tests. These checks import
 ``bench/tracer.py`` and install its patches, but run no workload.
 """
 
+import ast
+import importlib
 import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
-from spikefuse import harness, network, tensor
+from spikefuse import harness, network, tensor, training
+from spikefuse.events import synth_moving_bar
 from spikefuse.network import SpikingNetwork, parse_architecture
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -70,3 +73,52 @@ def test_batch_norm_layers_expose_their_state():
     states = [layer.bn_state for layer in net.layers if getattr(layer, "bn_state", None) is not None]
     assert len(states) == len(bn_layers) == 5
     assert all(hasattr(state, "initialized") for state in states)
+
+
+def workload_calls():
+    """(name, callable or None, ast.Call) for every call in
+    ``bench/workloads.py`` of a name it imports from ``spikefuse``, or of an
+    attribute of a ``spikefuse`` module it imports."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "spikefuse":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                obj = getattr(module, alias.name, None)
+                if obj is None:
+                    obj = importlib.import_module(f"{node.module}.{alias.name}")
+                imported[alias.asname or alias.name] = obj
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported and not inspect.ismodule(imported[func.id]):
+            calls.append((func.id, imported[func.id], node))
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and inspect.ismodule(imported.get(func.value.id))):
+            calls.append((f"{func.value.id}.{func.attr}", getattr(imported[func.value.id], func.attr, None), node))
+    return calls
+
+
+def test_workload_calls_bind_to_the_engine_signatures():
+    # a call that no longer binds would make the benchmark exit run_failed
+    calls = workload_calls()
+    failures = []
+    for name, fn, call in calls:
+        if fn is None:
+            failures.append(f"line {call.lineno}: {name} does not exist")
+            continue
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+            continue  # the argument count is not known without running it
+        try:
+            inspect.signature(fn).bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            failures.append(f"line {call.lineno}: {name}: {exc}")
+    assert failures == []
+    bound = {fn for _, fn, _ in calls}
+    assert {
+        training.TrainConfig, training.Adam, training.train, training.evaluate_frames,
+        network.build_network, network.save_checkpoint, harness.synth_corpus, synth_moving_bar,
+    } <= bound

@@ -334,7 +334,7 @@ class TestEventFiles:
         with pytest.raises(EventFormatError) as exc:
             read_events(path, width=width, height=width)
         assert "line 3" in str(exc.value)
-        assert exc.value.offset == 3
+        assert exc.value.offset == 27  # where line 3 starts
 
     def test_csv_largest_stored_values_accepted(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -354,7 +354,22 @@ class TestEventFiles:
         path.write_bytes(b"t_us,x,y,polarity\n10,1,2,1\n20,\xff,0,0\n")
         with pytest.raises(EventFormatError, match="not UTF-8 on line 3") as exc:
             read_events(path)
-        assert exc.value.offset == 3
+        assert exc.value.offset == 30  # the 0xff byte
+
+    def test_csv_error_after_a_record_spanning_two_lines_names_its_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b't_us,x,y,polarity\n"5\n",1,1,1\nabc,1,1,1\n')
+        with pytest.raises(EventFormatError, match="line 4") as exc:
+            read_events(path)
+        assert exc.value.offset == 29  # where line 4 starts
+
+    @pytest.mark.parametrize("bad,offset", [(b"abc,1,1,1", 27), (b"20,\xff,0,0", 30)])
+    def test_csv_errors_count_cr_line_ends(self, tmp_path, bad, offset):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"t_us,x,y,polarity\r10,1,2,1\r" + bad + b"\r")
+        with pytest.raises(EventFormatError, match="line 3") as exc:
+            read_events(path)
+        assert exc.value.offset == offset
 
     def test_evs1_with_corrupted_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.evs"
