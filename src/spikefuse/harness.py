@@ -33,6 +33,7 @@ import numpy as np
 from .atomic import atomic_open
 from .errors import ConfigError, DivergenceError, EventFormatError, ParameterError, SpikefuseError
 from .events import (
+    _LINE_END,
     BAR_DIRECTIONS,
     CorruptionSpec,
     EventStream,
@@ -41,11 +42,13 @@ from .events import (
     write_events,
 )
 from .network import (
+    PRECISIONS,
     SpikingNetwork,
     count_mult_adds,
     count_parameters,
     load_checkpoint,
     parse_architecture,
+    precision_dtype,
     save_checkpoint,
 )
 from .rng import Rng
@@ -134,46 +137,51 @@ def load_corpus(corpus_dir, geometry: Optional[Tuple[int, int]] = None) -> List[
     manifest = corpus_dir / "manifest.tsv"
     if not manifest.exists():
         raise ConfigError(f"no manifest.tsv under {corpus_dir}")
+    lines = []
+    for lineno, line in enumerate(_LINE_END.split(manifest.read_bytes()), start=1):
+        try:
+            lines.append(line.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{manifest}: line {lineno}: byte {line[exc.start]:#04x} is not UTF-8")
+    header = lines[0].split("\t")
+    for column in ("filename", "label"):
+        if column not in header:
+            raise ConfigError(f"{manifest}: line 1: header has no {column!r} column")
+    name_col, label_col = header.index("filename"), header.index("label")
     streams = []
-    with open(manifest) as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        for column in ("filename", "label"):
-            if column not in header:
-                raise ConfigError(f"{manifest}: line 1: header has no {column!r} column")
-        name_col, label_col = header.index("filename"), header.index("label")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) <= max(name_col, label_col):
-                raise ConfigError(f"{manifest}: line {lineno}: {len(parts)} fields, header has {len(header)}")
-            try:
-                label = int(parts[label_col])
-            except ValueError:
-                raise ConfigError(f"{manifest}: line {lineno}: label {parts[label_col]!r} is not an integer")
-            event_file = corpus_dir / parts[name_col]
-            if not event_file.is_file():
-                raise ConfigError(f"{manifest}: line {lineno}: no event file {parts[name_col]!r}")
-            stream = read_events(event_file, *(geometry or (None, None)))
-            if stream.label is None:
-                stream.label = label
-            elif stream.label != label:
-                raise ConfigError(f"{manifest}: line {lineno}: {parts[name_col]!r} holds "
-                                  f"label {stream.label}, the manifest says {label}")
-            found = f"{stream.width}x{stream.height}"
-            if geometry is not None and (stream.width, stream.height) != tuple(geometry):
-                raise EventFormatError(
-                    f"{manifest}: line {lineno}: {parts[name_col]!r} is {found} (width x "
-                    f"height), but the network takes {geometry[0]}x{geometry[1]}"
-                )
-            if not streams:
-                first = (parts[name_col], lineno, found)
-            elif found != first[2]:
-                raise EventFormatError(
-                    f"{manifest}: line {lineno}: {parts[name_col]!r} is {found} (width x "
-                    f"height), but {first[0]!r} on line {first[1]} is {first[2]}"
-                )
-            streams.append(stream)
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) <= max(name_col, label_col):
+            raise ConfigError(f"{manifest}: line {lineno}: {len(parts)} fields, header has {len(header)}")
+        try:
+            label = int(parts[label_col])
+        except ValueError:
+            raise ConfigError(f"{manifest}: line {lineno}: label {parts[label_col]!r} is not an integer")
+        event_file = corpus_dir / parts[name_col]
+        if not event_file.is_file():
+            raise ConfigError(f"{manifest}: line {lineno}: no event file {parts[name_col]!r}")
+        stream = read_events(event_file, *(geometry or (None, None)))
+        if stream.label is None:
+            stream.label = label
+        elif stream.label != label:
+            raise ConfigError(f"{manifest}: line {lineno}: {parts[name_col]!r} holds "
+                              f"label {stream.label}, the manifest says {label}")
+        found = f"{stream.width}x{stream.height}"
+        if geometry is not None and (stream.width, stream.height) != tuple(geometry):
+            raise EventFormatError(
+                f"{manifest}: line {lineno}: {parts[name_col]!r} is {found} (width x "
+                f"height), but the network takes {geometry[0]}x{geometry[1]}"
+            )
+        if not streams:
+            first = (parts[name_col], lineno, found)
+        elif found != first[2]:
+            raise EventFormatError(
+                f"{manifest}: line {lineno}: {parts[name_col]!r} is {found} (width x "
+                f"height), but {first[0]!r} on line {first[1]} is {first[2]}"
+            )
+        streams.append(stream)
     return streams
 
 
@@ -183,7 +191,8 @@ def _load_dataset(cfg: TrainConfig, which: str) -> LabeledFrames:
         raise ConfigError("missing corpus directory", field=f"data.{which}")
     streams = load_corpus(directory, (cfg.input_width, cfg.input_height))
     return frames_from_streams(
-        streams, cfg.data.delta_t_ms, cfg.data.timesteps, binarize=cfg.data.binarize, dtype=cfg.dtype
+        streams, cfg.data.delta_t_ms, cfg.data.timesteps, binarize=cfg.data.binarize,
+        dtype=precision_dtype(cfg.precision),
     )
 
 
@@ -584,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--force", action="store_true", help="overwrite existing run dirs")
-    common.add_argument("--precision", choices=["f32", "f64"], default=None)
+    common.add_argument("--precision", choices=list(PRECISIONS), default=None)
     common.add_argument("--seed", dest="seed_override", type=int, default=None,
                         help="override the config seed")
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .attention import AttentionVariant, init_attention_params
-from .errors import ArchError, CheckpointError, ShapeError, SpikefuseError, StateError
+from .errors import ArchError, CheckpointError, ConfigError, ParameterError, ShapeError, SpikefuseError, StateError
 from .neuron import BatchNorm, LifConfig, lif_sequence
 from .rng import Rng
 from .tensor import (
@@ -64,6 +64,17 @@ _FC_RE = re.compile(r"^(\d+)FC$")
 _VOTE_RE = re.compile(r"^VotingC(\d+)P(\d+)$")
 
 DROPOUT_RATE = 0.5
+
+# Each precision by name, with the little-endian dtype a checkpoint stores
+# it in; a checkpoint's u8 precision flag is the name's index here.
+PRECISIONS = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+
+
+def precision_dtype(name):
+    """The scalar type of precision ``name``; ConfigError if it has none."""
+    if not isinstance(name, str) or name not in PRECISIONS:
+        raise ConfigError(f"must be {' or '.join(PRECISIONS)}, got {name!r}", field="precision")
+    return PRECISIONS[name].type
 
 
 @dataclass
@@ -470,6 +481,9 @@ class SpikingNetwork:
         self.spec = spec
         self.seed = int(seed)
         self.dtype = np.dtype(dtype).type
+        self.precision = next((name for name, d in PRECISIONS.items() if d.type == self.dtype), None)
+        if self.precision is None:
+            raise ParameterError(f"network dtype {np.dtype(dtype)} is none of the precisions {', '.join(PRECISIONS)}")
         self.smooth = smooth
         self._hidden: Optional[np.ndarray] = None
 
@@ -577,7 +591,7 @@ class SpikingNetwork:
             "timesteps": self.spec.timesteps,
             "input_height": self.spec.input_shape[1],
             "input_width": self.spec.input_shape[2],
-            "precision": "f64" if self.dtype == np.float64 else "f32",
+            "precision": self.precision,
         }
 
 
@@ -591,7 +605,7 @@ def build_network(config: dict, seed: int = 0, smooth: bool = False) -> SpikingN
         reduction=int(config["reduction"]),
         timesteps=int(config["timesteps"]),
     )
-    dtype = np.float64 if config.get("precision", "f32") == "f64" else np.float32
+    dtype = precision_dtype(config.get("precision", "f32"))
     return SpikingNetwork(spec, seed=seed, dtype=dtype, smooth=smooth)
 
 
@@ -622,7 +636,7 @@ def save_checkpoint(path, net: SpikingNetwork, extra_config: Optional[dict] = No
     """Flat binary checkpoint plus a human-readable manifest.
 
     Layout: magic "SNN1", u32 config length, config JSON (the network config
-    merged with ``extra_config``), u8 precision flag (0=f32, 1=f64), u32
+    merged with ``extra_config``), u8 precision flag (index in ``PRECISIONS``), u32
     tensor count, then per tensor u8 ndim + u32 extents + raw little-endian
     data, in registration order (trainables first, then buffers). The
     manifest at ``<stem>.manifest.tsv`` lists name, shape and byte offset.
@@ -632,8 +646,7 @@ def save_checkpoint(path, net: SpikingNetwork, extra_config: Optional[dict] = No
     if extra_config:
         config.update(extra_config)
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    precision = 1 if net.dtype == np.float64 else 0
-    store_dtype = np.dtype("<f8") if precision else np.dtype("<f4")
+    store_dtype = PRECISIONS[net.precision]
     entries = _checkpoint_entries(net)
 
     manifest_rows = []
@@ -641,7 +654,7 @@ def save_checkpoint(path, net: SpikingNetwork, extra_config: Optional[dict] = No
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(struct.pack("<BI", precision, len(entries)))
+        fh.write(struct.pack("<BI", list(PRECISIONS).index(net.precision), len(entries)))
         for name, arr in entries:
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
@@ -699,11 +712,11 @@ def load_checkpoint(path, smooth: bool = False):
             raise CheckpointError(
                 f"{path}: config key {key!r} is {type(config[key]).__name__}, expected {expected}"
             )
-    precision, count = unpack("<BI", "precision flag and tensor count")
-    if precision not in (0, 1):
-        raise CheckpointError(f"{path}: bad precision flag {precision} at byte offset {pos - 5}")
-    store_dtype = np.dtype("<f8") if precision else np.dtype("<f4")
-    config["precision"] = "f64" if precision else "f32"
+    flag, count = unpack("<BI", "precision flag and tensor count")
+    if flag >= len(PRECISIONS):
+        raise CheckpointError(f"{path}: bad precision flag {flag} at byte offset {pos - 5}")
+    config["precision"] = list(PRECISIONS)[flag]
+    store_dtype = PRECISIONS[config["precision"]]
 
     try:
         net = build_network(config, seed=0, smooth=smooth)

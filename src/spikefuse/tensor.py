@@ -50,15 +50,17 @@ deschedules holds up at most the block it is on. Each thread has its own
 patch and col2im buffers, allocated per call on the calling thread (a
 buffer a pool thread allocated would stay in that thread's malloc arena);
 in the backward a block's patch gradients overwrite its patches once the
-weight gradient has read them. Block i's per-sample weight-gradient
-products wait in slot i % threads until every earlier block's are summed,
-and are then added in sample order, so which thread computes a block, and
-how many threads there are, changes no bit. A call returns, or raises the
-first error, only once none of its pool tasks is running. A call on one
-thread runs its blocks on the caller directly, with no queue. The layer
-node in ``neuron`` runs the sample ranges of its time steps through the
-same runner, ``_run_blocks``, so the node starts no thread of its own and
-its one-range calls take the same direct path.
+weight gradient has read them. The runner, ``_run_blocks``, only hands
+out independent blocks, and ordered sums run on the caller, as in the
+layer node: the backward goes in rounds of one block a thread, and after
+each round the caller adds the round's per-sample weight-gradient products
+in sample order. So which thread computes a block, and how many threads
+there are, changes no bit. A call returns, or raises the first error, only
+once none of its pool tasks is running. A call on one thread runs its
+blocks on the caller directly, with no queue. The layer node in ``neuron``
+runs the sample ranges of its time steps through the same runner, so the
+node starts no thread of its own and its one-range calls take the same
+direct path.
 
 ``avgpool2d`` sums k*k strided slices into one buffer and scales it once.
 ``batchnorm`` is one graph node with a closed-form backward. ``transpose``
@@ -734,9 +736,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
         dw = dx = None
         if xd is not None:
             dw = np.zeros((cout, cin * kk), dtype=w_dtype)
-            # block i's per-sample products wait in slot i % parts until
-            # every earlier block's are summed
+            # block i's per-sample products, in slot i % parts of its round
             dw_parts = np.empty((parts, blk, cout, cin * kk), dtype=np.result_type(g, xd))
+            dw_samples = dw_parts.reshape(parts * blk, cout, cin * kk)
             gathers = [_im2col(xd, k, stride, padding, h_out, w_out, blk) for _ in range(parts)]
         if w_t is not None:
             dx = np.empty(x_shape, dtype=x_dtype)
@@ -770,12 +772,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
                     acc[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dpatches[:, :, i, j]
             dx[lo:hi] = acc[:, :, padding : padding + h, padding : padding + w]
 
-        def sum_block(block):
-            # per-sample products summed in sample order, whatever the block
-            for sample in dw_parts[block % parts, : min(blk, b - block * blk)]:
-                np.add(dw, sample, out=dw)
-
-        _run_blocks(parts, n_blocks, backward_block, None if dw is None else sum_block)
+        # rounds of one block a thread; the caller then adds the round's
+        # per-sample products in sample order, whatever the block
+        for first in range(0, n_blocks, parts):
+            m = min(parts, n_blocks - first)
+            _run_blocks(m, m, lambda part, i: backward_block(part, first + i))
+            if dw is not None:
+                for sample in dw_samples[: min(b, (first + m) * blk) - first * blk]:
+                    np.add(dw, sample, out=dw)
         return (
             dx,
             None if dw is None else dw.reshape(w_shape),
@@ -813,70 +817,33 @@ def _im2col(xd, k, stride, padding, h_out, w_out, blk):
     return gather
 
 
-class _BlockQueue:
-    """Hands out the blocks of one call, one at a time, to whichever of its
-    ``parts`` threads asks first. With ``commit``, ``commit(i)`` runs once
-    per block in block order, as soon as blocks 0..i are done, and block i
-    is handed out only after block i - parts is committed (the two share a
-    buffer)."""
-
-    def __init__(self, n: int, parts: int, commit=None):
-        self.n, self.commit = n, commit
-        self.window = parts if commit is not None else n
-        self.next = self.committed = 0
-        self.done = set()
-        self.failed = False
-        self.cond = threading.Condition()
-
-    def run(self, part: int, work) -> None:
-        """Call ``work(part, i)`` for blocks i until none is left or a
-        thread has failed."""
-        try:
-            while (block := self._claim()) is not None:
-                work(part, block)
-                if self.commit is not None:
-                    self._finish(block)
-        except BaseException:
-            with self.cond:
-                self.failed = True
-                self.cond.notify_all()
-            raise
-
-    def _claim(self):
-        with self.cond:
-            self.cond.wait_for(
-                lambda: self.failed or self.next >= self.n or self.next < self.committed + self.window
-            )
-            if self.failed or self.next >= self.n:
-                return None
-            self.next += 1
-            return self.next - 1
-
-    def _finish(self, block: int) -> None:
-        with self.cond:
-            self.done.add(block)
-            while self.committed in self.done:
-                self.done.remove(self.committed)
-                self.commit(self.committed)
-                self.committed += 1
-            self.cond.notify_all()
-
-
-def _run_blocks(parts: int, n: int, work, commit=None) -> None:
+def _run_blocks(parts: int, n: int, work) -> None:
     """Run ``work(part, i)`` for every block i < n on ``parts`` threads: the
     caller and ``parts - 1`` pool tasks, each with its own buffers (``part``).
-    With one part the caller runs the blocks and commits in order, directly.
+    Each thread claims the next block when it is free and stops once any
+    thread has failed; with one part the caller runs the blocks directly.
     Returns or raises only when no task is still running."""
     if parts == 1:
         for block in range(n):
             work(0, block)
-            if commit is not None:
-                commit(block)
         return
-    queue = _BlockQueue(n, parts, commit)
-    tasks = [_conv_pool.submit(queue.run, part, work) for part in range(1, parts)]
+    blocks, lock, failed = iter(range(n)), threading.Lock(), threading.Event()
+
+    def run(part):
+        try:
+            while True:
+                with lock:
+                    block = None if failed.is_set() else next(blocks, None)
+                if block is None:
+                    return
+                work(part, block)
+        except BaseException:
+            failed.set()
+            raise
+
+    tasks = [_conv_pool.submit(run, part) for part in range(1, parts)]
     try:
-        queue.run(0, work)
+        run(0)
     finally:
         # a task that has not started would find no block left
         for task in tasks:

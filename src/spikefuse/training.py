@@ -36,7 +36,7 @@ from .events import (
     drop_frames,
     slice_to_frames,
 )
-from .network import NetworkSpec, SpikingNetwork, parse_architecture
+from .network import NetworkSpec, SpikingNetwork, parse_architecture, precision_dtype
 from .neuron import LifConfig
 from .rng import Rng
 from .tensor import Tensor, no_grad, tmean, tsum
@@ -133,10 +133,6 @@ class TrainConfig:
     input_width: int = 128
     master_seed: Optional[int] = None
 
-    @property
-    def dtype(self):
-        return np.float64 if self.precision == "f64" else np.float32
-
     def spec(self) -> NetworkSpec:
         """The network this config describes; raises ArchError if it is none."""
         return parse_architecture(
@@ -177,8 +173,7 @@ def config_from_dict(doc: dict) -> TrainConfig:
     if variant not in ("bl", "stfa", "ctfa", "sctfa"):
         raise ConfigError(f"unknown variant {variant!r}", field="variant")
     precision = doc.get("precision", "f32")
-    if precision not in ("f32", "f64"):
-        raise ConfigError(f"precision must be f32 or f64, got {precision!r}", field="precision")
+    precision_dtype(precision)
     epochs = _require(doc, "epochs", int, "")
     if epochs < 1:
         raise ConfigError("epochs must be >= 1", field="epochs")
@@ -389,7 +384,7 @@ def train(
         raise ParameterError("datasets must be non-empty")
     if cfg.epochs < 1:
         raise ParameterError("epochs must be >= 1")
-    net = SpikingNetwork(cfg.spec(), seed=cfg.seed, dtype=cfg.dtype)
+    net = SpikingNetwork(cfg.spec(), seed=cfg.seed, dtype=precision_dtype(cfg.precision))
     classes = net.spec.classes
     if int(train_set.labels.max()) >= classes or int(test_set.labels.max()) >= classes:
         raise ParameterError(f"dataset labels exceed {classes} classes")

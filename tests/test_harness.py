@@ -109,6 +109,16 @@ class TestSynth:
             load_corpus(tmp_path / "c")
         assert str(info.value) == f"{manifest}: {message}"
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_manifest_byte_that_is_not_utf8_names_the_line(self, tmp_path, end):
+        synth_corpus(tmp_path / "c", 1, 1, 16, 16, 500.0, 2.0, seed=4)
+        manifest = tmp_path / "c" / "manifest.tsv"
+        header, row = manifest.read_bytes().splitlines()
+        manifest.write_bytes(header + end + row + end + b"caf\xe9.evs\t0" + end)
+        with pytest.raises(ConfigError) as info:
+            load_corpus(tmp_path / "c")
+        assert str(info.value) == f"{manifest}: line 3: byte 0xe9 is not UTF-8"
+
     def test_mixed_geometry_raises_event_format_error(self, tmp_path):
         synth_corpus(tmp_path / "c", 2, 1, 16, 16, 500.0, 2.0, seed=4)
         write_events(tmp_path / "c" / "small.evs",

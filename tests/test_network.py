@@ -8,12 +8,14 @@ import struct
 import numpy as np
 import pytest
 
-from spikefuse.errors import ArchError, CheckpointError, ShapeError, StateError
+from spikefuse.errors import ArchError, CheckpointError, ConfigError, ParameterError, ShapeError, StateError
 from spikefuse.network import (
+    PRECISIONS,
     ConvStage,
     DenseStage,
     SpikingNetwork,
     VotingStage,
+    build_network,
     count_mult_adds,
     count_parameters,
     load_checkpoint,
@@ -385,6 +387,30 @@ class TestCheckpoint:
         assert loaded.dtype == np.float64
         for (_, a), (_, b) in zip(net.named_parameters(), loaded.named_parameters()):
             assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("precision", sorted(PRECISIONS))
+    def test_precision_flag_is_the_index_of_its_name(self, tmp_path, precision):
+        net = build_network(dict(SpikingNetwork(tiny_spec("bl"), seed=14).config_dict(), precision=precision))
+        assert net.dtype is PRECISIONS[precision].type
+        assert net.config_dict()["precision"] == precision
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, net)
+        raw = path.read_bytes()
+        assert raw[8 + int.from_bytes(raw[4:8], "little")] == list(PRECISIONS).index(precision)
+        loaded, config = load_checkpoint(path)
+        assert config["precision"] == precision and loaded.dtype == net.dtype
+
+    @pytest.mark.parametrize("precision", ["f16", "F64", 64, None])
+    def test_unknown_precision_names_the_key(self, precision):
+        config = dict(SpikingNetwork(tiny_spec("bl"), seed=14).config_dict(), precision=precision)
+        with pytest.raises(ConfigError) as info:
+            build_network(config)
+        assert info.value.field == "precision"
+        assert str(info.value) == f"precision: must be f32 or f64, got {precision!r}"
+
+    def test_dtype_of_no_precision_raises(self):
+        with pytest.raises(ParameterError, match="float16"):
+            SpikingNetwork(tiny_spec("bl"), seed=14, dtype=np.float16)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_raises_checkpoint_error(self, tmp_path, value):

@@ -1,7 +1,7 @@
-"""The file readers fail closed: a valid EVS1, CSV or SNN1 file with bytes
-flipped and its tail cut either parses or raises a ``SpikefuseError``
-subclass, never a raw ``ValueError``, ``struct.error`` or
-``UnicodeDecodeError``. The example budgets are fixed and derandomized, so
+"""The file readers fail closed: a valid EVS1, CSV or SNN1 file, or a
+corpus manifest, with bytes flipped and its tail cut either parses or raises
+a ``SpikefuseError`` subclass, never a raw ``ValueError``, ``struct.error``
+or ``UnicodeDecodeError``. The example budgets are fixed and derandomized, so
 every run feeds the same inputs."""
 
 import numpy as np
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from spikefuse.errors import SpikefuseError
 from spikefuse.events import EventStream, read_events, write_events
+from spikefuse.harness import load_corpus
 from spikefuse.network import SpikingNetwork, load_checkpoint, parse_architecture, save_checkpoint
 from spikefuse.neuron import LifConfig
 from spikefuse.rng import Rng
@@ -50,7 +51,8 @@ def valid_stream():
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """A valid EVS1, CSV and SNN1 file's bytes, and a path to write inputs to."""
+    """A valid EVS1, CSV and SNN1 file's bytes, a two-stream corpus's
+    manifest bytes, and paths to write inputs and manifests to."""
     root = tmp_path_factory.mktemp("fuzz")
     stream = valid_stream()
     write_events(root / "valid.evs", stream)
@@ -58,11 +60,17 @@ def files(tmp_path_factory):
     spec = parse_architecture("Input-4C3-BN-AP2-VotingC2P2-AP", input_shape=(2, 4, 4), variant="sctfa",
                               lif=LifConfig(v_th=1.0, kappa=0.7), reduction=2, timesteps=2)
     save_checkpoint(root / "valid.snn", SpikingNetwork(spec, seed=1))
+    corpus = root / "corpus"
+    corpus.mkdir()
+    write_events(corpus / "a.evs", stream)
+    (corpus / "b.csv").write_bytes(("t_us,x,y,polarity\n" + rows).encode("ascii"))
     return {
         "evs": (root / "valid.evs").read_bytes(),
         "csv": ("t_us,x,y,polarity\n" + rows).encode("ascii"),
         "snn": (root / "valid.snn").read_bytes(),
         "input": root / "input",
+        "manifest": b"filename\tlabel\na.evs\t2\nb.csv\t1\n",
+        "corpus_manifest": corpus / "manifest.tsv",
     }
 
 
@@ -70,6 +78,8 @@ def test_valid_files_parse(files):
     for kind, read in (("evs", read_events), ("csv", read_events), ("snn", load_checkpoint)):
         files["input"].write_bytes(files[kind])
         read(files["input"])
+    files["corpus_manifest"].write_bytes(files["manifest"])
+    assert [s.label for s in load_corpus(files["corpus_manifest"].parent)] == [2, 1]
 
 
 @FUZZ
@@ -88,3 +98,10 @@ def test_csv_fails_closed(files, data):
 @given(data=st.data())
 def test_snn1_fails_closed(files, data):
     parses_or_fails_closed(load_checkpoint, files["input"], data.draw(damage(files["snn"])))
+
+
+@FUZZ
+@given(data=st.data())
+def test_manifest_fails_closed(files, data):
+    parses_or_fails_closed(lambda path: load_corpus(path.parent), files["corpus_manifest"],
+                           data.draw(damage(files["manifest"])))

@@ -265,7 +265,56 @@ class TestConv2dBackward:
         monkeypatch.setattr(tensor_module, "_im2col", im2col)
         assert conv2d(Tensor(x), Tensor(w), None, 1, 1).data.tobytes() == serial.tobytes()
 
-    def test_blocks_commit_in_order_and_no_task_outlives_the_call(self, conv_workers):
+    @pytest.mark.parametrize("failing", [0, 1, 4])
+    def test_failing_backward_block_raises_after_every_part_ends(self, monkeypatch, conv_workers, failing):
+        import threading
+        import time
+
+        import spikefuse.tensor as tensor_module
+
+        x, w, g = rand((6, 2, 6, 6), 57), rand((3, 2, 3, 3), 58), rand((6, 3, 6, 6), 59)
+        monkeypatch.setattr(tensor_module, "_CONV_BLOCK_BYTES", 1)  # one sample per block
+
+        def conv():
+            return conv2d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True), None, 1, 1)
+
+        conv_workers(1)
+        serial = [grad.tobytes() for grad in conv()._backward_fn(g)[:2]]
+        # three threads and six blocks: the backward runs two rounds
+        conv_workers(3)
+        out = conv()
+        in_flight, threads = set(), set()
+        im2col = tensor_module._im2col
+
+        def slow_im2col(*args):
+            gather = im2col(*args)
+
+            def slow_gather(lo, hi):
+                in_flight.add(lo)
+                threads.add(threading.get_ident())
+                try:
+                    if lo == failing:
+                        # fail while another block of the round is running
+                        deadline = time.monotonic() + 5
+                        while in_flight == {lo} and time.monotonic() < deadline:
+                            time.sleep(0.001)
+                        raise RuntimeError(f"block {lo} failed")
+                    time.sleep(0.02)
+                    return gather(lo, hi)
+                finally:
+                    in_flight.discard(lo)
+
+            return slow_gather
+
+        monkeypatch.setattr(tensor_module, "_im2col", slow_im2col)
+        with pytest.raises(RuntimeError, match=f"block {failing} failed"):
+            out._backward_fn(g)
+        assert in_flight == set()
+        assert len(threads) > 1
+        monkeypatch.setattr(tensor_module, "_im2col", im2col)
+        assert [grad.tobytes() for grad in out._backward_fn(g)[:2]] == serial
+
+    def test_every_block_runs_once_and_no_task_outlives_the_call(self, conv_workers):
         import sys
         import threading
         import time
@@ -276,28 +325,21 @@ class TestConv2dBackward:
         parts, n = 5, 300
         conv_workers(parts)
         lock = threading.Lock()
-        slots, done, committed, in_flight = [None] * parts, [0] * n, [], [0]
+        done, in_flight = [0] * n, [0]
 
         def work(part, block):
             with lock:
                 in_flight[0] += 1
-            # the slot's last block was committed before this one overwrites it
-            assert block - parts < len(committed)
-            slots[block % parts] = block
-            # early blocks of each round finish last, as on a descheduled thread
+            # some blocks finish late, as on a descheduled thread
             time.sleep(0.001 if block % 7 == 0 else 0)
             with lock:
                 done[block] += 1
                 in_flight[0] -= 1
 
-        def commit(block):
-            assert done[block] == 1 and slots[block % parts] == block
-            committed.append(block)
-
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runner = threading.Thread(target=tensor_module._run_blocks, args=(parts, n, work, commit))
+            runner = threading.Thread(target=tensor_module._run_blocks, args=(parts, n, work))
             runner.start()
             runner.join(timeout=60)
         finally:
@@ -305,7 +347,6 @@ class TestConv2dBackward:
         assert not runner.is_alive()
         assert in_flight == [0]
         assert done == [1] * n
-        assert committed == list(range(n))
 
     @pytest.mark.parametrize("k,stride,padding", [(1, 1, 0), (5, 2, 2)])
     def test_input_without_grad_gets_no_dx(self, k, stride, padding):

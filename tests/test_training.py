@@ -218,6 +218,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("precision", ["f16", "F64", 64, ["f32"]])
+    def test_bad_precision_names_field(self, precision):
+        doc = self.doc()
+        doc["precision"] = precision
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(doc)
+        assert exc.value.field == "precision"
+
     def test_arch_validated_at_config_time(self):
         doc = self.doc()
         doc["arch"] = "Input-3C3-AP2"
