@@ -159,6 +159,8 @@ def load_corpus(corpus_dir, geometry: Optional[Tuple[int, int]] = None) -> List[
             label = int(parts[label_col])
         except ValueError:
             raise ConfigError(f"{manifest}: line {lineno}: label {parts[label_col]!r} is not an integer")
+        if label < 0:
+            raise ConfigError(f"{manifest}: line {lineno}: label {label} is negative")
         event_file = corpus_dir / parts[name_col]
         if not event_file.is_file():
             raise ConfigError(f"{manifest}: line {lineno}: no event file {parts[name_col]!r}")
@@ -182,6 +184,8 @@ def load_corpus(corpus_dir, geometry: Optional[Tuple[int, int]] = None) -> List[
                 f"height), but {first[0]!r} on line {first[1]} is {first[2]}"
             )
         streams.append(stream)
+    if not streams:
+        raise ConfigError(f"{manifest}: lists no event file")
     return streams
 
 
@@ -254,24 +258,26 @@ class ReportRow:
     status: str
 
 
+def _run_summary(record_path: Path) -> dict:
+    """The summary dict of a persisted run_record.json. A run that stopped
+    short of its configured epochs counts as diverged."""
+    doc = json.loads(record_path.read_text())
+    cfg = doc["config"]
+    complete = len(doc["per_epoch"]) == cfg["epochs"]
+    return {
+        "variant": cfg["variant"],
+        "kappa": cfg["lif"]["kappa"],
+        "seed": cfg["seed"],
+        "best_acc": doc["best_acc"],
+        "status": "complete" if complete else "diverged",
+        "run_dir": str(record_path.parent),
+    }
+
+
 def summaries_from_run_dirs(out_dir) -> List[dict]:
     """Rebuild per-run summary dicts from persisted run_record.json files,
-    so any table can be regenerated from disk alone. A run that stopped
-    short of its configured epochs counts as diverged."""
-    out = []
-    for record_path in sorted(Path(out_dir).glob("run_*/run_record.json")):
-        doc = json.loads(record_path.read_text())
-        cfg = doc["config"]
-        complete = len(doc["per_epoch"]) == cfg["epochs"]
-        out.append({
-            "variant": cfg["variant"],
-            "kappa": cfg["lif"]["kappa"],
-            "seed": cfg["seed"],
-            "best_acc": doc["best_acc"],
-            "status": "complete" if complete else "diverged",
-            "run_dir": str(record_path.parent),
-        })
-    return out
+    so any table can be regenerated from disk alone."""
+    return [_run_summary(path) for path in sorted(Path(out_dir).glob("run_*/run_record.json"))]
 
 
 def aggregate_records(records: Sequence[dict], group_key) -> List[ReportRow]:
@@ -321,19 +327,18 @@ def _write_table(path: Path, rows: List[ReportRow], group_cols: List[str], extra
 
 
 def run_training(cfg: TrainConfig, run_dir: Path, force: bool = False) -> dict:
-    """Train one config into ``run_dir``; returns the record summary dict."""
+    """Train one config into ``run_dir``; returns the summary dict of the
+    record it wrote, as ``summaries_from_run_dirs`` reads it."""
     record_path = run_dir / "run_record.json"
     if record_path.exists() and not force:
         raise ConfigError(f"{run_dir} already contains a run; pass --force to overwrite")
     run_dir.mkdir(parents=True, exist_ok=True)
     train_set = _load_dataset(cfg, "train_dir")
     test_set = _load_dataset(cfg, "test_dir")
-    status = "complete"
     try:
         record, net = train(cfg, train_set, test_set)
     except DivergenceError as exc:
         record, net = exc.record, None
-        status = "diverged"
     # every file is renamed into place whole, and the record goes last: a
     # run killed before it is never counted by summaries_from_run_dirs
     with atomic_open(run_dir / "timing.json", "w") as fh:
@@ -350,14 +355,7 @@ def run_training(cfg: TrainConfig, run_dir: Path, force: bool = False) -> dict:
         )
     with atomic_open(record_path, "w") as fh:
         fh.write(record.to_json() + "\n")
-    return {
-        "variant": cfg.variant,
-        "kappa": cfg.lif.kappa,
-        "seed": cfg.seed,
-        "best_acc": record.best_acc,
-        "status": status,
-        "run_dir": str(run_dir),
-    }
+    return _run_summary(record_path)
 
 
 def run_plan(plan: ExperimentPlan, out_dir: Path, threads: int = 1, force: bool = False):
@@ -508,9 +506,14 @@ def _corruption_specs(args) -> List[CorruptionSpec]:
 
 def _load_run(args):
     """The checkpoint's network, its corpus streams, and the slicing the
-    run trained with: (net, streams, delta_t_ms, timesteps, binarize)."""
+    run trained with: (net, streams, delta_t_ms, timesteps, binarize). A
+    corpus label the network has no class for fails before any forward."""
     net, config = load_checkpoint(args.checkpoint)
     streams = load_corpus(args.data, (int(config["input_width"]), int(config["input_height"])))
+    top = max(stream.label for stream in streams)
+    if top >= net.spec.classes:
+        raise ConfigError(f"{Path(args.data) / 'manifest.tsv'}: label {top} is past the "
+                          f"{net.spec.classes} classes of {args.checkpoint}")
     return (net, streams, float(config.get("delta_t_ms", 100.0)), int(config["timesteps"]),
             bool(config.get("binarize", False)))
 

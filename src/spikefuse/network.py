@@ -411,7 +411,8 @@ class _SpikingLayer:
             pool=self.pool, keep_membrane=trace,
         )
         if trace:
-            ctx.hidden_trace = np.ascontiguousarray(v.swapaxes(0, 1))  # [B, T, C, H, W]
+            ctx.hidden_trace = v.swapaxes(0, 1)  # [B, T, C, H, W]
+            ctx.hidden_trace.flags.writeable = False
         if self.groups is None:
             return spikes
         m, p = self.groups
@@ -455,9 +456,12 @@ class _DropoutLayer(_NoParameters):
 
 @dataclass
 class VoteOutput:
-    """Per-step class scores o[b, m, t] = mean spike of class m's group."""
+    """Per-step class scores o[b, m, t] = mean spike of class m's group; with
+    ``record_hidden``, ``hidden`` is the last conv layer's membrane [B, T, C, H, W],
+    a read-only view of the array the layer's backward reads (else None)."""
 
     o: Tensor
+    hidden: Optional[np.ndarray] = None
 
     def scores(self) -> Tensor:
         """Time-mean vote vector [B, M]; the loss target."""
@@ -485,7 +489,6 @@ class SpikingNetwork:
         if self.precision is None:
             raise ParameterError(f"network dtype {np.dtype(dtype)} is none of the precisions {', '.join(PRECISIONS)}")
         self.smooth = smooth
-        self._hidden: Optional[np.ndarray] = None
 
         rng = Rng(self.seed).split("init")
         self.layers = []
@@ -528,10 +531,6 @@ class SpikingNetwork:
         for p in self.parameters():
             p.zero_grad()
 
-    def reset_states(self):
-        """Forget the hidden trajectory of the last forward."""
-        self._hidden = None
-
     def forward(
         self,
         frames,
@@ -544,6 +543,7 @@ class SpikingNetwork:
         The first timestep updates every layer with the plain LIF rule; from
         the second step each convolutional layer is gated by the attention
         tensor of its own previous-step spikes (non-baseline variants).
+        ``record_hidden`` returns the last conv layer's membrane as ``hidden``.
         """
         data = frames.data if isinstance(frames, Tensor) else np.asarray(frames)
         if data.ndim != 5:
@@ -558,7 +558,6 @@ class SpikingNetwork:
             raise ShapeError(
                 f"forward: expected input {self.spec.input_shape}, got {tuple(data.shape[2:])}"
             )
-        self.reset_states()
         flat = np.ascontiguousarray(data.transpose(1, 0, 2, 3, 4)).reshape(
             t_steps * b, *self.spec.input_shape
         )
@@ -571,15 +570,7 @@ class SpikingNetwork:
         )
         for layer in self.layers:
             x = layer.forward_sequence(x, t_steps, b, ctx)
-        self._hidden = ctx.hidden_trace
-        return VoteOutput(o=x)
-
-    def hidden_activation(self) -> np.ndarray:
-        """Last conv layer's membrane trajectory [B, T, C, H, W] recorded by
-        the most recent forward(record_hidden=True)."""
-        if self._hidden is None:
-            raise StateError("no hidden trajectory: run forward(record_hidden=True) first")
-        return self._hidden
+        return VoteOutput(o=x, hidden=ctx.hidden_trace)
 
     def config_dict(self) -> dict:
         return {
@@ -595,7 +586,7 @@ class SpikingNetwork:
         }
 
 
-def build_network(config: dict, seed: int = 0, smooth: bool = False) -> SpikingNetwork:
+def build_network(config: dict, seed: int = 0) -> SpikingNetwork:
     """Instantiate a network from the flat config dict ``config_dict`` emits."""
     spec = parse_architecture(
         config["arch"],
@@ -606,7 +597,7 @@ def build_network(config: dict, seed: int = 0, smooth: bool = False) -> SpikingN
         timesteps=int(config["timesteps"]),
     )
     dtype = precision_dtype(config.get("precision", "f32"))
-    return SpikingNetwork(spec, seed=seed, dtype=dtype, smooth=smooth)
+    return SpikingNetwork(spec, seed=seed, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +658,7 @@ def save_checkpoint(path, net: SpikingNetwork, extra_config: Optional[dict] = No
             fh.write(f"{name}\t{'x'.join(map(str, shape))}\t{offset}\n")
 
 
-def load_checkpoint(path, smooth: bool = False):
+def load_checkpoint(path):
     """Rebuild the network a checkpoint describes and load its tensors.
 
     Returns (network, config). Batch-norm statistics restored from a
@@ -719,7 +710,7 @@ def load_checkpoint(path, smooth: bool = False):
     store_dtype = PRECISIONS[config["precision"]]
 
     try:
-        net = build_network(config, seed=0, smooth=smooth)
+        net = build_network(config, seed=0)
     except SpikefuseError as exc:
         raise CheckpointError(f"{path}: config does not describe a network: {exc}") from exc
     entries = _checkpoint_entries(net)

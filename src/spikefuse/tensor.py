@@ -493,9 +493,11 @@ def _fire(v: np.ndarray, v_th: float, alpha: float, smooth: bool, out=None) -> n
     Heaviside step, or with ``smooth`` the arctan curve ``atan(z)/pi + 1/2``
     in (0, 1)."""
     if smooth:
-        a = np.arctan(_surrogate_z(v, v_th, alpha))
+        a = _surrogate_z(v, v_th, alpha, out=out)
+        np.arctan(a, out=a)
         a /= math.pi
-        return np.add(a, 0.5, out=out)
+        a += 0.5
+        return a
     return np.greater_equal(v, v_th, out=np.empty_like(v) if out is None else out)
 
 
@@ -868,12 +870,11 @@ def _avgpool(x: np.ndarray, k: int, out=None) -> np.ndarray:
 
 def _avgpool_backward(g: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     """The gradient of ``_avgpool`` for output gradient ``g``, into ``out``:
-    every element of a window gets its g / (k*k), written by the forward's
-    k*k strided slices."""
-    share = g / (k * k)
+    every element of a window gets its g / (k*k), divided straight into the
+    forward's k*k strided slices."""
     for i in range(k):
         for j in range(k):
-            out[..., i::k, j::k] = share
+            np.divide(g, k * k, out=out[..., i::k, j::k])
     return out
 
 

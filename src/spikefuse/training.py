@@ -328,11 +328,6 @@ def confusion_matrix(predictions: np.ndarray, labels: np.ndarray, classes: int) 
 # training and evaluation
 
 
-def _batches(n: int, batch_size: int, order: np.ndarray):
-    for lo in range(0, n, batch_size):
-        yield order[lo : lo + batch_size]
-
-
 def evaluate_frames(
     net: SpikingNetwork,
     dataset: LabeledFrames,
@@ -341,8 +336,9 @@ def evaluate_frames(
     hidden_reference: Optional[np.ndarray] = None,
 ) -> Tuple[float, np.ndarray, Optional[np.ndarray]]:
     """Top-1 accuracy and confusion matrix, plus one optional product of the
-    last conv layer's membrane trajectories: with ``record_hidden`` the
-    trajectories [N, T, C, H, W] concatenated over the dataset; with a
+    last conv layer's membrane trajectories, read from each forward's
+    ``VoteOutput.hidden``: with ``record_hidden`` the trajectories
+    [N, T, C, H, W] concatenated over the dataset; with a
     ``hidden_reference`` of that shape the [N, T] per-sample, per-step L2
     distances from it, taken batch by batch so that the dataset's
     trajectories are never held whole."""
@@ -352,14 +348,15 @@ def evaluate_frames(
     record = record_hidden or hidden_reference is not None
     hidden = None
     with no_grad():
-        for idx in _batches(n, batch_size, np.arange(n)):
+        for lo in range(0, n, batch_size):
+            idx = slice(lo, lo + batch_size)
             vote = net.forward(dataset.frames[idx], training=False, record_hidden=record)
             preds[idx] = vote.predictions()
             if not record:
                 continue
-            out = net.hidden_activation()
+            out = vote.hidden
             if hidden_reference is not None:
-                diff = (hidden_reference[idx] - out).reshape(len(idx), out.shape[1], -1)
+                diff = (hidden_reference[idx] - out).reshape(out.shape[0], out.shape[1], -1)
                 out = np.linalg.norm(diff, axis=2)
             if hidden is None:
                 hidden = np.empty((n,) + out.shape[1:], dtype=out.dtype)
@@ -402,7 +399,8 @@ def train(
         lr = lr_schedule(cfg.lr, cfg.lr_decay, epoch)
         order = run_rng.split("shuffle", epoch).permutation(n)
         losses = []
-        for step, idx in enumerate(_batches(n, cfg.batch_size, order)):
+        for step, lo in enumerate(range(0, n, cfg.batch_size)):
+            idx = order[lo : lo + cfg.batch_size]
             vote = net.forward(
                 train_set.frames[idx],
                 training=True,

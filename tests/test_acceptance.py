@@ -149,8 +149,8 @@ def test_structural_equivalences_bitwise():
         def votes(variant, seed, frames, spatial=False, channel=False):
             """The votes and the last conv layer's membrane, as bytes."""
             net = seam_network(SpikingNetwork(spec_for(variant), seed=seed), spatial, channel)
-            o = net.forward(frames, training=True, record_hidden=True).o.data
-            return o.tobytes(), net.hidden_activation().tobytes()
+            vote = net.forward(frames, training=True, record_hidden=True)
+            return vote.o.data.tobytes(), vote.hidden.tobytes()
 
         differ = {"sctfa-ctfa": 0, "sctfa-stfa": 0, "stfa-bl": 0}
         for seed in range(10):

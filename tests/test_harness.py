@@ -23,8 +23,9 @@ from spikefuse.harness import (
     summaries_from_run_dirs,
     synth_corpus,
 )
-from spikefuse.network import build_network, save_checkpoint
+from spikefuse.network import SpikingNetwork, build_network, save_checkpoint
 from spikefuse.rng import Rng
+from spikefuse.tensor import Tensor
 from spikefuse.training import config_from_dict
 
 TINY_ARCH = "Input-4C3-BN-AP2-4C3-BN-VotingC4P2-AP"
@@ -96,6 +97,7 @@ class TestSynth:
         ("name\tlabel", "a.evs\t0", "line 1: header has no 'filename' column"),
         ("filename\tclass", "a.evs\t0", "line 1: header has no 'label' column"),
         ("filename\tlabel", "a.evs\tcat", "line 4: label 'cat' is not an integer"),
+        ("filename\tlabel", "a.evs\t-1", "line 4: label -1 is negative"),
         ("filename\tlabel", "shortline", "line 4: 1 fields, header has 2"),
         ("filename\tlabel", "missing.evs\t1", "line 4: no event file 'missing.evs'"),
     ])
@@ -108,6 +110,14 @@ class TestSynth:
         with pytest.raises(ConfigError) as info:
             load_corpus(tmp_path / "c")
         assert str(info.value) == f"{manifest}: {message}"
+
+    def test_manifest_without_rows_raises_config_error(self, tmp_path):
+        synth_corpus(tmp_path / "c", 1, 1, 16, 16, 500.0, 2.0, seed=4)
+        manifest = tmp_path / "c" / "manifest.tsv"
+        manifest.write_text(manifest.read_text().splitlines()[0] + "\n")
+        with pytest.raises(ConfigError) as info:
+            load_corpus(tmp_path / "c")
+        assert str(info.value) == f"{manifest}: lists no event file"
 
     @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
     def test_manifest_byte_that_is_not_utf8_names_the_line(self, tmp_path, end):
@@ -292,6 +302,15 @@ class TestTrainCommand:
             run_training(cfg, tmp_path / "runs" / "run_a")
         assert summaries_from_run_dirs(tmp_path / "runs") == []
         assert sorted(p.name for p in (tmp_path / "runs" / "run_a").iterdir()) == ["timing.json"]
+
+    def test_diverged_run_summary_equals_the_one_from_disk(self, corpus, tmp_path, monkeypatch):
+        train_dir, test_dir = corpus
+        cfg = config_from_dict(config_doc(train_dir, test_dir))
+        # binary spikes keep the loss finite, so stub it to go non-finite
+        monkeypatch.setattr("spikefuse.training.mse_vote_loss", lambda o, y: Tensor(np.array(np.nan)))
+        summary = run_training(cfg, tmp_path / "runs" / "run_a")
+        assert summary["status"] == "diverged"
+        assert summaries_from_run_dirs(tmp_path / "runs") == [summary]
 
     def test_atomic_open_leaves_target_whole(self, tmp_path):
         path = tmp_path / "out.json"
@@ -589,6 +608,26 @@ class TestRobustnessCommand:
         err = capsys.readouterr().err
         assert str(test_dir / "manifest.tsv") in err
         assert "is 16x16 (width x height), but the network takes 32x32" in err
+        assert not (tmp_path / "rb").exists()
+
+    @pytest.mark.parametrize("command", [["eval"], ["robustness", "--noise", "0.5"]])
+    def test_corpus_label_past_the_classes_fails_before_any_forward(self, corpus, tmp_path, capsys,
+                                                                   monkeypatch, command):
+        _, test_dir = corpus  # labels 0-3
+        net = build_network({"arch": TINY_ARCH.replace("C4P2", "C2P2"), "variant": "bl", "v_th": 1.0,
+                             "kappa": 0.7, "reduction": 4, "timesteps": 5, "input_height": 16,
+                             "input_width": 16})
+        save_checkpoint(tmp_path / "ck.bin", net)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward ran")
+
+        monkeypatch.setattr(SpikingNetwork, "forward", no_forward)
+        rc = main(command + ["--checkpoint", str(tmp_path / "ck.bin"), "--data", str(test_dir)]
+                  + (["--out", str(tmp_path / "rb")] if command[0] == "robustness" else []))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{test_dir / 'manifest.tsv'}: label 3 is past the 2 classes of {tmp_path / 'ck.bin'}" in err
         assert not (tmp_path / "rb").exists()
 
     def test_eval_command(self, corpus, run_dir, capsys):

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from spikefuse.errors import ArchError, CheckpointError, ConfigError, ParameterError, ShapeError, StateError
+from spikefuse.errors import ArchError, CheckpointError, ConfigError, ParameterError, ShapeError
 from spikefuse.network import (
     PRECISIONS,
     ConvStage,
@@ -249,14 +249,12 @@ class TestForward:
         b = net.forward(frames, training=True).o.data
         assert np.array_equal(a, b)
 
-    def test_reset_states_clears_layer_state(self):
+    def test_trace_present_only_when_recorded(self):
         spec = tiny_spec("sctfa")
         net = SpikingNetwork(spec, seed=8)
-        net.forward(frames_for(spec), training=True, record_hidden=True)
-        assert net.hidden_activation().shape == (2, 3, 4, 3, 3)
-        net.reset_states()
-        with pytest.raises(StateError):
-            net.hidden_activation()
+        vote = net.forward(frames_for(spec), training=True, record_hidden=True)
+        assert vote.hidden.shape == (2, 3, 4, 3, 3)
+        assert net.forward(frames_for(spec), training=True).hidden is None
 
 
 class TestStructuralEquivalence:
@@ -267,8 +265,8 @@ class TestStructuralEquivalence:
     @staticmethod
     def run(variant, seed, frames, spatial=False, channel=False):
         net = seam_network(SpikingNetwork(tiny_spec(variant), seed=seed), spatial, channel)
-        votes = net.forward(frames, training=True, record_hidden=True).o.data
-        return votes.tobytes() + net.hidden_activation().tobytes()
+        vote = net.forward(frames, training=True, record_hidden=True)
+        return vote.o.data.tobytes() + vote.hidden.tobytes()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_both_unit_branches_equal_baseline_bitwise(self, seed):
@@ -306,25 +304,31 @@ class TestHiddenActivation:
         spec = tiny_spec("sctfa")
         net = SpikingNetwork(spec, seed=9)
         frames = frames_for(spec)
-        net.forward(frames, training=True, record_hidden=True)
-        a = net.hidden_activation()
-        net.forward(frames, training=True, record_hidden=True)
-        b = net.hidden_activation()
+        a = net.forward(frames, training=True, record_hidden=True).hidden
+        b = net.forward(frames, training=True, record_hidden=True).hidden
         assert a.shape == (2, 3, 4, 3, 3)
         assert np.array_equal(a, b)
 
-    def test_requested_before_forward_raises(self):
-        net = SpikingNetwork(tiny_spec("bl"), seed=10)
-        with pytest.raises(StateError):
-            net.hidden_activation()
+    def test_not_recorded_gives_none(self):
+        spec = tiny_spec("bl")
+        net = SpikingNetwork(spec, seed=10)
+        assert net.forward(frames_for(spec), training=True).hidden is None
+
+    def test_trace_is_read_only(self):
+        # the trace is a view of the membrane the layer's backward reads
+        spec = tiny_spec("bl")
+        net = SpikingNetwork(spec, seed=10)
+        hidden = net.forward(frames_for(spec), training=True, record_hidden=True).hidden
+        with pytest.raises(ValueError):
+            hidden[...] = 0.0
 
     def test_metric_axioms_on_sampled_trajectories(self):
         spec = tiny_spec("bl")
         net = SpikingNetwork(spec, seed=11)
         traces = []
         for seed in (1, 2, 3):
-            net.forward(frames_for(spec, seed=seed), training=True, record_hidden=True)
-            traces.append(net.hidden_activation().reshape(-1))
+            vote = net.forward(frames_for(spec, seed=seed), training=True, record_hidden=True)
+            traces.append(vote.hidden.reshape(-1))
 
         def dist(a, b):
             return float(np.linalg.norm(a - b))

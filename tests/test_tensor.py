@@ -1,6 +1,7 @@
 """Tensor core: kernel oracles, gradient checks, spike semantics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spikefuse.rng import Rng
 from spikefuse.tensor import (
     BatchNormState,
     Tensor,
+    _avgpool_backward,
     avgpool2d,
     batchnorm,
     conv2d,
@@ -460,6 +462,20 @@ class TestAvgPool:
         out = avgpool2d(x, 2)
         tsum(out * out).backward()
         assert rel_err(x.grad, fd_gradient(loss_fn, x.data)).max() < 1e-5
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_backward_divides_into_out_without_a_temporary(self, k):
+        # a 1 MiB output: g / (k*k) whole would take 1 MiB at k=1, 256 KiB at k=2
+        g = np.ones((4, 16, 64 // k, 64 // k), dtype=np.float32)
+        out = np.empty((4, 16, 64, 64), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            _avgpool_backward(g, k, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+        assert np.all(out == np.float32(1.0 / (k * k)))
 
 
 class TestBatchNorm:

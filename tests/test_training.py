@@ -11,7 +11,7 @@ from spikefuse.network import SpikingNetwork, load_checkpoint, save_checkpoint, 
 from spikefuse.neuron import LifConfig
 from spikefuse.rng import Rng
 from spikefuse import training
-from spikefuse.tensor import Tensor, tsum
+from spikefuse.tensor import Tensor, no_grad, tsum
 from spikefuse.training import (
     Adam,
     DataConfig,
@@ -445,6 +445,26 @@ class TestEvaluateSweep:
         assert calls["evaluate_frames"] == len(SWEEP_SPECS) + 1
         event_loss_levels = sum(spec.kind == "event_loss" for spec in SWEEP_SPECS)
         assert calls["slice_to_frames"] == len(streams) * (1 + event_loss_levels)
+
+    def test_distances_equal_batch_one_norms_bitwise(self, sweep_nets):
+        # an oracle that shares no batching with evaluate_frames, so a swap of
+        # the trace's B and T axes shows
+        nets, streams = sweep_nets
+        net = nets["f32"]
+        clean = frames_from_streams(streams, 100.0, 5, dtype=net.dtype)
+        noisy = frames_from_sequences(_corrupt_sequences(streams, 100.0, 5, SWEEP_SPECS[1]),
+                                      dtype=net.dtype)
+
+        def traces(frames):
+            with no_grad():
+                return np.concatenate([net.forward(frames[i : i + 1], record_hidden=True).hidden
+                                       for i in range(len(frames))])
+
+        reference = traces(clean.frames)
+        _, _, distances = evaluate_frames(net, noisy, batch_size=3, hidden_reference=reference)
+        diff = (reference - traces(noisy.frames)).reshape(len(reference), reference.shape[1], -1)
+        assert distances.tobytes() == np.linalg.norm(diff, axis=2).tobytes()
+        assert distances.any()
 
     def test_streamed_distance_holds_no_whole_set_trace(self, sweep_nets):
         nets, streams = sweep_nets
