@@ -24,7 +24,7 @@ import itertools
 import math
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -106,14 +106,9 @@ class FrameSequence:
     delta_t_ms: float
     timesteps: int
 
-    def copy(self) -> "FrameSequence":
-        return FrameSequence(self.frames.copy(), self.label, self.delta_t_ms, self.timesteps)
-
     def binarize(self) -> "FrameSequence":
         """Presence map: any positive count becomes 1."""
-        return FrameSequence(
-            np.minimum(self.frames, 1), self.label, self.delta_t_ms, self.timesteps
-        )
+        return replace(self, frames=np.minimum(self.frames, 1))
 
 
 @dataclass(frozen=True)
@@ -237,9 +232,7 @@ def add_poisson_noise(frames: FrameSequence, lam: float, rng: Rng) -> FrameSeque
     if lam < 0:
         raise ParameterError(f"poisson rate must be >= 0, got {lam}")
     noise = rng.poisson(lam, size=frames.frames.shape).astype(np.int64)
-    return FrameSequence(
-        frames.frames + noise, frames.label, frames.delta_t_ms, frames.timesteps
-    )
+    return replace(frames, frames=frames.frames + noise)
 
 
 def drop_events(stream: EventStream, p: float, rng: Rng) -> EventStream:
@@ -247,15 +240,8 @@ def drop_events(stream: EventStream, p: float, rng: Rng) -> EventStream:
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"loss rate must be in [0, 1], got {p}")
     keep = rng.random(len(stream)) >= p
-    return EventStream(
-        width=stream.width,
-        height=stream.height,
-        t=stream.t[keep],
-        x=stream.x[keep],
-        y=stream.y[keep],
-        polarity=stream.polarity[keep],
-        label=stream.label,
-    )
+    return replace(stream, t=stream.t[keep], x=stream.x[keep], y=stream.y[keep],
+                   polarity=stream.polarity[keep])
 
 
 def drop_frames(frames: FrameSequence, p: float, rng: Rng) -> FrameSequence:
@@ -265,7 +251,7 @@ def drop_frames(frames: FrameSequence, p: float, rng: Rng) -> FrameSequence:
     dropped = rng.random(frames.timesteps) < p
     out = frames.frames.copy()
     out[dropped] = 0
-    return FrameSequence(out, frames.label, frames.delta_t_ms, frames.timesteps)
+    return replace(frames, frames=out)
 
 
 def write_events(path, stream: EventStream) -> None:

@@ -56,6 +56,9 @@ from .tensor import no_grad
 from .training import (
     LabeledFrames,
     TrainConfig,
+    _list_of,
+    _require,
+    _typed,
     config_from_dict,
     evaluate,
     evaluate_sweep,
@@ -231,20 +234,22 @@ class ExperimentPlan:
 
 
 def plan_from_dict(doc: dict) -> ExperimentPlan:
-    if "base_config" not in doc:
-        raise ConfigError("missing required field", field="base_config")
-    base = doc["base_config"]
-    base_kappa = base.get("lif", {}).get("kappa")
+    """Validate a JSON plan document; errors name the field."""
+    base = _require(doc, "base_config", dict, "")
+    lif = _require(base, "lif", dict, "base_config.", {})  # each cell sets its kappa there
     if "cells" in doc:
-        cells = [ExperimentCell(str(v), float(k), int(s)) for v, k, s in doc["cells"]]
+        cells = []
+        for i, cell in enumerate(_list_of(doc, "cells", list)):
+            if len(cell) != 3:
+                raise ConfigError("expected [variant, kappa, seed]", field=f"cells[{i}]")
+            variant, kappa, seed = (_typed(value, kind, f"cells[{i}][{j}]")
+                                    for j, (value, kind) in enumerate(zip(cell, (str, float, int))))
+            cells.append(ExperimentCell(variant, kappa, seed))
     else:
-        variants = doc.get("variants", ["bl", "stfa", "ctfa", "sctfa"])
-        seeds = doc.get("seeds", [1, 2, 3])
-        if base_kappa is None:
-            raise ConfigError("missing required field", field="base_config.lif.kappa")
-        cells = [
-            ExperimentCell(str(v), float(base_kappa), int(s)) for v in variants for s in seeds
-        ]
+        kappa = _require(lif, "kappa", float, "base_config.lif.")
+        cells = [ExperimentCell(variant, kappa, seed)
+                 for variant in _list_of(doc, "variants", str, ["bl", "stfa", "ctfa", "sctfa"])
+                 for seed in _list_of(doc, "seeds", int, [1, 2, 3])]
     return ExperimentPlan(base=base, cells=cells)
 
 
@@ -335,6 +340,8 @@ def run_training(cfg: TrainConfig, run_dir: Path, force: bool = False) -> dict:
     run_dir.mkdir(parents=True, exist_ok=True)
     train_set = _load_dataset(cfg, "train_dir")
     test_set = _load_dataset(cfg, "test_dir")
+    # a forced rerun counts only once its own record is written
+    record_path.unlink(missing_ok=True)
     try:
         record, net = train(cfg, train_set, test_set)
     except DivergenceError as exc:
@@ -343,9 +350,13 @@ def run_training(cfg: TrainConfig, run_dir: Path, force: bool = False) -> dict:
     # run killed before it is never counted by summaries_from_run_dirs
     with atomic_open(run_dir / "timing.json", "w") as fh:
         fh.write(record.timing_json() + "\n")
-    if net is not None:
+    checkpoint = run_dir / "checkpoint.bin"
+    if net is None:  # a diverged run has no checkpoint, and keeps no earlier one
+        checkpoint.unlink(missing_ok=True)
+        checkpoint.with_suffix(".manifest.tsv").unlink(missing_ok=True)
+    else:
         save_checkpoint(
-            run_dir / "checkpoint.bin",
+            checkpoint,
             net,
             extra_config={
                 "delta_t_ms": cfg.data.delta_t_ms,
@@ -434,10 +445,10 @@ def cmd_ablate(args) -> int:
     _check_threads(args.threads)
     doc = _read_json_object(args.plan, "--plan")
     plan = plan_from_dict(doc)
+    master_seed = _require(doc, "master_seed", int, "", plan.base.get("seed", 0))
     out_dir = Path(args.out)
     summaries = run_plan(plan, out_dir, threads=args.threads, force=args.force)
     rows = aggregate_records(summaries, lambda r: {"variant": r["variant"]})
-    master_seed = doc.get("master_seed", plan.base.get("seed", 0))
     _write_table(out_dir / "table.csv", rows, ["variant"], {"master_seed": master_seed})
     for row in rows:
         std = "" if row.std_acc is None else f" +/- {row.std_acc:.4f}"

@@ -84,7 +84,6 @@ class ConvStage:
     stride: int
     batch_norm: bool
     in_channels: int
-    in_hw: Tuple[int, int]
     out_hw: Tuple[int, int]
 
     @property
@@ -101,8 +100,6 @@ class ConvStage:
 @dataclass
 class PoolStage:
     k: int
-    channels: int
-    in_hw: Tuple[int, int]
 
     def token(self) -> str:
         return f"AP{self.k}"
@@ -110,8 +107,6 @@ class PoolStage:
 
 @dataclass
 class DropoutStage:
-    rate: float = DROPOUT_RATE
-
     def token(self) -> str:
         return "DP"
 
@@ -154,12 +149,11 @@ class NetworkSpec:
     timesteps: int
     classes: Optional[int]
     per_class: Optional[int]
-    final_temporal_avg: bool = True
 
     @property
     def arch_string(self) -> str:
         tokens = ["Input"] + [s.token() for s in self.stages]
-        if self.final_temporal_avg and self.classes is not None:
+        if self.classes is not None:
             tokens.append("AP")
         return "-".join(tokens)
 
@@ -199,12 +193,10 @@ def parse_architecture(
     channels, (h, w) = input_shape[0], (input_shape[1], input_shape[2])
     features: Optional[int] = None  # set once the net flattens
     voting_seen = False
-    final_ap = False
 
     for i, tok in enumerate(tokens[1:], start=1):
         if voting_seen:
             if tok == "AP" and i == len(tokens) - 1:
-                final_ap = True
                 continue
             raise ArchError(f"voting layer must be last, found {tok!r} after it", token_index=i)
 
@@ -220,7 +212,7 @@ def parse_architecture(
             ow = (w + 2 * pad - k) // stride + 1
             if oh < 1 or ow < 1:
                 raise ArchError(f"{tok!r} collapses spatial extent ({h}, {w})", token_index=i)
-            stages.append(ConvStage(n, k, stride, False, channels, (h, w), (oh, ow)))
+            stages.append(ConvStage(n, k, stride, False, channels, (oh, ow)))
             channels, (h, w) = n, (oh, ow)
             continue
         if tok == "BN":
@@ -241,7 +233,7 @@ def parse_architecture(
                 raise ArchError(
                     f"AP{k} needs extents divisible by {k}, got ({h}, {w})", token_index=i
                 )
-            stages.append(PoolStage(k, channels, (h, w)))
+            stages.append(PoolStage(k))
             h, w = h // k, w // k
             continue
         if tok == "DP":
@@ -279,7 +271,6 @@ def parse_architecture(
         timesteps=timesteps,
         classes=vote.classes if vote else None,
         per_class=vote.per_class if vote else None,
-        final_temporal_avg=final_ap or vote is not None,
     )
 
 
@@ -312,14 +303,13 @@ def count_parameters(spec: NetworkSpec) -> int:
     return total
 
 
-def count_mult_adds(spec: NetworkSpec, timesteps: Optional[int] = None) -> int:
+def count_mult_adds(spec: NetworkSpec) -> int:
     """Dense multiply-accumulate count per timestep, scaled by T.
 
     Counts convolution and fully connected MACs plus the attention branches
     (spatial 1x1 conv C*H*W, channel MLP 2C^2/r per layer); normalization,
     pooling and elementwise gating products are excluded.
     """
-    t = spec.timesteps if timesteps is None else timesteps
     per_step = 0
     for st in spec.stages:
         if isinstance(st, ConvStage):
@@ -331,7 +321,7 @@ def count_mult_adds(spec: NetworkSpec, timesteps: Optional[int] = None) -> int:
                 per_step += 2 * st.out_channels**2 // spec.reduction
         elif isinstance(st, (DenseStage, VotingStage)):
             per_step += st.in_features * st.out_features
-    return per_step * t
+    return per_step * spec.timesteps
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +429,6 @@ class _PoolLayer(_NoParameters):
 
 
 class _DropoutLayer(_NoParameters):
-    def __init__(self, st: DropoutStage):
-        self.rate = st.rate
-
     def forward_sequence(self, x, t_steps, batch, ctx):
         if not ctx.training:
             return x
@@ -449,9 +436,9 @@ class _DropoutLayer(_NoParameters):
             raise StateError("dropout in training mode needs a forward rng")
         rest = x.shape[1:]
         # One mask per sample, reused across all timesteps.
-        mask = (ctx.rng.random((batch,) + rest) >= self.rate).astype(x.data.dtype)
+        mask = (ctx.rng.random((batch,) + rest) >= DROPOUT_RATE).astype(x.data.dtype)
         tiled = np.tile(mask, (t_steps,) + (1,) * len(rest))
-        return dropout(x, self.rate, tiled, training=True)
+        return dropout(x, DROPOUT_RATE, tiled)
 
 
 @dataclass
@@ -503,7 +490,7 @@ class SpikingNetwork:
                 else:
                     self.layers.append(_PoolLayer(st))
             elif isinstance(st, DropoutStage):
-                self.layers.append(_DropoutLayer(st))
+                self.layers.append(_DropoutLayer())
             else:
                 self.layers.append(_SpikingLayer(st, spec, f"layer{i}", rng, self.dtype))
                 if isinstance(st, ConvStage):
@@ -662,14 +649,18 @@ def load_checkpoint(path):
     """Rebuild the network a checkpoint describes and load its tensors.
 
     Returns (network, config). Batch-norm statistics restored from a
-    checkpoint are treated as initialized. Every read is bounds-checked: a
+    checkpoint are treated as initialized. A file that cannot be read
+    raises CheckpointError naming the path. Every read is bounds-checked: a
     truncated or malformed file raises CheckpointError naming the path and
     the byte offset. An embedded config that lacks a key the network needs,
     or holds it with the wrong type, names the path and the key; one that
     describes no valid network names the path.
     """
     path = Path(path)
-    raw = memoryview(path.read_bytes())
+    try:
+        raw = memoryview(path.read_bytes())
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read: {exc.strerror}") from exc
     pos = 0
 
     def read(n, what):

@@ -56,10 +56,11 @@ the spatial weight and bias gradients. An elementwise operation or a
 per-sample product gives a sample the same bits in any range, so every
 output, membrane, running statistic and gradient is bitwise the same for
 any number of threads. The channel branch needs every sample's mean of
-step t for the gate of step t+1, so with one, split ranges meet once per
-step, each run carrying step t's update and step t+1's per-sample gate
-work (in the backward, the rest of step t+1 and step t). A layer without
-one, or a call with one range, runs all T steps in one go.
+step t for the gate of step t+1, so a layer with one makes one runner
+call per step, on one range or many, and the caller runs the branch's
+products between the calls; a call carries step t's update and step
+t+1's per-sample gate work (in the backward, the rest of step t+1 and
+step t). A layer without one runs all T steps in one runner call.
 """
 
 from __future__ import annotations
@@ -265,13 +266,6 @@ class BatchNorm(NamedTuple):
 _SPLIT_STEP_BYTES = 1 << 19
 
 
-def _sample_ranges(b: int, step_bytes: int):
-    """The bounds of the sample ranges a call whose steps hold ``b`` samples
-    in ``step_bytes`` splits into: [0, b] below the split gate."""
-    parts = max(1, min(tensor.CONV_WORKERS, b, step_bytes // _SPLIT_STEP_BYTES))
-    return [b * i // parts for i in range(parts + 1)]
-
-
 def lif_sequence(
     currents: Tensor,
     cfg: LifConfig,
@@ -324,8 +318,9 @@ def lif_sequence(
     kappa = dtype.type(cfg.kappa)
     v_th, alpha = cfg.v_th, SURROGATE_ALPHA
     b = step_shape[0]
-    bounds = _sample_ranges(b, xs[0].nbytes)
-    parts = len(bounds) - 1
+    # the bounds of the call's sample ranges: [0, b] below the split gate
+    parts = max(1, min(tensor.CONV_WORKERS, b, xs[0].nbytes // _SPLIT_STEP_BYTES))
+    bounds = [b * i // parts for i in range(parts + 1)]
 
     def run_ranges(steps, t0, t1):
         """``steps(lo, hi, t0, t1)`` for every sample range, one range a thread."""
@@ -333,8 +328,9 @@ def lif_sequence(
 
     spatial, channel = gate is not None and gate.spatial, gate is not None and gate.channel
     # the channel MLP needs every sample's mean of step t for the gate of
-    # step t+1: split ranges meet after each step, one range runs it itself
-    each_step = channel and parts > 1
+    # step t+1, so a layer with one runs its steps one runner call at a time
+    # and the MLP on the caller between them; any other runs all T in one
+    seg = 1 if channel else t_steps
 
     # the membrane: every step when backward reads it or the caller asks,
     # else two that roll. Float spikes: the output itself without a pool,
@@ -415,16 +411,11 @@ def lif_sequence(
             if gate is not None and t + 1 < t_steps:
                 gate.sample_forward(s_t, us_r[(t + 1) % slots] if spatial else None,
                                     mean_r[(t + 1) % slots] if channel else None)
-                if channel and not each_step:
-                    hidden_all[t + 1], uc_all[t + 1] = gate.channel_forward(mean_r[(t + 1) % slots])
 
-    if each_step:
-        for t in range(t_steps):
-            run_ranges(forward_steps, t, t + 1)
-            if t + 1 < t_steps:
-                hidden_all[t + 1], uc_all[t + 1] = gate.channel_forward(mean_all[(t + 1) % slots])
-    else:
-        run_ranges(forward_steps, 0, t_steps)
+    for t in range(0, t_steps, seg):
+        run_ranges(forward_steps, t, t + seg)
+        if channel and t + 1 < t_steps:
+            hidden_all[t + 1], uc_all[t + 1] = gate.channel_forward(mean_all[(t + 1) % slots])
     if not rolling:
         _check_finite(v, "lif_sequence (membrane)")
     out_step, x_shape, seq_shape = out.shape[1:], x.shape, xs.shape
@@ -461,7 +452,6 @@ def lif_sequence(
         def backward_steps(lo, hi, t0, t1):
             """Steps t1-1 down to t0 of samples lo:hi; first the rest of
             step t1 when there is one."""
-            nonlocal ds_channel
             z_r, ghist_r, carry_r = z[lo:hi], ghist[lo:hi], carry_s[lo:hi]
             g_r, v_r, s_r = g[:, lo:hi], v[:, lo:hi], s_saved[:, lo:hi]
             gv_r = gcur[:, lo:hi]
@@ -510,16 +500,11 @@ def lif_sequence(
                 if gate is not None:
                     gate.sample_backward(_unbroadcast(hist_r, u.shape), s_prev, us, uc, carry_r,
                                          dz_r[t] if spatial else None, dw_r[t] if spatial else None, duc_r, z_r)
-                if channel and not each_step:
-                    ds_channel = gate.channel_backward(duc, uc_all[t], hidden_all[t], mean_all[t], gate_grads, h * w)
 
-        if each_step:
-            for t in reversed(range(t_steps)):
-                run_ranges(backward_steps, t, t + 1)
-                if t > 0:
-                    ds_channel = gate.channel_backward(duc, uc_all[t], hidden_all[t], mean_all[t], gate_grads, h * w)
-        else:
-            run_ranges(backward_steps, 0, t_steps)
+        for t in reversed(range(0, t_steps, seg)):
+            run_ranges(backward_steps, t, t + seg)
+            if channel and t > 0:
+                ds_channel = gate.channel_backward(duc, uc_all[t], hidden_all[t], mean_all[t], gate_grads, h * w)
         if spatial:  # the spatial weight and bias gradients, summed over samples
             for t in reversed(range(1, t_steps)):
                 gate_grads[0][...] += dw_all[t].sum(axis=0).reshape(1, c, 1, 1)

@@ -32,8 +32,7 @@ same slices, as additions. The batch goes through in blocks of samples
 whose patch matrix fits ``_CONV_BLOCK_BYTES``. Every sample's product is
 the same call whatever the block, and the weight gradient is the sum of
 the samples' in sample order, so the block size does not change any
-result. A 1x1 unit-stride kernel is a plain contraction over channels
-with no patch matrix at all.
+result.
 
 The blocks of one call run side by side: on the calling thread and on a
 process-wide pool of ``CONV_WORKERS - 1`` threads, ``CONV_WORKERS`` being
@@ -537,16 +536,14 @@ def smooth_spike(v: Tensor, v_th: float, alpha: float = SURROGATE_ALPHA) -> Tens
     )
 
 
-def dropout(x: Tensor, rate: float, mask: np.ndarray, training: bool = True) -> Tensor:
+def dropout(x: Tensor, rate: float, mask: np.ndarray) -> Tensor:
     """Multiply by a caller-supplied 0/1 mask scaled by 1/(1-rate).
 
     The mask is provided explicitly so a layer can hold it fixed across
-    timesteps. Identity when not training.
+    timesteps.
     """
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training:
-        return x
     mask = np.asarray(mask)
     try:
         broadcast = np.broadcast_shapes(mask.shape, x.shape)
@@ -709,7 +706,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
     w_out = _conv_out_size(w, k, stride, padding)
     l, kk = h_out * w_out, k * k
     w_flat = weight.data.reshape(cout, cin * kk)
-    pointwise = k == 1 and stride == 1 and padding == 0
     blk = max(1, min(b, _CONV_BLOCK_BYTES // max(1, l * cin * kk * x.data.itemsize)))
     n_blocks = -(-b // blk)
     # the input is read again only for the weight gradient, the weight only
@@ -744,14 +740,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
             gathers = [_im2col(xd, k, stride, padding, h_out, w_out, blk) for _ in range(parts)]
         if w_t is not None:
             dx = np.empty(x_shape, dtype=x_dtype)
-            dx3 = dx.reshape(b, cin, h * w)
-            if not pointwise:
-                dtype = np.result_type(w_t, g)
-                # a block reads its patches before it writes their gradients,
-                # so the gradients go into the patch buffer when the types agree
-                shared = xd is not None and xd.dtype == dtype
-                dcols = None if shared else np.empty((parts, blk, cin * kk, l), dtype=dtype)
-                dpad = np.empty((parts, blk, cin, h + 2 * padding, w + 2 * padding), dtype=dtype)
+            dtype = np.result_type(w_t, g)
+            # a block reads its patches before it writes their gradients,
+            # so the gradients go into the patch buffer when the types agree
+            shared = xd is not None and xd.dtype == dtype
+            dcols = None if shared else np.empty((parts, blk, cin * kk, l), dtype=dtype)
+            dpad = np.empty((parts, blk, cin, h + 2 * padding, w + 2 * padding), dtype=dtype)
 
         def backward_block(part, block):
             lo, hi = block * blk, min(block * blk + blk, b)
@@ -760,9 +754,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
                 patches = gathers[part](lo, hi)
                 np.matmul(gl, patches.transpose(0, 2, 1), out=dw_parts[block % parts, :n])
             if dx is None:
-                return
-            if pointwise:
-                np.matmul(w_t, gl, out=dx3[lo:hi])
                 return
             # col2im: im2col's slices, added back into the padded input
             dpatches = np.matmul(w_t, gl, out=patches if dcols is None else dcols[part, :n])
@@ -796,13 +787,9 @@ def _im2col(xd, k, stride, padding, h_out, w_out, blk):
     """A function (lo, hi) -> the patch matrix [hi - lo, cin*k*k, L] of
     samples lo:hi of ``xd`` (at most ``blk`` of them): kernel offset (i, j)
     of every window is a stride-spaced grid of the padded input. The padded
-    and patch buffers are allocated once here and reused by every block. A
-    1x1 unit-stride kernel without padding needs no patch matrix: it is the
-    input itself."""
+    and patch buffers are allocated once here and reused by every block."""
     _, cin, h, w = xd.shape
     l = h_out * w_out
-    if k == 1 and stride == 1 and padding == 0:
-        return lambda lo, hi: xd[lo:hi].reshape(hi - lo, cin, l)
     padded = np.zeros((blk, cin, h + 2 * padding, w + 2 * padding), dtype=xd.dtype) if padding else None
     cols = np.empty((blk, cin, k, k, h_out, w_out), dtype=xd.dtype)
 

@@ -151,16 +151,34 @@ class TrainConfig:
         return out
 
 
-def _require(mapping: dict, key: str, kind, path: str):
-    if key not in mapping:
-        raise ConfigError("missing required field", field=f"{path}{key}")
-    value = mapping[key]
+def _typed(value, kind, field: str):
+    """``value`` if it is a ``kind``: an int passes for a float, a bool for
+    nothing but a bool; else ConfigError naming ``field``."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"expected {kind.__name__}, got {type(value).__name__}",
-                          field=f"{path}{key}")
+        raise ConfigError(f"expected {kind.__name__}, got {type(value).__name__}", field=field)
     return value
+
+
+_REQUIRED = object()
+
+
+def _require(mapping: dict, key: str, kind, path: str, default=_REQUIRED):
+    """``mapping[key]`` checked by ``_typed``; ``default`` if the key is
+    absent and a default is given. A field whose default is None may be null."""
+    if key not in mapping:
+        if default is _REQUIRED:
+            raise ConfigError("missing required field", field=f"{path}{key}")
+        return default
+    if mapping[key] is None and default is None:
+        return None
+    return _typed(mapping[key], kind, f"{path}{key}")
+
+
+def _list_of(doc: dict, key: str, kind, default=_REQUIRED) -> list:
+    """``doc[key]``, a list whose every item ``_typed`` passes as a ``kind``."""
+    return [_typed(item, kind, f"{key}[{i}]") for i, item in enumerate(_require(doc, key, list, "", default))]
 
 
 def config_from_dict(doc: dict) -> TrainConfig:
@@ -196,9 +214,9 @@ def config_from_dict(doc: dict) -> TrainConfig:
     data = DataConfig(
         delta_t_ms=_require(data_doc, "delta_t_ms", float, "data."),
         timesteps=_require(data_doc, "timesteps", int, "data."),
-        train_dir=data_doc.get("train_dir"),
-        test_dir=data_doc.get("test_dir"),
-        binarize=bool(data_doc.get("binarize", False)),
+        train_dir=_require(data_doc, "train_dir", str, "data.", None),
+        test_dir=_require(data_doc, "test_dir", str, "data.", None),
+        binarize=_require(data_doc, "binarize", bool, "data.", False),
     )
     if data.delta_t_ms <= 0:
         raise ConfigError("delta_t_ms must be positive", field="data.delta_t_ms")
@@ -214,11 +232,11 @@ def config_from_dict(doc: dict) -> TrainConfig:
         seed=_require(doc, "seed", int, ""),
         lif=lif,
         data=data,
-        reduction=int(doc.get("reduction", 4)),
+        reduction=_require(doc, "reduction", int, "", 4),
         precision=precision,
-        input_height=int(doc.get("input_height", 128)),
-        input_width=int(doc.get("input_width", 128)),
-        master_seed=doc.get("master_seed"),
+        input_height=_require(doc, "input_height", int, "", 128),
+        input_width=_require(doc, "input_width", int, "", 128),
+        master_seed=_require(doc, "master_seed", int, "", None),
     )
     try:
         cfg.spec()  # surface architecture problems at config time
@@ -292,10 +310,7 @@ class RunRecord:
     def to_json(self) -> str:
         doc = {
             "config": self.config,
-            "per_epoch": [
-                {"epoch": e.epoch, "loss": e.loss, "test_acc": e.test_acc, "lr": e.lr}
-                for e in self.per_epoch
-            ],
+            "per_epoch": [asdict(e) for e in self.per_epoch],
             "best_epoch": self.best_epoch,
             "best_acc": self.best_acc,
             "confusion": self.confusion,

@@ -312,6 +312,31 @@ class TestTrainCommand:
         assert summary["status"] == "diverged"
         assert summaries_from_run_dirs(tmp_path / "runs") == [summary]
 
+    def test_forced_rerun_that_diverges_keeps_no_checkpoint(self, corpus, tmp_path, monkeypatch, capsys):
+        train_dir, test_dir = corpus
+        cfg = config_from_dict(config_doc(train_dir, test_dir))
+        run_dir = tmp_path / "runs" / "run_a"
+        assert run_training(cfg, run_dir)["status"] == "complete"
+        monkeypatch.setattr("spikefuse.training.mse_vote_loss", lambda o, y: Tensor(np.array(np.nan)))
+        assert run_training(cfg, run_dir, force=True)["status"] == "diverged"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["run_record.json", "timing.json"]
+        checkpoint = run_dir / "checkpoint.bin"
+        assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(test_dir)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {checkpoint}: cannot read")
+
+    def test_forced_rerun_counts_no_run_until_its_record(self, corpus, tmp_path, monkeypatch):
+        train_dir, test_dir = corpus
+        cfg = config_from_dict(config_doc(train_dir, test_dir))
+        run_training(cfg, tmp_path / "runs" / "run_a")
+
+        def failing_save(path, *args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "save_checkpoint", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            run_training(cfg, tmp_path / "runs" / "run_a", force=True)
+        assert summaries_from_run_dirs(tmp_path / "runs") == []
+
     def test_atomic_open_leaves_target_whole(self, tmp_path):
         path = tmp_path / "out.json"
         path.write_text("old")
@@ -356,6 +381,25 @@ class TestPlans:
         cfg = plan.cell_config(plan.cells[0])
         assert cfg.variant == "sctfa" and cfg.seed == 9
 
+    @pytest.mark.parametrize("change, field", [
+        ({"cells": [["sctfa", "k", 1]]}, "cells[0][1]"),
+        ({"cells": [["sctfa", 0.7, 1.5]]}, "cells[0][2]"),
+        ({"cells": [[1, 0.7, 1]]}, "cells[0][0]"),
+        ({"cells": [["sctfa", 0.7]]}, "cells[0]"),
+        ({"cells": [5]}, "cells[0]"),
+        ({"cells": 5}, "cells"),
+        ({"base_config": [1]}, "base_config"),
+        ({"base_config": {"lif": 5}}, "base_config.lif"),
+        ({"base_config": {"lif": {}}}, "base_config.lif.kappa"),
+        ({"seeds": "12"}, "seeds"),
+        ({"seeds": [1, True]}, "seeds[1]"),
+        ({"variants": "bl"}, "variants"),
+    ])
+    def test_malformed_field_names_it(self, change, field):
+        with pytest.raises(ConfigError) as info:
+            plan_from_dict({"base_config": config_doc("x", "y"), **change})
+        assert info.value.field == field
+
 
 class TestAblate:
     def test_two_by_one_grid(self, corpus, tmp_path):
@@ -378,6 +422,16 @@ class TestAblate:
         assert all(r["std_acc"] == "" for r in rows)  # std needs >= 2 trials
         assert all(r["master_seed"] == "42" for r in rows)
         assert (out / "run_bl_k0.7_s1" / "run_record.json").exists()
+
+    @pytest.mark.parametrize("master_seed", ["42", 4.2, True, {"x": 1}])
+    def test_malformed_master_seed_fails_before_any_run(self, tmp_path, capsys, master_seed):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"base_config": config_doc("x", "y"), "variants": ["bl"],
+                                         "seeds": [1], "master_seed": master_seed}))
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--plan", str(plan_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: master_seed: expected int")
+        assert not out.exists()
 
     def test_table_regenerated_from_disk_bitwise(self, corpus, tmp_path):
         from spikefuse.harness import _write_table, summaries_from_run_dirs

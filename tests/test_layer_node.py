@@ -276,6 +276,45 @@ class TestSampleSplit:
         assert lif_sequence(Tensor(currents), CFG, att, smooth=True, timesteps=T)[0].data.tobytes() == clean.tobytes()
 
 
+class TestStepSchedule:
+    """A layer with a channel branch makes one runner call per step,
+    forward and backward, on one range or many, and runs the branch's
+    matrix products on the calling thread between them; any other layer
+    runs all T steps in one runner call each way."""
+
+    @pytest.mark.parametrize("variant", ["bl", "stfa", "ctfa", "sctfa"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_runner_calls_and_channel_thread(self, monkeypatch, conv_workers, variant, workers):
+        import threading
+
+        import spikefuse.neuron as neuron_module
+        import spikefuse.tensor as tensor_module
+
+        conv_workers(workers)  # B = 2 samples: one range, or two
+        runs, mlp_threads = [], []
+        run_blocks = tensor_module._run_blocks
+
+        def counting_run_blocks(parts, n, work):
+            runs.append(parts)
+            run_blocks(parts, n, work)
+
+        monkeypatch.setattr(tensor_module, "_run_blocks", counting_run_blocks)
+        for name in ("channel_forward", "channel_backward"):
+            def recording(*args, _method=getattr(neuron_module._Gate, name)):
+                mlp_threads.append(threading.get_ident())
+                return _method(*args)
+
+            monkeypatch.setattr(neuron_module._Gate, name, recording)
+        currents, _, _, _, att = layer_case(variant, np.float64)
+        channel = variant in ("ctfa", "sctfa")
+        calls = T if channel else 1
+        out, _ = lif_sequence(Tensor(currents, requires_grad=True), CFG, att, timesteps=T)
+        assert runs == [workers] * calls
+        tsum(out).backward()
+        assert runs == [workers] * (2 * calls)
+        assert mlp_threads == [threading.get_ident()] * (2 * (T - 1) if channel else 0)
+
+
 class TestNoGrad:
     def test_saves_nothing_and_rolls_two_membrane_steps(self):
         t_steps, batch, ch, hw = 16, 2, 8, 32

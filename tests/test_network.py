@@ -120,9 +120,9 @@ class TestCounters:
         assert count_parameters(spec) == 1 * 2 * 1 + 1
 
     def test_zero_layer_spec(self):
-        spec = parse_architecture("Input", input_shape=(2, 8, 8))
+        spec = parse_architecture("Input", input_shape=(2, 8, 8), timesteps=20)
         assert count_parameters(spec) == 0
-        assert count_mult_adds(spec, 20) == 0
+        assert count_mult_adds(spec) == 0
 
     @pytest.mark.parametrize(
         "variant,expected_millions",
@@ -480,6 +480,11 @@ class TestCheckpoint:
         expected = tuple(int(n) for n in shape.split("x"))
         assert str(info.value) == (f"{path}: tensor {name} has shape (0, {2**32 - 1}, {2**32 - 1}, {2**32 - 1}) "
                                    f"at byte offset {shape_at}, network expects {expected}")
+
+    def test_unreadable_path_names_it(self, tmp_path):
+        for path in (tmp_path / "missing.bin", tmp_path):
+            with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: cannot read"):
+                load_checkpoint(path)
 
     def test_trailing_bytes_and_bad_precision_flag(self, tmp_path):
         net = SpikingNetwork(tiny_spec("bl"), seed=16)

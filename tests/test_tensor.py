@@ -685,17 +685,13 @@ class TestSmoothSpike:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = Tensor(rand((4, 4), 51))
-        out = dropout(x, 0.0, np.ones((4, 4)), training=True)
+        out = dropout(x, 0.0, np.ones((4, 4)))
         assert np.array_equal(out.data, x.data)
 
     def test_zero_mask_zeroes(self):
         x = Tensor(rand((4, 4), 52))
-        out = dropout(x, 0.5, np.zeros((4, 4)), training=True)
+        out = dropout(x, 0.5, np.zeros((4, 4)))
         assert np.all(out.data == 0.0)
-
-    def test_eval_identity(self):
-        x = Tensor(rand((4, 4), 53))
-        assert dropout(x, 0.5, np.zeros((4, 4)), training=False) is x
 
     def test_bad_rate(self):
         with pytest.raises(ParameterError):

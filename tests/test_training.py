@@ -226,6 +226,21 @@ class TestConfig:
             config_from_dict(doc)
         assert exc.value.field == "precision"
 
+    @pytest.mark.parametrize("field, value", [
+        ("reduction", "abc"), ("reduction", 16.7), ("reduction", True),
+        ("input_height", "16"), ("input_width", 16.0),
+        ("data.binarize", "false"), ("data.binarize", 1),
+        ("data.train_dir", 5), ("master_seed", "9"),
+    ])
+    def test_malformed_optional_field_names_it(self, field, value):
+        doc = self.doc()
+        *parents, key = field.split(".")
+        target = doc[parents[0]] if parents else doc
+        target[key] = value
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(doc)
+        assert exc.value.field == field
+
     def test_arch_validated_at_config_time(self):
         doc = self.doc()
         doc["arch"] = "Input-3C3-AP2"
