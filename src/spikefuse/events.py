@@ -142,8 +142,9 @@ def slice_to_frames(stream: EventStream, delta_t_ms: float, timesteps: int) -> F
     or beyond delta_t * T are discarded; slices past the stream's actual
     duration stay zero. An empty stream yields all-zero frames.
     """
-    if delta_t_ms <= 0 or timesteps <= 0:
-        raise ParameterError("delta_t and timesteps must be positive")
+    if not 0.0 < delta_t_ms < math.inf or timesteps <= 0:
+        raise ParameterError(f"delta_t must be positive and finite and timesteps positive, "
+                             f"got {delta_t_ms} and {timesteps}")
     shape = (timesteps, 2, stream.height, stream.width)
     idx = np.floor(stream.t.astype(np.float64) / (delta_t_ms * 1000.0)).astype(np.int64)
     keep = idx < timesteps
@@ -179,8 +180,11 @@ def synth_moving_bar(
         raise ParameterError("field must be at least 8x8")
     if not 0 <= direction < 4:
         raise ParameterError(f"direction must be in [0, 4), got {direction}")
-    if rate < 0:
-        raise ParameterError("rate must be >= 0")
+    if not 0.0 <= rate < math.inf:
+        raise ParameterError(f"rate must be finite and >= 0, got {rate}")
+    # an event falls at most one microsecond before the stream's end
+    if not 0.001 <= duration_ms < math.inf:
+        raise ParameterError(f"duration_ms must be finite and at least 0.001 (one microsecond), got {duration_ms}")
 
     along = width if direction < 2 else height
     across = height if direction < 2 else width

@@ -24,18 +24,20 @@ the same order as the composition ``tensor.batchnorm`` -> per-step
 -> ``tensor.avgpool2d``, so its outputs, membrane and running statistics
 are bitwise those of the composition; the batch-norm and pool arithmetic
 is the same numpy helpers those ops run. It works one time step at a time:
-the batch statistics are full-array reductions, but each step's normalized
-current, spikes and pooled spikes go through step buffers allocated once
-per call, so no normalized or float spike map of all steps exists. Without
-a graph to record (``no_grad``, or no parent needs a gradient) two
-membrane steps roll, unless the caller asks for the trace.
+each step's current, spikes and pooled spikes go through step buffers
+allocated once per call, so no normalized current or float spike map of
+all steps exists. Training batch norm's squared deviations go into the
+membrane buffer before its first step, and each step's normalized input
+``xhat`` goes into an array of all steps that backward reads. Without a
+graph to record (``no_grad``, or no parent needs a gradient) two membrane
+steps roll, unless the caller asks for the trace, and no ``xhat`` is kept.
 
 Its backward walks the steps in reverse time through pool, v, s and the
 gate, backpropagation through time with the surrogate spike slope, again
 in step buffers; each step's current gradient goes straight into the
 gradient it returns, and batch norm's closed-form input gradient is then
 computed in place in it. The node saves the membrane, the gate's per-step
-values, batch norm's normalized input and the spikes; Heaviside spikes are
+values, batch norm's ``xhat`` and the spikes; Heaviside spikes are
 exactly 0/1, so they are saved as bits (``bool``) and recast per step.
 Smooth spikes are real-valued and saved as they are. The per-step
 functions stay as the reference it is tested against.
@@ -44,13 +46,16 @@ Its steps run over ranges of samples through ``tensor._run_blocks``, the
 runner conv2d uses, one range per thread when a step holds at least
 ``_SPLIT_STEP_BYTES`` per range; a smaller call has one range, the whole
 batch, which the runner runs on the caller. A range computes what is per
-sample: the normalized current, the gated membrane update, the spikes and
-their bits, the pool, and the next step's spatial gate and channel means;
-in the backward the pool gradient, the carries, the surrogate slope, the
-reset term, the spatial branch's per-sample gradients and the gradient of
-the channel gate's input. Every reduction over samples stays on the
-caller, on the whole batch, in the serial order: batch norm's statistics
-and closed-form gradient, the channel branch's matrix products (BLAS may
+sample: batch norm's squared deviations, ``xhat`` and affine current, the
+gated membrane update, the spikes and their bits, the pool, and the next
+step's spatial gate and channel means; in the backward the pool gradient,
+the carries, the surrogate slope, the reset term, the spatial branch's
+per-sample gradients, the gradient of the channel gate's input, and batch
+norm's ``g * xhat`` and closed-form input gradient. Every reduction over
+samples stays on the caller, on the whole batch, as numpy reduces the
+whole array: batch norm's four per-channel reductions (the mean, the mean
+of the squares, the sums of ``g`` and of ``g * xhat``) and the running
+statistics they fold into, the channel branch's matrix products (BLAS may
 block a product of fewer rows differently) and the sums over samples of
 the spatial weight and bias gradients. An elementwise operation or a
 per-sample product gives a sample the same bits in any range, so every
@@ -61,10 +66,28 @@ call per step, on one range or many, and the caller runs the branch's
 products between the calls; a call carries step t's update and step
 t+1's per-sample gate work (in the backward, the rest of step t+1 and
 step t). A layer without one runs all T steps in one runner call.
+Training batch norm adds one call before the steps (the squares) and two
+after the backward's (``g * xhat``, then the input gradient).
+
+The pass budget: numpy calls that read or write a whole step map
+[n, C, H, W] in a range, for a step t >= 1 of a training conv layer with
+Heaviside spikes and a pool but no gate. Forward, 13: 2 for batch norm's
+squares, 2 for ``xhat``, 2 for gamma and beta, 4 for the membrane update,
+1 to fire, 1 for the bits, 1 for the pool. Backward, 20: 1 pool gradient,
+1 carry, 6 for the surrogate slope, 1 for the gradient through step t+1
+and 1 to decay it, 1 to recast the bits, 2 for the history's gradient and
+2 for the reset term, whose minus sign rides in ``-kappa``; then 1 for
+``g * xhat`` and 4 for batch norm's input gradient. The caller adds
+batch norm's two reductions each way. A gate adds, forward, the product
+with u, the two branches' product when both exist, and the spatial
+branch's contraction and the channel mean of the spikes; backward, the
+decayed history and its products with u and the history's gradient, the
+gradient times u, and the branches' per-sample products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
@@ -79,10 +102,13 @@ from .tensor import (
     Tensor,
     _avgpool,
     _avgpool_backward,
-    _bn_batch_stats,
+    _BN_AXES,
     _bn_eval_backward,
     _bn_eval_coeffs,
-    _bn_train_backward,
+    _bn_fold,
+    _bn_normalize,
+    _bn_square,
+    _bn_train_dx,
     _check_finite,
     _check_norm_params,
     _check_pool,
@@ -106,8 +132,8 @@ class LifConfig:
     kappa: float
 
     def __post_init__(self):
-        if self.v_th <= 0:
-            raise ParameterError(f"v_th must be positive, got {self.v_th}")
+        if not 0.0 < self.v_th < math.inf:
+            raise ParameterError(f"v_th must be positive and finite, got {self.v_th}")
         if not 0.0 <= self.kappa <= 1.0:
             raise ParameterError(f"kappa must be in [0, 1], got {self.kappa}")
 
@@ -322,9 +348,9 @@ def lif_sequence(
     parts = max(1, min(tensor.CONV_WORKERS, b, xs[0].nbytes // _SPLIT_STEP_BYTES))
     bounds = [b * i // parts for i in range(parts + 1)]
 
-    def run_ranges(steps, t0, t1):
-        """``steps(lo, hi, t0, t1)`` for every sample range, one range a thread."""
-        tensor._run_blocks(parts, parts, lambda _, i: steps(bounds[i], bounds[i + 1], t0, t1))
+    def run_ranges(work, *args):
+        """``work(lo, hi, *args)`` for every sample range, one range a thread."""
+        tensor._run_blocks(parts, parts, lambda _, i: work(bounds[i], bounds[i + 1], *args))
 
     spatial, channel = gate is not None and gate.spatial, gate is not None and gate.channel
     # the channel MLP needs every sample's mean of step t for the gate of
@@ -349,18 +375,26 @@ def lif_sequence(
     # the gate, when both branches make it)
     cur = np.empty(step_shape, dtype=dtype) if norm is not None else None
     keep = np.empty(step_shape, dtype=dtype)
-    # the steps' currents, batch-normalized as src * scale + shift: in
-    # training src is the normalized input and (scale, shift) = (gamma, beta)
-    src = xs
+    # the steps' currents, batch-normalized as i * scale + shift: in
+    # training i is the step's normalized input, saved in xhat when backward
+    # reads it, and (scale, shift) = (gamma, beta); in eval i is the input
+    xhat = None
     if norm is not None:
         c = step_shape[1]
         x4 = x.reshape((-1,) + step_shape[1:])
         gamma4, beta4 = norm.gamma.data.reshape(1, c, 1, 1), norm.beta.data.reshape(1, c, 1, 1)
         if norm.training:
-            # the squared deviations go into the membrane buffer before its first step
-            square = None if rolling else v.reshape(x4.shape)
-            xhat, std = _bn_batch_stats(x4, norm.state, square=square)
-            src, scale, shift = xhat.reshape(xs.shape), gamma4, beta4
+            # the squared deviations go into the membrane buffer before its
+            # first step, or into a map freed before it when the membrane
+            # rolls; the mean and the variance are whole-batch reductions
+            m = x4.mean(axis=_BN_AXES, keepdims=True)
+            square = np.empty(xs.shape, dtype=dtype) if rolling else v.reshape(xs.shape)
+            run_ranges(lambda lo, hi: _bn_square(xs[:, lo:hi], m, out=square[:, lo:hi]))
+            std = _bn_fold(norm.state, m, square.reshape(x4.shape))
+            del square
+            scale, shift = gamma4, beta4
+            if record:
+                xhat = np.empty(xs.shape, dtype=dtype)
         else:
             m, std, scale, shift = _bn_eval_coeffs(norm.state, gamma4, beta4, dtype)
             x_read = x4 if needs_grad[1] else None  # for the gamma gradient
@@ -377,8 +411,9 @@ def lif_sequence(
     def forward_steps(lo, hi, t0, t1):
         """Steps t0..t1-1 of samples lo:hi."""
         v_r, s_r, keep_r, out_r = v[:, lo:hi], s[:, lo:hi], keep[lo:hi], out[:, lo:hi]
-        x_r = src[:, lo:hi]
+        x_r = xs[:, lo:hi]
         cur_r = None if norm is None else cur[lo:hi]
+        xhat_r = None if xhat is None else xhat[:, lo:hi]
         bits_r = None if s_saved is None or smooth else s_saved[:, lo:hi]
         us_r = us_all[:, lo:hi] if spatial else None
         mean_r = mean_all[:, lo:hi] if channel else None
@@ -386,6 +421,8 @@ def lif_sequence(
             v_t, s_t = v_r[t % len(v)], s_r[t % len(s)]
             i_t = x_r[t]
             if norm is not None:
+                if norm.training:
+                    i_t = _bn_normalize(i_t, m, std, out=cur_r if xhat_r is None else xhat_r[t])
                 i_t = np.multiply(i_t, scale, out=cur_r)
                 i_t += shift
             if t == 0:
@@ -485,18 +522,18 @@ def lif_sequence(
                     s_prev[...] = s_r[t - 1]
                 np.subtract(1.0, s_prev, out=ghist_r)
                 ghist_r *= gv
+                # the reset term, d/ds of (.) * (1 - s): its minus sign is
+                # in -kappa, since IEEE negation commutes with a product
+                np.multiply(v_r[t - 1], -kappa, out=carry_r)
                 if gate is not None:
                     us = us_r[t] if spatial else None
                     uc = uc_all[t][lo:hi] if channel else None
                     u = gate.combine(us, uc, out=z_r)
                     np.multiply(v_r[t - 1], kappa, out=hist_r)
-                    np.multiply(hist_r, u, out=carry_r)
+                    carry_r *= u
                     hist_r *= ghist_r  # the gate's gradient, before the sum over broadcast axes
                     ghist_r *= u
-                else:
-                    np.multiply(v_r[t - 1], kappa, out=carry_r)
                 carry_r *= gv
-                np.negative(carry_r, out=carry_r)  # the reset term: d/ds of (.) * (1 - s)
                 if gate is not None:
                     gate.sample_backward(_unbroadcast(hist_r, u.shape), s_prev, us, uc, carry_r,
                                          dz_r[t] if spatial else None, dw_r[t] if spatial else None, duc_r, z_r)
@@ -513,8 +550,17 @@ def lif_sequence(
         if norm is not None:
             g4 = gcur.reshape((-1,) + step_shape[1:])
             if bn_products:
-                scratch = work[:t_steps].reshape(g4.shape)
-                grads = list(_bn_train_backward(g4, xhat, gamma4, std, needs_grad[0], out=g4, scratch=scratch))
+                # the closed-form input gradient: g * xhat and then dx over
+                # the ranges, the sums of g and of g * xhat on the caller
+                products = work[:t_steps]
+                run_ranges(lambda lo, hi: np.multiply(gcur[:, lo:hi], xhat[:, lo:hi], out=products[:, lo:hi]))
+                dbeta = g4.sum(axis=_BN_AXES)
+                dgamma = products.reshape(g4.shape).sum(axis=_BN_AXES)
+                if needs_grad[0]:
+                    n = g4.size // g4.shape[1]
+                    run_ranges(lambda lo, hi: _bn_train_dx(gcur[:, lo:hi], xhat[:, lo:hi], dbeta, dgamma, gamma4, std,
+                                                           n, out=gcur[:, lo:hi], scratch=products[:, lo:hi]))
+                grads = [g4 if needs_grad[0] else None, dgamma, dbeta]
             else:
                 grads = list(_bn_eval_backward(g4, x_read, m, std, scale, needs_grad[0], needs_grad[1], out=g4))
         if grads[0] is not None:

@@ -68,13 +68,14 @@ permutes axes into a contiguous copy.
 The network's conv layers do not call ``batchnorm`` or ``avgpool2d``: their
 layer node in ``neuron`` normalizes, fires and pools one time step at a
 time. Both ops stay for pools that follow no conv layer and as that node's
-reference. The numpy forms they share with it (batch statistics and
-running-statistic update ``_bn_batch_stats``, eval coefficients
-``_bn_eval_coeffs``, the closed-form backwards ``_bn_train_backward`` /
-``_bn_eval_backward``, the slice-sum pool ``_avgpool`` and its gradient
-``_avgpool_backward``) take optional output and scratch buffers, so the
-node runs the same arithmetic without full-map temporaries. So do the
-logistic function and the spike nonlinearities (``_sigmoid``, ``_fire``,
+reference. The numpy forms they share with it take output and scratch
+buffers, and the elementwise ones act on any range of samples, so the
+node runs the same arithmetic without full-map temporaries: batch norm's
+squared deviations ``_bn_square``, running-statistic fold ``_bn_fold``,
+normalize step ``_bn_normalize``, eval coefficients ``_bn_eval_coeffs``
+and closed-form input gradients ``_bn_train_dx`` / ``_bn_eval_backward``,
+the slice-sum pool ``_avgpool`` and its gradient ``_avgpool_backward``,
+the logistic function and the spike nonlinearities (``_sigmoid``, ``_fire``,
 ``_surrogate_backward``): each formula is written once.
 
 Set the environment variable ``SPIKEFUSE_DEBUG_NAN=1`` to assert that every
@@ -901,25 +902,34 @@ BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
 
 
-def _bn_batch_stats(x: np.ndarray, state: BatchNormState, square=None):
-    """Training-mode batch norm of ``x`` [N, C, H, W]: returns (xhat, std)
-    with ``std`` shaped [1, C, 1, 1], and folds the batch statistics into
-    ``state`` as ``BN_MOMENTUM * old + (1 - BN_MOMENTUM) * batch`` (the
-    running variance takes the unbiased estimate). The squared deviations
-    go into ``square`` (shaped like ``x``) if given."""
-    c = x.shape[1]
-    n = x.size // c
-    m = x.mean(axis=_BN_AXES, keepdims=True)
-    centered = x - m
-    var = np.multiply(centered, centered, out=square).mean(axis=_BN_AXES, keepdims=True)
-    std = np.sqrt(var + x.dtype.type(BN_EPS))
-    xhat = np.divide(centered, std, out=centered)
+def _bn_square(x: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The squared deviations ``(x - m)**2`` of any range of ``x`` from the
+    batch mean ``m`` [1, C, 1, 1], into ``out`` (shaped like ``x``)."""
+    np.subtract(x, m, out=out)
+    return np.multiply(out, out, out=out)
+
+
+def _bn_fold(state: BatchNormState, m: np.ndarray, square: np.ndarray) -> np.ndarray:
+    """From the batch mean ``m`` [1, C, 1, 1] and the squared deviations
+    ``square`` [N, C, H, W] of the whole batch: returns ``std`` [1, C, 1, 1]
+    and folds the batch statistics into ``state`` as ``BN_MOMENTUM * old +
+    (1 - BN_MOMENTUM) * batch`` (the running variance takes the unbiased
+    estimate)."""
+    c = square.shape[1]
+    n = square.size // c
+    var = square.mean(axis=_BN_AXES, keepdims=True)
     unbias = n / (n - 1) if n > 1 else 1.0
     # in-place so captured references (checkpointing) stay valid
     state.mean[...] = BN_MOMENTUM * state.mean + (1.0 - BN_MOMENTUM) * m.reshape(c)
     state.var[...] = BN_MOMENTUM * state.var + (1.0 - BN_MOMENTUM) * unbias * var.reshape(c)
     state.initialized = True
-    return xhat, std
+    return np.sqrt(var + square.dtype.type(BN_EPS))
+
+
+def _bn_normalize(x: np.ndarray, m: np.ndarray, std: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``xhat = (x - m) / std`` of any range of ``x``, into ``out``."""
+    np.subtract(x, m, out=out)
+    return np.divide(out, std, out=out)
 
 
 def _bn_eval_coeffs(state: BatchNormState, gamma4: np.ndarray, beta4: np.ndarray, dtype):
@@ -934,23 +944,18 @@ def _bn_eval_coeffs(state: BatchNormState, gamma4: np.ndarray, beta4: np.ndarray
     return m, std, scale, beta4 - m * scale
 
 
-def _bn_train_backward(g, xhat, gamma4, std, x_grad: bool, out=None, scratch=None):
-    """(dx, dgamma, dbeta) of training-mode batch norm for output gradient
-    ``g``, in closed form through the batch mean and variance:
-    dx = gamma/std * (g - mean(g) - xhat * mean(g * xhat)). ``dx`` is None
-    unless ``x_grad``; it goes into ``out``, which may be ``g`` itself. The
-    products go into ``scratch`` (shaped like ``g``) if given."""
-    c = g.shape[1]
-    n = g.size // c
-    dbeta = g.sum(axis=_BN_AXES)
-    product = np.multiply(g, xhat, out=scratch)
-    dgamma = product.sum(axis=_BN_AXES)
-    dx = None
-    if x_grad:
-        dx = np.subtract(g, (dbeta / n).reshape(1, c, 1, 1), out=out)
-        dx -= np.multiply(xhat, (dgamma / n).reshape(1, c, 1, 1), out=product)
-        dx *= gamma4 / std
-    return dx, dgamma, dbeta
+def _bn_train_dx(g, xhat, dbeta, dgamma, gamma4, std, n: int, out, scratch) -> np.ndarray:
+    """Training-mode batch norm's input gradient on any range of the output
+    gradient ``g``, in closed form through the batch mean and variance:
+    ``dx = ((g - dbeta/n) - xhat * (dgamma/n)) * (gamma/std)``, where
+    ``dbeta`` and ``dgamma`` are the sums over the whole batch of ``g`` and
+    ``g * xhat`` and ``n`` the count per channel. ``dx`` goes into ``out``,
+    which may be ``g`` itself; the products into ``scratch``."""
+    c = gamma4.shape[1]
+    dx = np.subtract(g, (dbeta / n).reshape(1, c, 1, 1), out=out)
+    dx -= np.multiply(xhat, (dgamma / n).reshape(1, c, 1, 1), out=scratch)
+    dx *= gamma4 / std
+    return dx
 
 
 def _bn_eval_backward(g, x, m, std, scale, x_grad: bool, gamma_grad: bool, out=None):
@@ -982,12 +987,19 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, tra
     gamma4 = gamma.data.reshape(1, c, 1, 1)
     beta4 = beta.data.reshape(1, c, 1, 1)
     if training:
-        xhat, std = _bn_batch_stats(x.data, state)
+        m = x.data.mean(axis=_BN_AXES, keepdims=True)
+        xhat = _bn_square(x.data, m, np.empty_like(x.data))
+        std = _bn_fold(state, m, xhat)
+        xhat = _bn_normalize(x.data, m, std, out=xhat)
         out_data = gamma4 * xhat
         out_data += beta4
 
         def grads(g):
-            return _bn_train_backward(g, xhat, gamma4, std, x_grad)
+            dbeta = g.sum(axis=_BN_AXES)
+            product = g * xhat
+            dgamma = product.sum(axis=_BN_AXES)
+            dx = _bn_train_dx(g, xhat, dbeta, dgamma, gamma4, std, g.size // c, None, product) if x_grad else None
+            return dx, dgamma, dbeta
 
     else:
         m, std, scale, shift = _bn_eval_coeffs(state, gamma4, beta4, x.dtype)

@@ -153,11 +153,14 @@ class TrainConfig:
 
 def _typed(value, kind, field: str):
     """``value`` if it is a ``kind``: an int passes for a float, a bool for
-    nothing but a bool; else ConfigError naming ``field``."""
+    nothing but a bool, and a float must be finite (``json`` parses ``NaN``
+    and ``Infinity``); else ConfigError naming ``field``."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"expected {kind.__name__}, got {type(value).__name__}", field=field)
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {value}", field=field)
     return value
 
 

@@ -63,6 +63,11 @@ class TestSliceToFrames:
         seq = slice_to_frames(stream, delta_t_ms=100, timesteps=5)  # keeps t < 500 ms
         assert seq.frames.sum() == 1
 
+    @pytest.mark.parametrize("delta_t", [0.0, -5.0, float("nan"), float("inf")])
+    def test_bad_slice_length_rejected(self, delta_t):
+        with pytest.raises(ParameterError, match="delta_t"):
+            slice_to_frames(make_stream(2), delta_t, 4)
+
     def test_empty_stream_is_valid(self):
         seq = slice_to_frames(EventStream(width=8, height=8), 125, 10)
         assert seq.frames.shape == (10, 2, 8, 8)
@@ -151,6 +156,21 @@ class TestSynthMovingBar:
     def test_too_small_field_rejected(self):
         with pytest.raises(ParameterError):
             synth_moving_bar(0, 4, 16, 500, 1.0, Rng(1))
+
+    @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
+    def test_bad_rate_rejected(self, rate):
+        with pytest.raises(ParameterError, match="rate"):
+            synth_moving_bar(0, 16, 16, 500, rate, Rng(1))
+
+    @pytest.mark.parametrize("duration", [0.0, 0.0009, -5.0, float("nan"), float("inf")])
+    def test_bad_duration_rejected(self, duration):
+        with pytest.raises(ParameterError, match="duration_ms"):
+            synth_moving_bar(0, 16, 16, duration, 2.0, Rng(1))
+
+    def test_one_microsecond_stream_stays_in_range(self):
+        # every event is clamped to t = 0, the stream's last microsecond
+        stream = synth_moving_bar(1, 16, 16, 0.001, 2.0, Rng(4))
+        assert len(stream) > 0 and not stream.t.any()
 
 
 class TestPoissonNoise:

@@ -118,6 +118,7 @@ class TestSavedSpikes:
         assert maps == ["s_saved", "v", "xhat"]
         assert saved["v"] is v and saved["s_saved"].dtype == np.bool_
         assert not any(a is pooled.data or a is currents.data for a in saved.values())
+        assert not any(np.shares_memory(a, currents.data) for a in saved.values())
 
 
 class TestTrainForwardMemory:

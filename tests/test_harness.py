@@ -206,6 +206,19 @@ class TestSynth:
         assert info.value.field == flag
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--rate", "nan"), ("--rate", "inf"), ("--rate", "-1"),
+        ("--duration-ms", "0"), ("--duration-ms", "-5"), ("--duration-ms", "nan"), ("--duration-ms", "inf"),
+    ])
+    def test_bad_rate_or_duration_fails_closed(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "c"
+        argv = ["synth", "--out", str(out), "--classes", "2", "--n-per-class", "2", flag, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+        assert not out.exists() or not any(out.iterdir())  # no stream and no manifest
+
+
 class TestTrainCommand:
     def test_run_directory_contents(self, corpus, tmp_path):
         train_dir, test_dir = corpus
@@ -243,6 +256,18 @@ class TestTrainCommand:
         rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert "lif.v_th" in capsys.readouterr().err
+
+    def test_non_finite_slice_length_names_field(self, corpus, tmp_path, capsys):
+        train_dir, test_dir = corpus
+        doc = config_doc(train_dir, test_dir)
+        doc["data"]["delta_t_ms"] = float("nan")
+        cfg_path = tmp_path / "nan.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert "NaN" in cfg_path.read_text()
+        rc = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "error: data.delta_t_ms: expected a finite number, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_threads_flag_is_rejected(self, tmp_path, capsys):
         # train runs one config; the worker pool belongs to the grid commands
@@ -394,6 +419,9 @@ class TestPlans:
         ({"seeds": "12"}, "seeds"),
         ({"seeds": [1, True]}, "seeds[1]"),
         ({"variants": "bl"}, "variants"),
+        ({"cells": [["sctfa", float("nan"), 1]]}, "cells[0][1]"),
+        ({"cells": [["sctfa", float("inf"), 1]]}, "cells[0][1]"),
+        ({"base_config": {"lif": {"kappa": float("nan")}}}, "base_config.lif.kappa"),
     ])
     def test_malformed_field_names_it(self, change, field):
         with pytest.raises(ConfigError) as info:

@@ -315,6 +315,59 @@ class TestStepSchedule:
         assert mlp_threads == [threading.get_ident()] * (2 * (T - 1) if channel else 0)
 
 
+    def test_training_norm_runs_its_passes_in_the_ranges(self, monkeypatch, conv_workers):
+        import threading
+        import time
+
+        import spikefuse.neuron as neuron_module
+        import spikefuse.tensor as tensor_module
+
+        conv_workers(2)  # B = 2 samples: two ranges of one
+        runs, ranges, folds = [], {}, []
+        run_blocks = tensor_module._run_blocks
+
+        def counting_run_blocks(parts, n, work):
+            runs.append(parts)
+            run_blocks(parts, n, work)
+
+        def in_a_range(name, fn):
+            def recorded(*args, **kwargs):
+                ranges.setdefault(name, set()).add((threading.get_ident(), args[0].size))
+                time.sleep(0.02)  # the other thread takes the other range
+                return fn(*args, **kwargs)
+
+            return recorded
+
+        def on_the_caller(state, m, square):
+            folds.append((threading.get_ident(), square.shape))
+            return fold(state, m, square)
+
+        fold = neuron_module._bn_fold
+        monkeypatch.setattr(tensor_module, "_run_blocks", counting_run_blocks)
+        monkeypatch.setattr(neuron_module, "_bn_fold", on_the_caller)
+        for name in ("_bn_square", "_bn_normalize", "_bn_train_dx"):
+            monkeypatch.setattr(neuron_module, name, in_a_range(name, getattr(neuron_module, name)))
+        currents, gamma, beta, _, att = layer_case("stfa", np.float64)
+        norm = BatchNorm(Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True),
+                         BatchNormState(C, np.float64), True)
+        out, _ = lif_sequence(Tensor(currents, requires_grad=True), CFG, att, timesteps=T, norm=norm)
+        # the squares, then the steps: one call more than a layer without norm
+        assert runs == [2, 2]
+        tsum(out).backward()
+        # the steps, then g * xhat and dx: two calls more
+        assert runs == [2] * 5
+        # every elementwise pass on one sample, on both threads: all steps
+        # at once, or one step at a time for the normalize step
+        sample, caller = currents.size // B, threading.get_ident()
+        assert sorted(ranges) == ["_bn_normalize", "_bn_square", "_bn_train_dx"]
+        for name, calls in ranges.items():
+            assert {size for _, size in calls} == {sample // T if name == "_bn_normalize" else sample}
+            threads = {thread for thread, _ in calls}
+            assert len(threads) == 2 and caller in threads
+        # the variance is a reduction over the whole batch, on the caller
+        assert folds == [(threading.get_ident(), currents.shape)]
+
+
 class TestNoGrad:
     def test_saves_nothing_and_rolls_two_membrane_steps(self):
         t_steps, batch, ch, hw = 16, 2, 8, 32
@@ -349,6 +402,32 @@ class TestNoGrad:
         assert recorded.requires_grad
         assert v.tobytes() == v_graph.tobytes() and recorded.data.tobytes() == out.data.tobytes()
         assert 0 < out.data.sum() < out.size
+
+
+    def test_training_norm_rolls_with_one_map_of_squares(self):
+        # the warm-up of ``complexity``: training-mode batch norm under no_grad
+        t_steps, batch, ch, hw = 16, 2, 8, 32
+        rng = Rng(5)
+        x = Tensor(rng.normal(0.3, 1.2, size=(t_steps * batch, ch, hw, hw)).astype(np.float32))
+        att = init_attention_params(ch, 2, AttentionVariant.SCTFA, rng.split("att"), np.float32)
+        norm = BatchNorm(Tensor(np.full(ch, 1.5, np.float32)), Tensor(np.full(ch, 0.2, np.float32)),
+                         BatchNormState(ch, np.float32), True)
+        with no_grad():
+            gc.collect()
+            tracemalloc.start()
+            try:
+                out, v = lif_sequence(x, CFG, att, timesteps=t_steps, norm=norm, pool=2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert v is None and out._backward_fn is None
+        # the squared deviations are the one map of all steps, freed before
+        # the steps run; no xhat of all steps is made
+        step = x.data.nbytes // t_steps
+        assert peak < t_steps * step + 4 * step + 12 * step, peak / step
+        reference = batchnorm(Tensor(x.data), norm.gamma, norm.beta, BatchNormState(ch, np.float32), True)
+        recorded, _ = lif_sequence(reference, CFG, att, timesteps=t_steps)
+        assert out.data.tobytes() == avgpool2d(recorded, 2).data.tobytes()
 
 
 class TestChecks:

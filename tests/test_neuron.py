@@ -29,6 +29,18 @@ def state_with(v, s, dtype=np.float64):
     return LayerState(v=Tensor(v), s=Tensor(np.asarray(s, dtype=dtype)))
 
 
+class TestLifConfig:
+    @pytest.mark.parametrize("v_th", [0.0, -1.0, float("nan"), float("inf")])
+    def test_threshold_must_be_positive_and_finite(self, v_th):
+        with pytest.raises(ParameterError, match="v_th"):
+            LifConfig(v_th=v_th, kappa=0.7)
+
+    @pytest.mark.parametrize("kappa", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_decay_must_be_in_unit_interval(self, kappa):
+        with pytest.raises(ParameterError, match="kappa"):
+            LifConfig(v_th=1.0, kappa=kappa)
+
+
 class TestLifStep:
     def test_subthreshold_decay(self):
         cfg = LifConfig(v_th=1.15, kappa=0.7)

@@ -241,6 +241,18 @@ class TestConfig:
             config_from_dict(doc)
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("field", ["lr", "lr_decay", "lif.v_th", "lif.kappa", "data.delta_t_ms"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_float_names_field(self, field, value):
+        # Python's json parses NaN and Infinity into floats
+        doc = self.doc()
+        *parents, key = field.split(".")
+        target = doc[parents[0]] if parents else doc
+        target[key] = json.loads(value)
+        with pytest.raises(ConfigError, match="finite") as exc:
+            config_from_dict(doc)
+        assert exc.value.field == field
+
     def test_arch_validated_at_config_time(self):
         doc = self.doc()
         doc["arch"] = "Input-3C3-AP2"
