@@ -106,10 +106,6 @@ class FrameSequence:
     delta_t_ms: float
     timesteps: int
 
-    def binarize(self) -> "FrameSequence":
-        """Presence map: any positive count becomes 1."""
-        return replace(self, frames=np.minimum(self.frames, 1))
-
 
 @dataclass(frozen=True)
 class CorruptionSpec:
@@ -129,8 +125,7 @@ class CorruptionSpec:
         if not math.isfinite(self.parameter):
             raise ParameterError(f"corruption parameter must be finite, got {self.parameter}")
         if self.kind == "poisson_noise":
-            if self.parameter < 0:
-                raise ParameterError("poisson rate must be >= 0")
+            _check_poisson_rate(self.parameter)
         elif not 0.0 <= self.parameter <= 1.0:
             raise ParameterError("loss rate must be in [0, 1]")
 
@@ -142,22 +137,50 @@ def slice_to_frames(stream: EventStream, delta_t_ms: float, timesteps: int) -> F
     or beyond delta_t * T are discarded; slices past the stream's actual
     duration stay zero. An empty stream yields all-zero frames.
     """
+    _, cells = _frame_cells(stream, delta_t_ms, timesteps)
+    frames = _frame_counts(cells, _frame_shape(stream, timesteps))
+    return FrameSequence(frames, stream.label, delta_t_ms, timesteps)
+
+
+def _frame_shape(stream: EventStream, timesteps: int) -> tuple:
+    return (timesteps, 2, stream.height, stream.width)
+
+
+def _frame_cells(stream: EventStream, delta_t_ms: float, timesteps: int):
+    """``(in_range, cells)``: the mask of the events of ``stream`` that fall
+    in the T slices of ``slice_to_frames``, and the flat index into its
+    [T, 2, H, W] frames of each event the mask keeps, in stream order."""
     if not 0.0 < delta_t_ms < math.inf or timesteps <= 0:
         raise ParameterError(f"delta_t must be positive and finite and timesteps positive, "
                              f"got {delta_t_ms} and {timesteps}")
-    shape = (timesteps, 2, stream.height, stream.width)
     idx = np.floor(stream.t.astype(np.float64) / (delta_t_ms * 1000.0)).astype(np.int64)
-    keep = idx < timesteps
+    in_range = idx < timesteps
     cells = np.ravel_multi_index(
-        (idx[keep], stream.polarity[keep], stream.y[keep], stream.x[keep]), shape
+        (idx[in_range], stream.polarity[in_range], stream.y[in_range], stream.x[in_range]),
+        _frame_shape(stream, timesteps),
     )
-    frames = np.bincount(cells, minlength=math.prod(shape)).astype(np.int64, copy=False)
-    return FrameSequence(frames.reshape(shape), stream.label, delta_t_ms, timesteps)
+    return in_range, cells
+
+
+def _frame_counts(cells: np.ndarray, shape: tuple) -> np.ndarray:
+    """int64 counts of the flat frame-cell indices ``cells``, shaped ``shape``."""
+    return np.bincount(cells, minlength=math.prod(shape)).astype(np.int64, copy=False).reshape(shape)
 
 
 BAR_DIRECTIONS = ("left_right", "right_left", "top_bottom", "bottom_top")
 BAR_WIDTH = 2  # pixels
 BAR_JITTER_MS = 8.0
+
+
+def _check_bar(height: int, width: int, duration_ms: float, rate: float) -> None:
+    """Raise ParameterError unless ``synth_moving_bar`` can draw this bar."""
+    if height < 8 or width < 8:
+        raise ParameterError("field must be at least 8x8")
+    if not 0.0 <= rate < math.inf:
+        raise ParameterError(f"rate must be finite and >= 0, got {rate}")
+    # an event falls at most one microsecond before the stream's end
+    if not 0.001 <= duration_ms < math.inf:
+        raise ParameterError(f"duration_ms must be finite and at least 0.001 (one microsecond), got {duration_ms}")
 
 
 def synth_moving_bar(
@@ -176,15 +199,9 @@ def synth_moving_bar(
     ``BAR_JITTER_MS``. Label = direction index. ``rate`` 0 gives a valid
     empty stream.
     """
-    if height < 8 or width < 8:
-        raise ParameterError("field must be at least 8x8")
     if not 0 <= direction < 4:
         raise ParameterError(f"direction must be in [0, 4), got {direction}")
-    if not 0.0 <= rate < math.inf:
-        raise ParameterError(f"rate must be finite and >= 0, got {rate}")
-    # an event falls at most one microsecond before the stream's end
-    if not 0.001 <= duration_ms < math.inf:
-        raise ParameterError(f"duration_ms must be finite and at least 0.001 (one microsecond), got {duration_ms}")
+    _check_bar(height, width, duration_ms, rate)
 
     along = width if direction < 2 else height
     across = height if direction < 2 else width
@@ -231,19 +248,31 @@ def synth_moving_bar(
     return EventStream(width=width, height=height, label=direction)
 
 
+# numpy's Generator.poisson refuses a larger rate
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
+def _check_poisson_rate(lam: float) -> None:
+    if not 0.0 <= lam <= _POISSON_LAM_MAX:
+        raise ParameterError(f"poisson rate must be in [0, {_POISSON_LAM_MAX:.6g}], got {lam}")
+
+
+def _kept(n: int, p: float, rng: Rng) -> np.ndarray:
+    """The mask of the n items that survive independent loss at rate p."""
+    return rng.random(n) >= p
+
+
 def add_poisson_noise(frames: FrameSequence, lam: float, rng: Rng) -> FrameSequence:
     """Add independent Poisson(lam) counts to every (t, polarity, y, x) cell."""
-    if lam < 0:
-        raise ParameterError(f"poisson rate must be >= 0, got {lam}")
-    noise = rng.poisson(lam, size=frames.frames.shape).astype(np.int64)
-    return replace(frames, frames=frames.frames + noise)
+    _check_poisson_rate(lam)
+    return replace(frames, frames=frames.frames + rng.poisson(lam, size=frames.frames.shape))
 
 
 def drop_events(stream: EventStream, p: float, rng: Rng) -> EventStream:
     """Independently retain each event with probability 1-p, order preserved."""
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"loss rate must be in [0, 1], got {p}")
-    keep = rng.random(len(stream)) >= p
+    keep = _kept(len(stream), p, rng)
     return replace(stream, t=stream.t[keep], x=stream.x[keep], y=stream.y[keep],
                    polarity=stream.polarity[keep])
 
@@ -252,9 +281,8 @@ def drop_frames(frames: FrameSequence, p: float, rng: Rng) -> FrameSequence:
     """Independently zero each of the T frames with probability p."""
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"loss rate must be in [0, 1], got {p}")
-    dropped = rng.random(frames.timesteps) < p
     out = frames.frames.copy()
-    out[dropped] = 0
+    out[~_kept(frames.timesteps, p, rng)] = 0
     return replace(frames, frames=out)
 
 

@@ -37,6 +37,7 @@ from .events import (
     BAR_DIRECTIONS,
     CorruptionSpec,
     EventStream,
+    _check_bar,
     read_events,
     synth_moving_bar,
     write_events,
@@ -110,6 +111,7 @@ def synth_corpus(
     """Write a deterministic labeled corpus plus manifest; returns rows."""
     if classes > len(BAR_DIRECTIONS):
         raise ParameterError(f"at most {len(BAR_DIRECTIONS)} motion classes available")
+    _check_bar(height, width, duration_ms, rate)  # before any file is made
     out_dir.mkdir(parents=True, exist_ok=True)
     master = Rng(seed)
     rows = []
@@ -121,7 +123,7 @@ def synth_corpus(
             name = f"stream_c{label}_{i:04d}.evs"
             write_events(out_dir / name, stream)
             rows.append({"filename": name, "label": label, "n_events": len(stream), "seed": seed})
-    with open(out_dir / "manifest.tsv", "w") as fh:
+    with atomic_open(out_dir / "manifest.tsv", "w") as fh:
         fh.write("filename\tlabel\tn_events\tseed\n")
         for row in rows:
             fh.write(f"{row['filename']}\t{row['label']}\t{row['n_events']}\t{row['seed']}\n")

@@ -59,7 +59,8 @@ once none of its pool tasks is running. A call on one thread runs its
 blocks on the caller directly, with no queue. The layer node in ``neuron``
 runs the sample ranges of its time steps through the same runner, so the
 node starts no thread of its own and its one-range calls take the same
-direct path.
+direct path; ``training`` fills a batch of event frames through it, one
+stream per block.
 
 ``avgpool2d`` sums k*k strided slices into one buffer and scales it once.
 ``batchnorm`` is one graph node with a closed-form backward. ``transpose``

@@ -30,11 +30,10 @@ from .errors import ArchError, ConfigError, DivergenceError, ParameterError, Sha
 from .events import (
     CorruptionSpec,
     EventStream,
-    FrameSequence,
-    add_poisson_noise,
-    drop_events,
-    drop_frames,
-    slice_to_frames,
+    _frame_cells,
+    _frame_counts,
+    _frame_shape,
+    _kept,
 )
 from .network import NetworkSpec, SpikingNetwork, parse_architecture, precision_dtype
 from .neuron import LifConfig
@@ -270,20 +269,43 @@ def frames_from_streams(
     binarize: bool = False,
     dtype=np.float32,
 ) -> LabeledFrames:
-    seqs = [slice_to_frames(s, delta_t_ms, timesteps) for s in streams]
-    return frames_from_sequences(seqs, binarize=binarize, dtype=dtype)
+    """The labeled streams as ``slice_to_frames`` count frames [N, T, 2, H,
+    W] in ``dtype`` (presence maps if ``binarize``) and their labels."""
+    dataset, _, clean = _bin_streams(streams, delta_t_ms, timesteps, dtype)
+    _fill_frames(dataset.frames, clean, binarize)
+    return dataset
 
 
-def frames_from_sequences(
-    seqs: Sequence[FrameSequence], binarize: bool = False, dtype=np.float32
-) -> LabeledFrames:
-    if any(seq.label is None for seq in seqs):
-        raise ParameterError("all sequences must be labeled")
-    if binarize:
-        seqs = [seq.binarize() for seq in seqs]
-    frames = np.stack([seq.frames for seq in seqs]).astype(dtype)
-    labels = np.array([seq.label for seq in seqs], dtype=np.int64)
-    return LabeledFrames(frames, labels)
+def _bin_streams(streams, delta_t_ms, timesteps, dtype):
+    """``(dataset, binned, clean)``: the labeled ``streams`` with frames
+    [N, T, 2, H, W] in ``dtype`` allocated but not filled, each stream's
+    ``events._frame_cells`` (binned here, once) and ``clean(i)``, stream
+    i's int64 counts."""
+    if not streams or any(s.label is None for s in streams):
+        raise ParameterError("expected one or more streams, all labeled")
+    shape = _frame_shape(streams[0], timesteps)
+    if any(_frame_shape(s, timesteps) != shape for s in streams):
+        raise ParameterError("all streams must have the same width and height")
+    binned = [_frame_cells(s, delta_t_ms, timesteps) for s in streams]
+    labels = np.array([s.label for s in streams], dtype=np.int64)
+    dataset = LabeledFrames(np.empty((len(streams),) + shape, dtype=dtype), labels)
+    return dataset, binned, lambda i: _frame_counts(binned[i][1], shape)
+
+
+def _fill_frames(frames: np.ndarray, counts, binarize: bool) -> None:
+    """Write row i of ``frames`` from ``counts(i)``, a fresh int64 count
+    map clipped to 1 if ``binarize``, one row per ``tensor._run_blocks``
+    task. ``counts`` must keep nothing (a kept array would pin its pool
+    thread's malloc arena) and call no public function of ``events`` or
+    ``training``: ``bench/tracer.py`` wraps those in spans whose stack all
+    threads share."""
+    def fill(_, i):
+        row = counts(i)
+        if binarize:
+            np.minimum(row, 1, out=row)
+        frames[i] = row
+
+    tensor._run_blocks(min(tensor.CONV_WORKERS, len(frames)), len(frames), fill)
 
 
 # ---------------------------------------------------------------------------
@@ -461,34 +483,6 @@ class EvalResult:
     activation_distance: Optional[float] = None
 
 
-def _corrupt_sequences(
-    streams: Sequence[EventStream],
-    delta_t_ms: float,
-    timesteps: int,
-    corruption: CorruptionSpec,
-    clean: Optional[Sequence[FrameSequence]] = None,
-) -> List[FrameSequence]:
-    """Corrupted frame sequences of ``streams``. Poisson noise and frame loss
-    start from ``clean``, the streams' clean sequences (sliced here when not
-    given), and leave them unchanged; event loss drops events before
-    slicing, so it slices again."""
-    rng = Rng(corruption.seed).split("corrupt", corruption.kind)
-    out = []
-    for i, stream in enumerate(streams):
-        srng = rng.split(i)
-        if corruption.kind == "event_loss":
-            out.append(slice_to_frames(
-                drop_events(stream, corruption.parameter, srng), delta_t_ms, timesteps
-            ))
-            continue
-        seq = clean[i] if clean is not None else slice_to_frames(stream, delta_t_ms, timesteps)
-        if corruption.kind == "poisson_noise":
-            out.append(add_poisson_noise(seq, corruption.parameter, srng))
-        else:
-            out.append(drop_frames(seq, corruption.parameter, srng))
-    return out
-
-
 def evaluate_sweep(
     net: SpikingNetwork,
     streams: Sequence[EventStream],
@@ -501,24 +495,43 @@ def evaluate_sweep(
     """Evaluate on clean event streams, then under each corruption spec.
 
     Yields the clean result first, then one result per spec as soon as its
-    pass ends: L specs take L+1 passes. The clean streams are sliced and
-    evaluated once, and every level reuses that pass. Each corrupted result
-    carries the mean Euclidean distance between the clean and corrupted
-    membrane trajectories of the last convolutional layer (mean over
-    samples and timesteps of the per-step L2 norm over all neurons).
+    pass ends: L specs take L+1 passes. Each stream is binned into frame
+    cells once, and every pass writes its counts into one batch in the
+    network's dtype, one stream per pool task: Poisson noise adds draws to
+    the clean counts, event loss counts the cells of the events its draw
+    keeps, frame loss zeroes the dropped frames. Stream i draws from
+    ``Rng(spec.seed).split("corrupt", spec.kind).split(i)``, so the frames
+    equal those of the public operators for any number of threads. Each
+    corrupted result carries the mean Euclidean distance between the clean
+    and corrupted membrane trajectories of the last convolutional layer
+    (mean over samples and timesteps of the per-step L2 norm over all
+    neurons).
     """
-    clean_seqs = [slice_to_frames(s, delta_t_ms, timesteps) for s in streams]
-    clean = frames_from_sequences(clean_seqs, binarize=binarize, dtype=net.dtype)
+    dataset, binned, clean = _bin_streams(streams, delta_t_ms, timesteps, net.dtype)
+    shape = dataset.frames.shape[1:]
+    _fill_frames(dataset.frames, clean, binarize)
     acc, conf, clean_hidden = evaluate_frames(
-        net, clean, batch_size=batch_size, record_hidden=bool(corruptions)
+        net, dataset, batch_size=batch_size, record_hidden=bool(corruptions)
     )
-    del clean  # the levels start from clean_seqs; free the stacked copy
     yield EvalResult(accuracy=acc, confusion=conf)
     for spec in corruptions:
-        seqs = _corrupt_sequences(streams, delta_t_ms, timesteps, spec, clean=clean_seqs)
-        corrupted = frames_from_sequences(seqs, binarize=binarize, dtype=net.dtype)
+        rng = Rng(spec.seed).split("corrupt", spec.kind)
+
+        def corrupted(i):
+            srng = rng.split(i)
+            if spec.kind == "event_loss":
+                in_range, cells = binned[i]
+                return _frame_counts(cells[_kept(len(in_range), spec.parameter, srng)[in_range]], shape)
+            counts = clean(i)
+            if spec.kind == "poisson_noise":
+                counts += srng.poisson(spec.parameter, size=shape)
+            else:
+                counts[~_kept(timesteps, spec.parameter, srng)] = 0
+            return counts
+
+        _fill_frames(dataset.frames, corrupted, binarize)
         acc, conf, distances = evaluate_frames(
-            net, corrupted, batch_size=batch_size, hidden_reference=clean_hidden
+            net, dataset, batch_size=batch_size, hidden_reference=clean_hidden
         )
         yield EvalResult(accuracy=acc, confusion=conf,
                          activation_distance=float(np.mean(distances)))

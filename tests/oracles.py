@@ -2,12 +2,18 @@
 
 Everything here is written as plain loops / direct formulas, deliberately
 sharing no code with the engine, so agreement is evidence rather than
-tautology.
+tautology. The one exception is ``sweep_level_frames``, which composes the
+engine's public event operators one stream at a time: it is the reference
+for the robustness sweep's batch, which bins each stream once and reuses
+the binning for every level.
 """
 
 import math
 
 import numpy as np
+
+from spikefuse.events import add_poisson_noise, drop_events, drop_frames, slice_to_frames
+from spikefuse.rng import Rng
 
 
 def conv2d_loops(x, w, b, stride, padding):
@@ -146,6 +152,27 @@ def slice_counts_add_at(t, x, y, polarity, width, height, delta_t_ms, timesteps)
     np.add.at(frames, (idx[keep], np.asarray(polarity, dtype=np.int64)[keep],
                        np.asarray(y, dtype=np.int64)[keep], np.asarray(x, dtype=np.int64)[keep]), 1)
     return frames
+
+
+def sweep_level_frames(streams, delta_t_ms, timesteps, spec=None, binarize=False, dtype=np.float32):
+    """The frames [N, T, 2, H, W] of one robustness-sweep level: each stream
+    sliced by ``slice_to_frames`` and, under a corruption ``spec``, passed
+    through its public operator with stream i's generator
+    ``Rng(spec.seed).split("corrupt", spec.kind).split(i)`` (event loss
+    drops events before slicing), binarized per sequence, then stacked and
+    cast."""
+    seqs = []
+    for i, stream in enumerate(streams):
+        rng = None if spec is None else Rng(spec.seed).split("corrupt", spec.kind).split(i)
+        if spec is not None and spec.kind == "event_loss":
+            stream = drop_events(stream, spec.parameter, rng)
+        seq = slice_to_frames(stream, delta_t_ms, timesteps)
+        if spec is not None and spec.kind == "poisson_noise":
+            seq = add_poisson_noise(seq, spec.parameter, rng)
+        elif spec is not None and spec.kind == "frame_loss":
+            seq = drop_frames(seq, spec.parameter, rng)
+        seqs.append(np.minimum(seq.frames, 1) if binarize else seq.frames)
+    return np.stack(seqs).astype(dtype)
 
 
 def channel_mean_loops(x):

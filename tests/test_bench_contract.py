@@ -10,6 +10,7 @@ import ast
 import importlib
 import inspect
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -122,3 +123,42 @@ def test_workload_calls_bind_to_the_engine_signatures():
         training.TrainConfig, training.Adam, training.train, training.evaluate_frames,
         network.build_network, network.save_checkpoint, harness.synth_corpus, synth_moving_bar,
     } <= bound
+
+
+def test_no_traced_name_runs_off_the_main_thread(tracer_module, conv_workers):
+    # the tracer keeps one span stack for every thread, so each name it wraps
+    # must run on the caller, never in a pool task of conv2d, the layer node
+    # or the sweep's per-stream batch fill
+    from spikefuse.events import CorruptionSpec
+    from spikefuse.neuron import LifConfig
+    from spikefuse.rng import Rng
+
+    conv_workers(3)
+    threads = []
+
+    def record(original):
+        def wrapper(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return original(*args, **kwargs)
+        return wrapper
+
+    patches = tracer_module.Patches()
+    for opname in tracer_module.TENSOR_OPS:
+        patches.function(tensor, opname, record)
+    for module, attr, _ in tracer_module.FUNCTION_SPANS:
+        patches.function(module, attr, record)
+    try:
+        streams = [synth_moving_bar(label, 16, 16, 500.0, 2.0, Rng(3).split(label, i))
+                   for label in range(4) for i in range(2)]
+        dataset = training.frames_from_streams(streams, 100.0, 5)
+        cfg = training.TrainConfig(
+            arch="Input-4C3-BN-AP2-4C3-BN-VotingC4P2-AP", variant="sctfa", epochs=1, batch_size=4,
+            lr=0.004, lr_decay=0.97, seed=1, lif=LifConfig(v_th=1.0, kappa=0.7),
+            data=training.DataConfig(delta_t_ms=100.0, timesteps=5), input_height=16, input_width=16,
+        )
+        _, net = training.train(cfg, dataset, dataset)
+        specs = [CorruptionSpec(kind, 0.5, 9) for kind in ("poisson_noise", "event_loss", "frame_loss")]
+        assert len(list(training.evaluate_sweep(net, streams, 100.0, 5, specs, binarize=True))) == 4
+    finally:
+        assert patches.restore() is True
+    assert threads and all(thread is threading.main_thread() for thread in threads)

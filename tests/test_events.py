@@ -202,6 +202,20 @@ class TestPoissonNoise:
         with pytest.raises(ParameterError):
             add_poisson_noise(seq, -0.1, Rng(1))
 
+    @pytest.mark.parametrize("lam", [1e20, 1e300, float("nan")])
+    def test_rate_numpy_cannot_draw_rejected(self, lam):
+        seq = slice_to_frames(make_stream(13), 100, 10)
+        with pytest.raises(ParameterError, match="poisson rate must be in"):
+            add_poisson_noise(seq, lam, Rng(1))
+
+    def test_largest_rate_numpy_draws_accepted(self):
+        lam = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+        CorruptionSpec("poisson_noise", lam, 1)
+        with pytest.raises(ParameterError):
+            CorruptionSpec("poisson_noise", np.nextafter(lam, np.inf), 1)
+        out = add_poisson_noise(slice_to_frames(EventStream(width=8, height=8), 100, 1), lam, Rng(1))
+        assert out.frames.min() > 0
+
 
 class TestDropEvents:
     def test_p_zero_identity(self):
@@ -275,6 +289,11 @@ class TestCorruptionSpec:
     def test_bad_rate(self):
         with pytest.raises(ParameterError):
             CorruptionSpec("event_loss", 1.5, 1)
+
+    @pytest.mark.parametrize("lam", [1e19, 1e20, 1e300])
+    def test_poisson_rate_past_numpys_limit(self, lam):
+        with pytest.raises(ParameterError, match="poisson rate must be in"):
+            CorruptionSpec("poisson_noise", lam, 1)
 
     @pytest.mark.parametrize("kind", ["poisson_noise", "event_loss", "frame_loss"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -216,7 +220,44 @@ class TestSynth:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
-        assert not out.exists() or not any(out.iterdir())  # no stream and no manifest
+        assert not out.exists()  # the parameters are checked before the directory is made
+
+    def test_failed_manifest_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+        real_open = harness.atomic_open
+
+        class FailingFile:
+            def __init__(self, fh):
+                self.fh, self.lines = fh, 0
+
+            def write(self, text):
+                self.lines += 1
+                if self.lines == 3:
+                    raise OSError("disk full")
+                return self.fh.write(text)
+
+        @contextmanager
+        def failing_open(path, *args, **kwargs):
+            with real_open(path, *args, **kwargs) as fh:
+                yield FailingFile(fh)
+
+        monkeypatch.setattr(harness, "atomic_open", failing_open)
+        with pytest.raises(OSError, match="disk full"):
+            synth_corpus(tmp_path / "c", 2, 2, 16, 16, 500.0, 2.0, seed=4)
+        names = sorted(p.name for p in (tmp_path / "c").iterdir())
+        assert len(names) == 4 and all(name.endswith(".evs") for name in names)
+        with pytest.raises(ConfigError, match="no manifest.tsv"):
+            load_corpus(tmp_path / "c")
+
+
+class TestModuleEntry:
+    def test_python_m_runs_the_cli(self):
+        # from a checkout without an install: the package's parent on the path
+        paths = [str(Path(harness.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run([sys.executable, "-m", "spikefuse", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: spikefuse")
 
 
 class TestTrainCommand:
@@ -640,6 +681,8 @@ class TestRobustnessCommand:
         ("--noise", "nan", "'nan'"),
         ("--noise", "inf", "'inf'"),
         ("--event-loss", "0.2,1.5", "'1.5'"),
+        ("--noise", "1e20", "'1e20'"),  # numpy cannot draw Poisson counts at this rate
+        ("--noise", "0.5,1e300", "'1e300'"),
     ])
     def test_bad_level_fails_before_loading(self, tmp_path, capsys, flag, value, token):
         # neither the checkpoint nor the corpus exists: levels are checked first
@@ -676,6 +719,27 @@ class TestRobustnessCommand:
             main(argv + ["--noise", "0.5,1.0"])
         assert sorted(p.name for p in (tmp_path / "rb").iterdir()) == ["robustness.csv"]
         assert (tmp_path / "rb" / "robustness.csv").read_bytes() == before
+
+    @pytest.mark.parametrize("binarize", [False, True])
+    def test_csv_bytes_equal_for_any_worker_count(self, corpus, run_dir, tmp_path, conv_workers,
+                                                  monkeypatch, binarize):
+        _, test_dir = corpus
+        real_load = harness.load_checkpoint
+
+        def load(path):
+            net, config = real_load(path)
+            return net, {**config, "binarize": binarize}
+
+        monkeypatch.setattr(harness, "load_checkpoint", load)
+        outputs = []
+        for workers in (1, 2, 3):
+            conv_workers(workers)
+            out = tmp_path / f"rb{workers}"
+            assert main(["robustness", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                         "--data", str(test_dir), "--noise", "0.5,2", "--event-loss", "0.3",
+                         "--frame-loss", "0.4", "--seed", "3", "--out", str(out)]) == 0
+            outputs.append((out / "robustness.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("command", [["eval"], ["robustness", "--noise", "0.5"]])
     def test_corpus_of_another_geometry_fails_before_any_forward(self, corpus, tmp_path, capsys,

@@ -1,6 +1,7 @@
 """Loss, optimizer, schedule, the training loop, corrupted evaluation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,18 +17,19 @@ from spikefuse.training import (
     Adam,
     DataConfig,
     TrainConfig,
+    LabeledFrames,
     config_from_dict,
-    _corrupt_sequences,
     evaluate,
     evaluate_frames,
     evaluate_sweep,
-    frames_from_sequences,
     frames_from_streams,
     lr_schedule,
     mse_vote_loss,
     one_hot,
     train,
 )
+
+from oracles import sweep_level_frames
 
 TINY_ARCH = "Input-4C3-BN-AP2-4C3-BN-VotingC4P2-AP"
 
@@ -373,10 +375,7 @@ class TestEvaluateWithCorruption:
 
     def test_full_frame_loss_degenerates_to_tie_break(self, trained):
         net, streams, _ = trained
-        from spikefuse.training import _corrupt_sequences
-
-        seqs = _corrupt_sequences(streams, 100.0, 5, CorruptionSpec("frame_loss", 1.0, 9))
-        assert all(seq.frames.sum() == 0 for seq in seqs)
+        assert not sweep_level_frames(streams, 100.0, 5, CorruptionSpec("frame_loss", 1.0, 9)).any()
         zero = frames_from_streams(streams, 100.0, 5)
         zero.frames[...] = 0.0
         preds = []
@@ -390,7 +389,7 @@ class TestEvaluateWithCorruption:
         assert out.accuracy == expect_acc
 
 
-SWEEP_SPECS = [  # zero levels after non-zero ones: the cached clean frames stay clean
+SWEEP_SPECS = [  # zero levels after non-zero ones: each level overwrites the whole shared batch
     CorruptionSpec("frame_loss", 0.4, 5),
     CorruptionSpec("poisson_noise", 1.5, 6),
     CorruptionSpec("event_loss", 0.3, 7),
@@ -403,12 +402,13 @@ SWEEP_SPECS = [  # zero levels after non-zero ones: the cached clean frames stay
 def per_level_reference(net, streams, specs, binarize, batch_size):
     """Each level as its own composition: a clean and a corrupted pass with
     whole-set trajectories, and the distance from their difference."""
-    clean = frames_from_streams(streams, 100.0, 5, binarize=binarize, dtype=net.dtype)
+    labels = np.array([s.label for s in streams])
+    clean = LabeledFrames(sweep_level_frames(streams, 100.0, 5, None, binarize, net.dtype), labels)
     acc, conf, _ = evaluate_frames(net, clean, batch_size=batch_size)
     out = [(acc, conf, None)]
     for spec in specs:
-        seqs = _corrupt_sequences(streams, 100.0, 5, spec)
-        corrupted = frames_from_sequences(seqs, binarize=binarize, dtype=net.dtype)
+        corrupted = LabeledFrames(sweep_level_frames(streams, 100.0, 5, spec, binarize, net.dtype),
+                                  labels)
         acc, conf, hidden_c = evaluate_frames(net, corrupted, batch_size=batch_size,
                                               record_hidden=True)
         _, _, hidden_0 = evaluate_frames(net, clean, batch_size=batch_size, record_hidden=True)
@@ -454,8 +454,9 @@ class TestEvaluateSweep:
             assert single.activation_distance == result.activation_distance
 
     def test_one_clean_pass_and_one_slice_per_stream(self, sweep_nets, monkeypatch):
+        # every level reuses one binning of each stream's events into frame cells
         nets, streams = sweep_nets
-        calls = {"evaluate_frames": 0, "slice_to_frames": 0}
+        calls = {"evaluate_frames": 0, "_frame_cells": 0}
 
         def counted(name):
             original = getattr(training, name)
@@ -470,8 +471,67 @@ class TestEvaluateSweep:
         results = list(evaluate_sweep(nets["f32"], streams, 100.0, 5, SWEEP_SPECS))
         assert len(results) == len(SWEEP_SPECS) + 1
         assert calls["evaluate_frames"] == len(SWEEP_SPECS) + 1
-        event_loss_levels = sum(spec.kind == "event_loss" for spec in SWEEP_SPECS)
-        assert calls["slice_to_frames"] == len(streams) * (1 + event_loss_levels)
+        assert calls["_frame_cells"] == len(streams)
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("binarize", [False, True])
+    def test_level_frames_equal_the_public_ops_bitwise(self, sweep_nets, monkeypatch, conv_workers,
+                                                       precision, binarize):
+        nets, streams = sweep_nets
+        net = nets[precision]
+        conv_workers(2)
+        seen = []
+        real = training.evaluate_frames
+
+        def capture(net, dataset, **kwargs):
+            seen.append(dataset.frames.copy())
+            return real(net, dataset, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate_frames", capture)
+        list(evaluate_sweep(net, streams, 100.0, 5, SWEEP_SPECS, binarize=binarize))
+        assert len(seen) == len(SWEEP_SPECS) + 1
+        for spec, frames in zip([None] + SWEEP_SPECS, seen):
+            reference = sweep_level_frames(streams, 100.0, 5, spec, binarize, net.dtype)
+            assert frames.dtype == reference.dtype and frames.tobytes() == reference.tobytes(), spec
+        clean = frames_from_streams(streams, 100.0, 5, binarize=binarize, dtype=net.dtype)
+        assert clean.frames.tobytes() == seen[0].tobytes()
+        assert clean.labels.tolist() == [s.label for s in streams]
+
+    def test_results_equal_for_any_worker_count(self, sweep_nets, conv_workers):
+        nets, streams = sweep_nets
+        runs = []
+        for workers in (1, 2, 3):
+            conv_workers(workers)
+            runs.append(list(evaluate_sweep(nets["f32"], streams, 100.0, 5, SWEEP_SPECS,
+                                            batch_size=3)))
+        for run in runs[1:]:
+            for a, b in zip(runs[0], run):
+                assert a.accuracy == b.accuracy
+                assert a.confusion.tobytes() == b.confusion.tobytes()
+                assert a.activation_distance == b.activation_distance
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS[:3], ids=lambda spec: spec.kind)
+    def test_corrupted_level_peak_is_a_few_streams(self, sweep_nets, monkeypatch, conv_workers, spec):
+        # a level writes its counts into the clean pass's batch, one stream
+        # per task: no per-level list of count maps, stack or cast copy
+        nets, streams = sweep_nets
+        conv_workers(2)
+
+        def no_forward(net, dataset, batch_size=32, record_hidden=False, hidden_reference=None):
+            return 0.0, np.zeros((4, 4), dtype=np.int64), np.zeros((len(dataset), 5))
+
+        monkeypatch.setattr(training, "evaluate_frames", no_forward)
+        sweep = evaluate_sweep(nets["f32"], streams, 100.0, 5, [spec])
+        next(sweep)
+        tracemalloc.start()
+        try:
+            next(sweep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stream_bytes = 5 * 2 * 16 * 16 * 8  # one stream's int64 counts
+        batch_bytes = len(streams) * 5 * 2 * 16 * 16 * 4
+        assert peak < batch_bytes + 4 * stream_bytes
 
     def test_distances_equal_batch_one_norms_bitwise(self, sweep_nets):
         # an oracle that shares no batching with evaluate_frames, so a swap of
@@ -479,8 +539,8 @@ class TestEvaluateSweep:
         nets, streams = sweep_nets
         net = nets["f32"]
         clean = frames_from_streams(streams, 100.0, 5, dtype=net.dtype)
-        noisy = frames_from_sequences(_corrupt_sequences(streams, 100.0, 5, SWEEP_SPECS[1]),
-                                      dtype=net.dtype)
+        noisy = LabeledFrames(sweep_level_frames(streams, 100.0, 5, SWEEP_SPECS[1], dtype=net.dtype),
+                              clean.labels)
 
         def traces(frames):
             with no_grad():
