@@ -112,8 +112,11 @@ def channel_squeeze(s: Tensor) -> Tensor:
 
 
 def channel_excitation(e: Tensor, reduce_weight: Tensor, expand_weight: Tensor) -> Tensor:
-    """Bottleneck MLP with ReLU then sigmoid, no biases: [B, C] -> [B, C]."""
-    return sigmoid(linear(relu(linear(e, reduce_weight)), expand_weight))
+    """Bottleneck MLP with ReLU then sigmoid, no biases: [B, C] -> [B, C].
+    Its products are one-row products, as in the layer node, so a sample's
+    gate does not depend on the batch it is in."""
+    hidden = relu(linear(e, reduce_weight, rowwise=True))
+    return sigmoid(linear(hidden, expand_weight, rowwise=True))
 
 
 def fuse(u_spatial: Tensor, u_channel: Tensor) -> Tensor:

@@ -48,26 +48,24 @@ runner conv2d uses, one range per thread when a step holds at least
 batch, which the runner runs on the caller. A range computes what is per
 sample: batch norm's squared deviations, ``xhat`` and affine current, the
 gated membrane update, the spikes and their bits, the pool, and the next
-step's spatial gate and channel means; in the backward the pool gradient,
-the carries, the surrogate slope, the reset term, the spatial branch's
-per-sample gradients, the gradient of the channel gate's input, and batch
-norm's ``g * xhat`` and closed-form input gradient. Every reduction over
-samples stays on the caller, on the whole batch, as numpy reduces the
-whole array: batch norm's four per-channel reductions (the mean, the mean
-of the squares, the sums of ``g`` and of ``g * xhat``) and the running
-statistics they fold into, the channel branch's matrix products (BLAS may
-block a product of fewer rows differently) and the sums over samples of
-the spatial weight and bias gradients. An elementwise operation or a
+step's gate, the channel MLP included; in the backward the pool gradient,
+the carries, the surrogate slope, the reset term, the gate's per-sample
+gradients and its share of the spikes' gradient, and batch norm's
+``g * xhat`` and closed-form input gradient. The channel MLP's products
+are one-row products (``tensor._row_matmul``), since BLAS may block a
+product of all rows differently for another number of rows. Every
+reduction over samples stays on the caller, on the whole batch, as numpy
+reduces the whole array: batch norm's four per-channel reductions (the
+mean, the mean of the squares, the sums of ``g`` and of ``g * xhat``) and
+the running statistics they fold into, and the gate's weight gradients,
+summed after the backward's steps from the per-step values the ranges
+stored (the spatial ones over samples, the channel ones as the products
+``dhidden.T @ mean`` and ``dy.T @ hidden``). An elementwise operation or a
 per-sample product gives a sample the same bits in any range, so every
 output, membrane, running statistic and gradient is bitwise the same for
-any number of threads. The channel branch needs every sample's mean of
-step t for the gate of step t+1, so a layer with one makes one runner
-call per step, on one range or many, and the caller runs the branch's
-products between the calls; a call carries step t's update and step
-t+1's per-sample gate work (in the backward, the rest of step t+1 and
-step t). A layer without one runs all T steps in one runner call.
-Training batch norm adds one call before the steps (the squares) and two
-after the backward's (``g * xhat``, then the input gradient).
+any number of threads. A call runs all T steps in one runner call each
+way; training batch norm adds one call before the steps (the squares)
+and two after the backward's (``g * xhat``, then the input gradient).
 
 The pass budget: numpy calls that read or write a whole step map
 [n, C, H, W] in a range, for a step t >= 1 of a training conv layer with
@@ -115,6 +113,7 @@ from .tensor import (
     _fire,
     _grad_enabled,
     _result,
+    _row_matmul,
     _sigmoid,
     _sigmoid_backward,
     _surrogate_backward,
@@ -198,59 +197,84 @@ def lif_step_attended(
 
 
 class _Gate:
-    """The attention gate of one layer in numpy: the same operations as
+    """The attention gate of one layer node in numpy: the same operations as
     ``attention.compute_attention`` (the 1x1 ``conv2d`` is its contraction
-    over channels plus the bias) and a backward for them. It computes the
-    branches whose parameters ``params`` holds, and holds their arrays in
+    over channels plus the bias; the channel MLP's products are one-row
+    products there too) and a backward for them. It computes the branches
+    whose parameters ``params`` holds, and holds their arrays in
     ``AttentionParams.named`` order, not their tensors.
 
-    The work is split the way the node splits a step: ``sample_forward``
-    and ``sample_backward`` act on any range of samples, and
-    ``channel_forward`` and ``channel_backward`` run the channel branch's
-    matrix products on all B rows at once."""
+    The gate of step t >= 1, built from s_{t-1}, is kept in slot t % slots
+    of [slots, B, ...] arrays: the spatial sigmoid ``us`` [B, 1, H, W], and
+    the channel mean, hidden layer and sigmoid ``mean``, ``hidden`` and
+    ``uc`` ([B, C], [B, C/r], [B, C]). ``sample_forward`` and
+    ``sample_backward`` act on one range of samples, and a one-row product
+    gives a sample the same bits in any range; ``weight_grads`` sums over
+    the samples, on the whole batch."""
 
-    def __init__(self, params: AttentionParams):
+    def __init__(self, params: AttentionParams, slots: int, step_shape, dtype):
         self.spatial = params.spatial_weight is not None
         self.channel = params.reduce_weight is not None
         self.weights = [p.data for _, p in params.named()]
-
-    def sample_forward(self, s: np.ndarray, us, mean) -> None:
-        """From the spike map s [n, C, H, W] of a sample range: the spatial
-        sigmoid into ``us`` [n, 1, H, W] and the channel mean into ``mean``
-        [n, C], for the branches there are."""
-        n, c, h, w = s.shape
+        self.slots, self.step_shape, self.dtype = slots, step_shape, dtype
+        b, c, h, w = step_shape
         if self.spatial:
-            weight, bias = self.weights[0], self.weights[1]
-            z = np.matmul(weight.reshape(1, c), s.reshape(n, c, h * w)).reshape(n, 1, h, w)
-            z += bias[None, :, None, None]
-            us[...] = _sigmoid(z)
+            self.us = np.empty((slots, b, 1, h, w), dtype=dtype)
         if self.channel:
-            s.mean(axis=(2, 3), out=mean)
+            self.mean, self.uc = np.empty((2, slots, b, c), dtype=dtype)
+            self.hidden = np.empty((slots, b, self.weights[-2].shape[0]), dtype=dtype)
 
-    def channel_forward(self, mean: np.ndarray):
-        """(post-ReLU hidden, channel sigmoid [B, C]) from the channel means."""
-        reduce_w, expand_w = self.weights[-2], self.weights[-1]
-        hidden = np.maximum(mean @ reduce_w.T, 0.0).astype(mean.dtype, copy=False)
-        return hidden, _sigmoid(hidden @ expand_w.T)
+    def branches(self, t: int, lo: int, hi: int):
+        """Step t's spatial and channel gates of samples lo:hi, None for an
+        absent branch."""
+        k = t % self.slots
+        return self.us[k, lo:hi] if self.spatial else None, self.uc[k, lo:hi] if self.channel else None
 
-    @staticmethod
-    def combine(us, uc, out):
-        """The gate from its spatial [n, 1, H, W] and channel [n, C] parts;
-        a product of both goes into ``out``."""
+    def combine(self, t: int, lo: int, hi: int, out):
+        """Step t's gate of samples lo:hi; a product of both branches goes
+        into ``out``."""
+        us, uc = self.branches(t, lo, hi)
         if us is None:
             return uc[:, :, None, None]  # broadcasts over space
         if uc is None:
             return us  # broadcasts over channels
         return np.multiply(us, uc[:, :, None, None], out=out)
 
-    def sample_backward(self, du, s, us, uc, ds, dz, dw, duc, scratch) -> None:
-        """Backward of a sample range's gate, built from spike map s, for
-        gate gradient ``du`` (shaped like the gate): the spatial branch's
-        sigmoid gradient into ``dz`` [n, 1, H*W], its per-sample weight
-        gradients into ``dw`` [n, C, 1] and its share of the gradient of s
-        added to ``ds`` (through ``scratch``, shaped like s); the gradient
-        of the channel sigmoid's input sum into ``duc`` [n, C]."""
+    def sample_forward(self, s: np.ndarray, t: int, lo: int, hi: int) -> None:
+        """Step t's gate of samples lo:hi from their spike map s [n, C, H, W]
+        of step t-1."""
         n, c, h, w = s.shape
+        k = t % self.slots
+        if self.spatial:
+            weight, bias = self.weights[0], self.weights[1]
+            z = np.matmul(weight.reshape(1, c), s.reshape(n, c, h * w)).reshape(n, 1, h, w)
+            z += bias[None, :, None, None]
+            self.us[k, lo:hi] = _sigmoid(z)
+        if self.channel:
+            mean, hidden = self.mean[k, lo:hi], self.hidden[k, lo:hi]
+            s.mean(axis=(2, 3), out=mean)
+            np.maximum(_row_matmul(mean, self.weights[-2].T), 0.0, out=hidden)
+            self.uc[k, lo:hi] = _sigmoid(_row_matmul(hidden, self.weights[-1].T))
+
+    def backward_buffers(self, t_steps: int):
+        """The per-step, per-sample gradients ``weight_grads`` sums, None for
+        an absent branch: the spatial sigmoid's input [T, B, 1, H*W] and the
+        spatial weight [T, B, C, 1]; the channel sigmoid's input [T, B, C]
+        and the hidden layer [T, B, C/r]."""
+        b, c, h, w = self.step_shape
+        spatial = [(1, h * w), (c, 1)] if self.spatial else [None, None]
+        channel = [(c,), (self.weights[-2].shape[0],)] if self.channel else [None, None]
+        return [None if s is None else np.empty((t_steps, b) + s, dtype=self.dtype) for s in spatial + channel]
+
+    def sample_backward(self, du, s, t: int, lo: int, hi: int, back, ds, scratch) -> None:
+        """Backward of step t's gate of samples lo:hi, built from their spike
+        map s, for gate gradient ``du`` (shaped like the gate): the per-sample
+        gradients into rows t, lo:hi of ``back`` (``backward_buffers``), and
+        the gate's share of the gradient of s added to ``ds`` (through
+        ``scratch``, shaped like s)."""
+        n, c, h, w = s.shape
+        us, uc = self.branches(t, lo, hi)
+        dz, dw, dy, dhidden = (None if a is None else a[t, lo:hi] for a in back)
         if self.spatial:
             # the sum over channels of du * u_channel, as a product
             dus = du if uc is None else np.matmul(uc[:, None, :], du.reshape(n, c, h * w))
@@ -259,19 +283,24 @@ class _Gate:
             ds += np.multiply(self.weights[0].reshape(1, c, 1, 1), dz.reshape(n, 1, h, w), out=scratch)
         if self.channel:
             # the sum over space of du * u_spatial, as a product
-            duc_r = du if us is None else np.matmul(du.reshape(n, c, h * w), us.reshape(n, h * w, 1))
-            duc[...] = duc_r.reshape(n, c)
+            duc = du if us is None else np.matmul(du.reshape(n, c, h * w), us.reshape(n, h * w, 1))
+            dy[...] = _sigmoid_backward(duc.reshape(n, c), uc)
+            np.multiply(_row_matmul(dy, self.weights[-1]), self.hidden[t, lo:hi] > 0, out=dhidden)
+            ds += (_row_matmul(dhidden, self.weights[-2]) / (h * w))[:, :, None, None]
 
-    def channel_backward(self, duc, uc, hidden, mean, grads, hw: int) -> np.ndarray:
-        """The channel branch's products on all B rows: add the gradients
-        of its two weights to the last two of ``grads`` and return its
-        share of the gradient of the spike map, [B, C, 1, 1]."""
-        reduce_w, expand_w = self.weights[-2], self.weights[-1]
-        dy = _sigmoid_backward(duc, uc)
-        dhidden = (dy @ expand_w) * (hidden > 0)
-        grads[-2][...] += dhidden.T @ mean
-        grads[-1][...] += dy.T @ hidden
-        return ((dhidden @ reduce_w) / hw)[:, :, None, None]
+    def weight_grads(self, back, t_steps: int):
+        """The weights' gradients: the sums over samples of ``back``'s rows
+        and of their products with the forward's values, steps T-1 down to 1."""
+        dz, dw, dy, dhidden = back
+        grads = [np.zeros_like(w) for w in self.weights]
+        for t in reversed(range(1, t_steps)):
+            if self.spatial:
+                grads[0] += dw[t].sum(axis=0).reshape(grads[0].shape)
+                grads[1] += dz[t].sum()
+            if self.channel:
+                grads[-2] += dhidden[t].T @ self.mean[t]
+                grads[-1] += dy[t].T @ self.hidden[t]
+        return grads
 
 
 class BatchNorm(NamedTuple):
@@ -289,7 +318,7 @@ class BatchNorm(NamedTuple):
 # step of its currents holds at least this many bytes per range; smaller
 # steps do not pay for the handoffs (measured with two threads and BLAS
 # pinned to one thread).
-_SPLIT_STEP_BYTES = 1 << 19
+_SPLIT_STEP_BYTES = 1 << 17
 
 
 def lif_sequence(
@@ -334,9 +363,7 @@ def lif_sequence(
     if norm is not None:
         _check_norm_params(step_shape[1], norm.gamma, norm.beta, "lif_sequence")
         parents += [norm.gamma, norm.beta]
-    gate = None
     if attention is not None:
-        gate = _Gate(attention)
         parents += [p for _, p in attention.named()]
     record = _grad_enabled() and any(p.requires_grad for p in parents)
     needs_grad = [p.requires_grad for p in parents]
@@ -348,15 +375,9 @@ def lif_sequence(
     parts = max(1, min(tensor.CONV_WORKERS, b, xs[0].nbytes // _SPLIT_STEP_BYTES))
     bounds = [b * i // parts for i in range(parts + 1)]
 
-    def run_ranges(work, *args):
-        """``work(lo, hi, *args)`` for every sample range, one range a thread."""
-        tensor._run_blocks(parts, parts, lambda _, i: work(bounds[i], bounds[i + 1], *args))
-
-    spatial, channel = gate is not None and gate.spatial, gate is not None and gate.channel
-    # the channel MLP needs every sample's mean of step t for the gate of
-    # step t+1, so a layer with one runs its steps one runner call at a time
-    # and the MLP on the caller between them; any other runs all T in one
-    seg = 1 if channel else t_steps
+    def run_ranges(work):
+        """``work(lo, hi)`` for every sample range, one range a thread."""
+        tensor._run_blocks(parts, parts, lambda _, i: work(bounds[i], bounds[i + 1]))
 
     # the membrane: every step when backward reads it or the caller asks,
     # else two that roll. Float spikes: the output itself without a pool,
@@ -398,26 +419,18 @@ def lif_sequence(
         else:
             m, std, scale, shift = _bn_eval_coeffs(norm.state, gamma4, beta4, dtype)
             x_read = x4 if needs_grad[1] else None  # for the gamma gradient
-    # the gate of each step t >= 1, built from s_{t-1}: its spatial sigmoid
-    # and channel mean per sample, then the channel MLP's hidden layer and
-    # sigmoid; every step's when backward reads them, else two that roll
-    if gate is not None:
-        _, c, h, w = step_shape
-        slots = 2 if rolling else t_steps
-        us_all = np.empty((slots, b, 1, h, w), dtype=dtype) if spatial else None
-        mean_all = np.empty((slots, b, c), dtype=dtype) if channel else None
-        hidden_all, uc_all = [None] * t_steps, [None] * t_steps
+    # the gate of each step t >= 1, built from s_{t-1}: every step's when
+    # backward reads it, else two that roll
+    gate = None if attention is None else _Gate(attention, 2 if rolling else t_steps, step_shape, dtype)
 
-    def forward_steps(lo, hi, t0, t1):
-        """Steps t0..t1-1 of samples lo:hi."""
+    def forward_steps(lo, hi):
+        """Every step of samples lo:hi."""
         v_r, s_r, keep_r, out_r = v[:, lo:hi], s[:, lo:hi], keep[lo:hi], out[:, lo:hi]
         x_r = xs[:, lo:hi]
         cur_r = None if norm is None else cur[lo:hi]
         xhat_r = None if xhat is None else xhat[:, lo:hi]
         bits_r = None if s_saved is None or smooth else s_saved[:, lo:hi]
-        us_r = us_all[:, lo:hi] if spatial else None
-        mean_r = mean_all[:, lo:hi] if channel else None
-        for t in range(t0, t1):
+        for t in range(t_steps):
             v_t, s_t = v_r[t % len(v)], s_r[t % len(s)]
             i_t = x_r[t]
             if norm is not None:
@@ -432,8 +445,7 @@ def lif_sequence(
                 s_prev = s_r[(t - 1) % len(s)]
                 np.multiply(v_r[(t - 1) % len(v)], kappa, out=v_t)
                 if gate is not None:
-                    u = gate.combine(us_r[t % slots] if spatial else None,
-                                     uc_all[t][lo:hi] if channel else None, out=keep_r)
+                    u = gate.combine(t, lo, hi, out=keep_r)
                     _check_finite(u, "lif_sequence (attention gate)")
                     v_t *= u
                 v_t *= np.subtract(1.0, s_prev, out=keep_r)
@@ -446,13 +458,9 @@ def lif_sequence(
             if pooled:
                 _avgpool(s_t, pool, out=out_r[t])
             if gate is not None and t + 1 < t_steps:
-                gate.sample_forward(s_t, us_r[(t + 1) % slots] if spatial else None,
-                                    mean_r[(t + 1) % slots] if channel else None)
+                gate.sample_forward(s_t, t + 1, lo, hi)
 
-    for t in range(0, t_steps, seg):
-        run_ranges(forward_steps, t, t + seg)
-        if channel and t + 1 < t_steps:
-            hidden_all[t + 1], uc_all[t + 1] = gate.channel_forward(mean_all[(t + 1) % slots])
+    run_ranges(forward_steps)
     if not rolling:
         _check_finite(v, "lif_sequence (membrane)")
     out_step, x_shape, seq_shape = out.shape[1:], x.shape, xs.shape
@@ -476,33 +484,19 @@ def lif_sequence(
         g_step = next(take) if pooled else None
         s_step = None if smooth else next(take)
         hist = None if gate is None else next(take)
-        gate_grads = [np.zeros_like(w) for w in gate.weights] if gate is not None else []
-        if gate is not None:
-            # per-sample gate gradients: the spatial ones of every step,
-            # summed over samples after the last, the channel sigmoid's of one
-            _, c, h, w = step_shape
-            dz_all = np.empty((t_steps, b, 1, h * w), dtype=dtype) if spatial else None
-            dw_all = np.empty((t_steps, b, c, 1), dtype=dtype) if spatial else None
-            duc = np.empty((b, c), dtype=dtype) if channel else None
-        ds_channel = None  # the channel branch's share of the gradient of s_{t-1}
+        # the gate's per-sample gradients of every step, summed over samples after the last
+        gate_back = None if gate is None else gate.backward_buffers(t_steps)
 
-        def backward_steps(lo, hi, t0, t1):
-            """Steps t1-1 down to t0 of samples lo:hi; first the rest of
-            step t1 when there is one."""
+        def backward_steps(lo, hi):
+            """Every step of samples lo:hi, in reverse time."""
             z_r, ghist_r, carry_r = z[lo:hi], ghist[lo:hi], carry_s[lo:hi]
             g_r, v_r, s_r = g[:, lo:hi], v[:, lo:hi], s_saved[:, lo:hi]
             gv_r = gcur[:, lo:hi]
             g_step_r = g_step[lo:hi] if pooled else None
             s_step_r = None if smooth else s_step[lo:hi]
-            if gate is not None:
-                hist_r = hist[lo:hi]
-                us_r = us_all[:, lo:hi] if spatial else None
-                dz_r, dw_r = (dz_all[:, lo:hi], dw_all[:, lo:hi]) if spatial else (None, None)
-                duc_r = duc[lo:hi] if channel else None
-            for t in reversed(range(t0, t1)):
+            hist_r = None if gate is None else hist[lo:hi]
+            for t in reversed(range(t_steps)):
                 if t + 1 < t_steps:  # the rest of step t+1
-                    if channel:
-                        carry_r += ds_channel[lo:hi]
                     ghist_r *= kappa
                 g_t = _avgpool_backward(g_r[t], pool, g_step_r) if pooled else g_r[t]
                 if t < t_steps - 1:  # s_t also fed step t+1
@@ -526,26 +520,16 @@ def lif_sequence(
                 # in -kappa, since IEEE negation commutes with a product
                 np.multiply(v_r[t - 1], -kappa, out=carry_r)
                 if gate is not None:
-                    us = us_r[t] if spatial else None
-                    uc = uc_all[t][lo:hi] if channel else None
-                    u = gate.combine(us, uc, out=z_r)
+                    u = gate.combine(t, lo, hi, out=z_r)
                     np.multiply(v_r[t - 1], kappa, out=hist_r)
                     carry_r *= u
                     hist_r *= ghist_r  # the gate's gradient, before the sum over broadcast axes
                     ghist_r *= u
                 carry_r *= gv
                 if gate is not None:
-                    gate.sample_backward(_unbroadcast(hist_r, u.shape), s_prev, us, uc, carry_r,
-                                         dz_r[t] if spatial else None, dw_r[t] if spatial else None, duc_r, z_r)
+                    gate.sample_backward(_unbroadcast(hist_r, u.shape), s_prev, t, lo, hi, gate_back, carry_r, z_r)
 
-        for t in reversed(range(0, t_steps, seg)):
-            run_ranges(backward_steps, t, t + seg)
-            if channel and t > 0:
-                ds_channel = gate.channel_backward(duc, uc_all[t], hidden_all[t], mean_all[t], gate_grads, h * w)
-        if spatial:  # the spatial weight and bias gradients, summed over samples
-            for t in reversed(range(1, t_steps)):
-                gate_grads[0][...] += dw_all[t].sum(axis=0).reshape(1, c, 1, 1)
-                gate_grads[1][...] += dz_all[t].sum()
+        run_ranges(backward_steps)
         grads = [gcur] if norm is None else [gcur, None, None]
         if norm is not None:
             g4 = gcur.reshape((-1,) + step_shape[1:])
@@ -565,7 +549,8 @@ def lif_sequence(
                 grads = list(_bn_eval_backward(g4, x_read, m, std, scale, needs_grad[0], needs_grad[1], out=g4))
         if grads[0] is not None:
             grads[0] = grads[0].reshape(x_shape)
-        grads += gate_grads
+        if gate is not None:
+            grads += gate.weight_grads(gate_back, t_steps)
         for grad in grads:
             if grad is not None:
                 _check_finite(grad, "lif_sequence (gradient)")

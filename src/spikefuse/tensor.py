@@ -456,8 +456,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function in the dtype of ``x``, split by sign so that no
     exponential overflows at float32."""
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d).astype(x.dtype, copy=False)
+    return (np.where(x >= 0, 1, e) / (1.0 + e)).astype(x.dtype, copy=False)
 
 
 def _sigmoid_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -656,11 +655,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # neural-network kernels
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map: ``x [B,F] @ weight[O,F].T + bias[O]``."""
+def _row_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``x [n, F] @ m [F, O]`` as n one-row products. A row gets the same
+    bits whatever rows come with it, which one product of all the rows,
+    blocked by BLAS by their number, does not promise."""
+    return np.matmul(x[:, None, :], m)[:, 0]
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, *, rowwise: bool = False) -> Tensor:
+    """Affine map: ``x [B,F] @ weight[O,F].T + bias[O]``. With ``rowwise``
+    the products with the weight are one-row products (``_row_matmul``), as
+    the layer node computes the channel gate's MLP; the weight gradient is
+    a sum over rows either way."""
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ShapeError(f"linear: input {x.shape} incompatible with weight {weight.shape}")
-    out_data = x.data @ weight.data.T
+    product = _row_matmul if rowwise else np.matmul
+    out_data = product(x.data, weight.data.T)
     if bias is not None:
         if bias.shape != (weight.shape[0],):
             raise ShapeError(f"linear: bias {bias.shape} incompatible with weight {weight.shape}")
@@ -670,7 +680,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def backward(g):
         return (
-            None if wd is None else g @ wd,
+            None if wd is None else product(g, wd),
             None if xd is None else g.T @ xd,
             g.sum(axis=0) if bias_grad else None,
         )
@@ -726,10 +736,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
     def forward_block(part, block):
         lo, hi = block * blk, min(block * blk + blk, b)
         np.matmul(w_flat, gathers[part](lo, hi), out=out3[lo:hi])
+        if bias is not None:
+            out3[lo:hi] += bias.data[:, None]
 
     _run_blocks(parts, n_blocks, forward_block)
-    if bias is not None:
-        out_data += bias.data[None, :, None, None]
 
     def backward(g):
         g3 = g.reshape(b, cout, l)

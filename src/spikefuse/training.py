@@ -397,7 +397,8 @@ def evaluate_frames(
             out = vote.hidden
             if hidden_reference is not None:
                 diff = (hidden_reference[idx] - out).reshape(out.shape[0], out.shape[1], -1)
-                out = np.linalg.norm(diff, axis=2)
+                # np.linalg.norm's own formula, less its conj() copy of diff
+                out = np.sqrt(np.add.reduce(diff * diff, axis=2))
             if hidden is None:
                 hidden = np.empty((n,) + out.shape[1:], dtype=out.dtype)
             hidden[idx] = out

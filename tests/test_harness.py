@@ -741,6 +741,34 @@ class TestRobustnessCommand:
             outputs.append((out / "robustness.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_csv_bytes_equal_with_numpy_norm_distances(self, corpus, run_dir, tmp_path, monkeypatch):
+        # the activation distances as np.linalg.norm of the whole set's
+        # traces give the same file, byte for byte
+        from spikefuse import training
+
+        _, test_dir = corpus
+        real_evaluate = training.evaluate_frames
+
+        def norm_oracle(net, dataset, batch_size=32, record_hidden=False, hidden_reference=None):
+            if hidden_reference is None:
+                return real_evaluate(net, dataset, batch_size, record_hidden)
+            acc, conf, hidden = real_evaluate(net, dataset, batch_size, record_hidden=True)
+            diff = (hidden_reference - hidden).reshape(hidden.shape[0], hidden.shape[1], -1)
+            return acc, conf, np.linalg.norm(diff, axis=2)
+
+        outputs = []
+        for evaluate in (real_evaluate, norm_oracle):
+            monkeypatch.setattr(training, "evaluate_frames", evaluate)
+            out = tmp_path / f"rb{len(outputs)}"
+            assert main(["robustness", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                         "--data", str(test_dir), "--noise", "0.5,2", "--event-loss", "0.3",
+                         "--frame-loss", "0.4", "--seed", "3", "--out", str(out)]) == 0
+            outputs.append((out / "robustness.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        distances = [row for row in csv.DictReader(outputs[0].decode().splitlines())
+                     if row["metric"] == "activation_distance"]
+        assert len(distances) == 2 and all(float(row["value"]) > 0 for row in distances)
+
     @pytest.mark.parametrize("command", [["eval"], ["robustness", "--noise", "0.5"]])
     def test_corpus_of_another_geometry_fails_before_any_forward(self, corpus, tmp_path, capsys,
                                                                 command):

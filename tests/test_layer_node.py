@@ -226,6 +226,33 @@ class TestSampleSplit:
             run_layer(True, case, "train", 2, False)
         assert len(submitted) == 1
 
+    @pytest.mark.parametrize("variant", ["bl", "sctfa"])
+    def test_synth_bar_step_and_eval_batch_submit_no_pool_task(self, monkeypatch, variant):
+        # every step of the synth_bar preset at 16x16 and B = 16 holds at
+        # most 128 KiB, and every convolution has too few blocks: ranges
+        # that small lose to the handoffs
+        import spikefuse.tensor as tensor_module
+        from spikefuse.harness import ARCH_PRESETS, HYPER_PRESETS
+
+        class Pool:
+            def submit(self, fn, *args):
+                raise AssertionError("a synth_bar call used the pool")
+
+        hyper = HYPER_PRESETS["synth_bar"]
+        spec = parse_architecture(ARCH_PRESETS["synth_bar"], input_shape=(2, 16, 16), variant=variant,
+                                  lif=LifConfig(hyper["v_th"], hyper["kappa"]), reduction=4,
+                                  timesteps=hyper["timesteps"])
+        net = SpikingNetwork(spec, seed=1)
+        batch = hyper["batch_size"]
+        frames = Rng(2).poisson(0.5, size=(batch, hyper["timesteps"], 2, 16, 16)).astype(np.float32)
+        monkeypatch.setattr(tensor_module, "CONV_WORKERS", 4)
+        monkeypatch.setattr(tensor_module, "_conv_pool", Pool())
+        vote = net.forward(frames, training=True, rng=Rng(3))
+        training.mse_vote_loss(vote.o, training.one_hot(np.arange(batch) % 4, 4)).backward()
+        assert all(p.grad is not None for p in net.parameters())
+        with no_grad():
+            net.forward(frames, training=False)
+
     def test_nan_gate_in_one_part_raises_after_every_part_ends(self, monkeypatch, conv_workers):
         import threading
         import time
@@ -277,42 +304,45 @@ class TestSampleSplit:
 
 
 class TestStepSchedule:
-    """A layer with a channel branch makes one runner call per step,
-    forward and backward, on one range or many, and runs the branch's
-    matrix products on the calling thread between them; any other layer
-    runs all T steps in one runner call each way."""
+    """Every layer makes one runner call for all T steps, forward and
+    backward, on one range or many: the channel gate's MLP runs per sample
+    inside the ranges, and no channel product runs on the caller between
+    steps."""
 
     @pytest.mark.parametrize("variant", ["bl", "stfa", "ctfa", "sctfa"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_runner_calls_and_channel_thread(self, monkeypatch, conv_workers, variant, workers):
-        import threading
-
         import spikefuse.neuron as neuron_module
         import spikefuse.tensor as tensor_module
 
         conv_workers(workers)  # B = 2 samples: one range, or two
-        runs, mlp_threads = [], []
-        run_blocks = tensor_module._run_blocks
+        runs, in_runner, products = [], [False], []
+        run_blocks, row_matmul = tensor_module._run_blocks, neuron_module._row_matmul
 
         def counting_run_blocks(parts, n, work):
             runs.append(parts)
-            run_blocks(parts, n, work)
+            in_runner[0] = True
+            try:
+                run_blocks(parts, n, work)
+            finally:
+                in_runner[0] = False
+
+        def recording_row_matmul(x, m):
+            products.append((in_runner[0], len(x)))
+            return row_matmul(x, m)
 
         monkeypatch.setattr(tensor_module, "_run_blocks", counting_run_blocks)
-        for name in ("channel_forward", "channel_backward"):
-            def recording(*args, _method=getattr(neuron_module._Gate, name)):
-                mlp_threads.append(threading.get_ident())
-                return _method(*args)
-
-            monkeypatch.setattr(neuron_module._Gate, name, recording)
+        monkeypatch.setattr(neuron_module, "_row_matmul", recording_row_matmul)
         currents, _, _, _, att = layer_case(variant, np.float64)
         channel = variant in ("ctfa", "sctfa")
-        calls = T if channel else 1
         out, _ = lif_sequence(Tensor(currents, requires_grad=True), CFG, att, timesteps=T)
-        assert runs == [workers] * calls
+        assert runs == [workers]
         tsum(out).backward()
-        assert runs == [workers] * (2 * calls)
-        assert mlp_threads == [threading.get_ident()] * (2 * (T - 1) if channel else 0)
+        assert runs == [workers] * 2
+        # the gates of steps 1..T-1: two products forward and two backward
+        # in every range, each on that range's samples and inside the call
+        assert len(products) == (4 * (T - 1) * workers if channel else 0)
+        assert all(inside and rows == B // workers for inside, rows in products)
 
 
     def test_training_norm_runs_its_passes_in_the_ranges(self, monkeypatch, conv_workers):
