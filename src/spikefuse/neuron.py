@@ -26,17 +26,21 @@ are bitwise those of the composition; the batch-norm and pool arithmetic
 is the same numpy helpers those ops run. It works one time step at a time:
 each step's current, spikes and pooled spikes go through step buffers
 allocated once per call, so no normalized current or float spike map of
-all steps exists. Training batch norm's squared deviations go into the
-membrane buffer before its first step, and each step's normalized input
-``xhat`` goes into an array of all steps that backward reads. Without a
-graph to record (``no_grad``, or no parent needs a gradient) two membrane
-steps roll, unless the caller asks for the trace, and no ``xhat`` is kept.
+all steps exists. Training batch norm takes its mean and variance from
+per-frame sums before its first step, each step's squared deviations
+passing through the current's step buffer, and each step's normalized
+input ``xhat`` goes into an array of all steps that backward reads.
+Without a graph to record (``no_grad``, or no parent needs a gradient) two
+membrane steps roll, unless the caller asks for the trace, and no ``xhat``
+is kept.
 
 Its backward walks the steps in reverse time through pool, v, s and the
 gate, backpropagation through time with the surrogate spike slope, again
 in step buffers; each step's current gradient goes straight into the
-gradient it returns, and batch norm's closed-form input gradient is then
-computed in place in it. The node saves the membrane, the gate's per-step
+gradient it returns, training batch norm takes the per-frame sums of it
+and of its product with ``xhat`` while the step is in cache, and batch
+norm's closed-form input gradient is then computed in place in it, step
+by step. The node saves the membrane, the gate's per-step
 values, batch norm's ``xhat`` and the spikes; Heaviside spikes are
 exactly 0/1, so they are saved as bits (``bool``) and recast per step.
 Smooth spikes are real-valued and saved as they are. The per-step
@@ -46,41 +50,50 @@ Its steps run over ranges of samples through ``tensor._run_blocks``, the
 runner conv2d uses, one range per thread when a step holds at least
 ``_SPLIT_STEP_BYTES`` per range; a smaller call has one range, the whole
 batch, which the runner runs on the caller. A range computes what is per
-sample: batch norm's squared deviations, ``xhat`` and affine current, the
-gated membrane update, the spikes and their bits, the pool, and the next
-step's gate, the channel MLP included; in the backward the pool gradient,
-the carries, the surrogate slope, the reset term, the gate's per-sample
-gradients and its share of the spikes' gradient, and batch norm's
-``g * xhat`` and closed-form input gradient. The channel MLP's products
-are one-row products (``tensor._row_matmul``), since BLAS may block a
-product of all rows differently for another number of rows. Every
-reduction over samples stays on the caller, on the whole batch, as numpy
-reduces the whole array: batch norm's four per-channel reductions (the
-mean, the mean of the squares, the sums of ``g`` and of ``g * xhat``) and
-the running statistics they fold into, and the gate's weight gradients,
-summed after the backward's steps from the per-step values the ranges
-stored (the spatial ones over samples, the channel ones as the products
-``dhidden.T @ mean`` and ``dy.T @ hidden``). An elementwise operation or a
+sample: batch norm's per-frame sums, squared deviations, ``xhat`` and
+affine current, the gated membrane update, the spikes and their bits, the
+pool, and the next step's gate, the channel MLP included; in the backward
+the pool gradient, the carries, the surrogate slope, the reset term, the
+gate's per-sample gradients and its share of the spikes' gradient, and
+batch norm's per-frame sums of ``g`` and ``g * xhat`` and closed-form
+input gradient. The channel MLP's products are one-row products
+(``tensor._row_matmul``), since BLAS may block a product of all rows
+differently for another number of rows. Every sum over samples ends on
+the caller. Batch norm's four per-channel sums (of the currents, of their
+squared deviations, of ``g`` and of ``g * xhat``) are taken per frame in
+the ranges, a pairwise sum over H*W into a [T, B, C] array the caller
+allocated, and the caller adds the T*B rows in frame order
+(``tensor._frame_sums``, ``_sum_frames``): that is numpy's own order for
+a C-contiguous array's sum over (0, 2, 3) when C > 1, so the statistics,
+the running statistics they fold into and the gradients keep the bits of
+whole-array reductions (a one-channel map numpy sums pairwise as one run,
+so its bits differ). The gate's weight gradients are summed after the
+backward's steps from the per-step values the ranges stored (the spatial
+ones over samples, the channel ones as the products ``dhidden.T @ mean``
+and ``dy.T @ hidden``). An elementwise operation, a per-frame sum or a
 per-sample product gives a sample the same bits in any range, so every
 output, membrane, running statistic and gradient is bitwise the same for
 any number of threads. A call runs all T steps in one runner call each
-way; training batch norm adds one call before the steps (the squares)
-and two after the backward's (``g * xhat``, then the input gradient).
+way; training batch norm adds two calls before the steps (the sums of the
+currents, then the squares and their sums) and one after the backward's
+(the input gradient).
 
 The pass budget: numpy calls that read or write a whole step map
 [n, C, H, W] in a range, for a step t >= 1 of a training conv layer with
-Heaviside spikes and a pool but no gate. Forward, 13: 2 for batch norm's
-squares, 2 for ``xhat``, 2 for gamma and beta, 4 for the membrane update,
-1 to fire, 1 for the bits, 1 for the pool. Backward, 20: 1 pool gradient,
-1 carry, 6 for the surrogate slope, 1 for the gradient through step t+1
-and 1 to decay it, 1 to recast the bits, 2 for the history's gradient and
-2 for the reset term, whose minus sign rides in ``-kappa``; then 1 for
-``g * xhat`` and 4 for batch norm's input gradient. The caller adds
-batch norm's two reductions each way. A gate adds, forward, the product
-with u, the two branches' product when both exist, and the spatial
-branch's contraction and the channel mean of the spikes; backward, the
-decayed history and its products with u and the history's gradient, the
-gradient times u, and the branches' per-sample products.
+Heaviside spikes and a pool but no gate. Forward, 15: 1 for the sums of
+the currents, 2 for batch norm's squares and 1 for their sums, 2 for
+``xhat``, 2 for gamma and beta, 4 for the membrane update, 1 to fire, 1
+for the bits, 1 for the pool. Backward, 22: 1 pool gradient, 1 carry, 6
+for the surrogate slope, 1 for the gradient through step t+1 and 1 to
+decay it, 1 to recast the bits, 2 for the history's gradient and 2 for
+the reset term, whose minus sign rides in ``-kappa``; 1 for the sums of
+the current gradient, 1 for its product with ``xhat`` and 1 for their
+sums; then 4 for batch norm's input gradient. The caller only adds two
+[T*B, C] arrays of per-frame sums each way. A gate adds, forward, the
+product with u, the two branches' product when both exist, and the
+spatial branch's contraction and the channel mean of the spikes;
+backward, the decayed history and its products with u and the history's
+gradient, the gradient times u, and the branches' per-sample products.
 """
 
 from __future__ import annotations
@@ -100,7 +113,6 @@ from .tensor import (
     Tensor,
     _avgpool,
     _avgpool_backward,
-    _BN_AXES,
     _bn_eval_backward,
     _bn_eval_coeffs,
     _bn_fold,
@@ -111,11 +123,14 @@ from .tensor import (
     _check_norm_params,
     _check_pool,
     _fire,
+    _frame_sums,
     _grad_enabled,
+    _mean_of_frames,
     _result,
     _row_matmul,
     _sigmoid,
     _sigmoid_backward,
+    _sum_frames,
     _surrogate_backward,
     _unbroadcast,
     smooth_spike,
@@ -405,14 +420,19 @@ def lif_sequence(
         x4 = x.reshape((-1,) + step_shape[1:])
         gamma4, beta4 = norm.gamma.data.reshape(1, c, 1, 1), norm.beta.data.reshape(1, c, 1, 1)
         if norm.training:
-            # the squared deviations go into the membrane buffer before its
-            # first step, or into a map freed before it when the membrane
-            # rolls; the mean and the variance are whole-batch reductions
-            m = x4.mean(axis=_BN_AXES, keepdims=True)
-            square = np.empty(xs.shape, dtype=dtype) if rolling else v.reshape(xs.shape)
-            run_ranges(lambda lo, hi: _bn_square(xs[:, lo:hi], m, out=square[:, lo:hi]))
-            std = _bn_fold(norm.state, m, square.reshape(x4.shape))
-            del square
+            # the mean and the variance from per-frame sums, taken in the
+            # ranges and added on the caller in frame order; each step's
+            # squared deviations go through the step buffer
+            n, sums = x4.size // c, np.empty(xs.shape[:3], dtype=dtype)
+            run_ranges(lambda lo, hi: _frame_sums(xs[:, lo:hi], out=sums[:, lo:hi]))
+            m = _mean_of_frames(sums, n).reshape(1, c, 1, 1)
+
+            def square_sums(lo, hi):
+                for t in range(t_steps):
+                    _frame_sums(_bn_square(xs[t, lo:hi], m, out=cur[lo:hi]), out=sums[t, lo:hi])
+
+            run_ranges(square_sums)
+            std = _bn_fold(norm.state, m, _mean_of_frames(sums, n), n)
             scale, shift = gamma4, beta4
             if record:
                 xhat = np.empty(xs.shape, dtype=dtype)
@@ -474,11 +494,9 @@ def lif_sequence(
         # step buffers: z of the surrogate slope (then the gate of both
         # branches, then the gate's share of the reset term), the carries
         # into step t-1, the expanded pool gradient, the spikes recast from
-        # bits and the decayed history of a gated layer; training batch
-        # norm's products reuse their block afterwards
+        # bits and the decayed history of a gated layer
         rows = 3 + pooled + (not smooth) + (gate is not None)
-        bn_products = norm is not None and norm.training
-        work = np.empty((max(rows, t_steps) if bn_products else rows,) + step_shape, dtype=dtype)
+        work = np.empty((rows,) + step_shape, dtype=dtype)
         take = iter(work)
         z, ghist, carry_s = next(take), next(take), next(take)
         g_step = next(take) if pooled else None
@@ -486,6 +504,9 @@ def lif_sequence(
         hist = None if gate is None else next(take)
         # the gate's per-sample gradients of every step, summed over samples after the last
         gate_back = None if gate is None else gate.backward_buffers(t_steps)
+        # training batch norm's per-frame sums of the current gradient and
+        # of its product with xhat, added on the caller after the steps
+        bn_sums = np.empty((2,) + seq_shape[:3], dtype=dtype) if xhat is not None else None
 
         def backward_steps(lo, hi):
             """Every step of samples lo:hi, in reverse time."""
@@ -495,6 +516,7 @@ def lif_sequence(
             g_step_r = g_step[lo:hi] if pooled else None
             s_step_r = None if smooth else s_step[lo:hi]
             hist_r = None if gate is None else hist[lo:hi]
+            xhat_r = None if bn_sums is None else xhat[:, lo:hi]
             for t in reversed(range(t_steps)):
                 if t + 1 < t_steps:  # the rest of step t+1
                     ghist_r *= kappa
@@ -505,6 +527,9 @@ def lif_sequence(
                 gv = _surrogate_backward(g_t, v_r[t], v_th, alpha, out=gv_r[t], scratch=z_r)
                 if t < t_steps - 1:
                     gv += ghist_r  # the gradient of v_t through step t+1
+                if bn_sums is not None:  # gv is step t's final current gradient
+                    _frame_sums(gv, out=bn_sums[0, t, lo:hi])
+                    _frame_sums(np.multiply(gv, xhat_r[t], out=z_r), out=bn_sums[1, t, lo:hi])
                 if t == 0:
                     return
                 # v_t = (kappa * v_{t-1}) [* u_t] * (1 - s_{t-1}) + i_t, in place:
@@ -533,17 +558,17 @@ def lif_sequence(
         grads = [gcur] if norm is None else [gcur, None, None]
         if norm is not None:
             g4 = gcur.reshape((-1,) + step_shape[1:])
-            if bn_products:
-                # the closed-form input gradient: g * xhat and then dx over
-                # the ranges, the sums of g and of g * xhat on the caller
-                products = work[:t_steps]
-                run_ranges(lambda lo, hi: np.multiply(gcur[:, lo:hi], xhat[:, lo:hi], out=products[:, lo:hi]))
-                dbeta = g4.sum(axis=_BN_AXES)
-                dgamma = products.reshape(g4.shape).sum(axis=_BN_AXES)
+            if bn_sums is not None:
+                # the closed-form input gradient, step by step in the ranges
+                dbeta, dgamma = _sum_frames(bn_sums[0]), _sum_frames(bn_sums[1])
                 if needs_grad[0]:
-                    n = g4.size // g4.shape[1]
-                    run_ranges(lambda lo, hi: _bn_train_dx(gcur[:, lo:hi], xhat[:, lo:hi], dbeta, dgamma, gamma4, std,
-                                                           n, out=gcur[:, lo:hi], scratch=products[:, lo:hi]))
+
+                    def input_grads(lo, hi):
+                        for t in range(t_steps):
+                            g_t = gcur[t, lo:hi]
+                            _bn_train_dx(g_t, xhat[t, lo:hi], dbeta, dgamma, gamma4, std, n, out=g_t, scratch=z[lo:hi])
+
+                    run_ranges(input_grads)
                 grads = [g4 if needs_grad[0] else None, dgamma, dbeta]
             else:
                 grads = list(_bn_eval_backward(g4, x_read, m, std, scale, needs_grad[0], needs_grad[1], out=g4))

@@ -53,8 +53,10 @@ weight gradient has read them. The runner, ``_run_blocks``, only hands
 out independent blocks, and ordered sums run on the caller, as in the
 layer node: the backward goes in rounds of one block a thread, and after
 each round the caller adds the round's per-sample weight-gradient products
-in sample order. So which thread computes a block, and how many threads
-there are, changes no bit. A call returns, or raises the first error, only
+in sample order. Each block also takes its samples' sums of the output
+gradient over L, and the caller adds them in sample order for the bias
+gradient, numpy's order for the whole array. So which thread computes a
+block, and how many threads there are, changes no bit. A call returns, or raises the first error, only
 once none of its pool tasks is running. A call on one thread runs its
 blocks on the caller directly, with no queue. The layer node in ``neuron``
 runs the sample ranges of its time steps through the same runner, so the
@@ -71,10 +73,14 @@ layer node in ``neuron`` normalizes, fires and pools one time step at a
 time. Both ops stay for pools that follow no conv layer and as that node's
 reference. The numpy forms they share with it take output and scratch
 buffers, and the elementwise ones act on any range of samples, so the
-node runs the same arithmetic without full-map temporaries: batch norm's
-squared deviations ``_bn_square``, running-statistic fold ``_bn_fold``,
-normalize step ``_bn_normalize``, eval coefficients ``_bn_eval_coeffs``
-and closed-form input gradients ``_bn_train_dx`` / ``_bn_eval_backward``,
+node runs the same arithmetic without full-map temporaries: per-frame
+sums over a map ``_frame_sums`` and their per-channel totals in frame
+order ``_sum_frames`` / ``_mean_of_frames`` (for C > 1 bitwise numpy's
+whole-array sum and mean over (0, 2, 3), so every range or block can take
+its frames' share), batch norm's squared deviations ``_bn_square``,
+running-statistic fold ``_bn_fold``, normalize step ``_bn_normalize``,
+eval coefficients ``_bn_eval_coeffs`` and closed-form input gradients
+``_bn_train_dx`` / ``_bn_eval_backward``,
 the slice-sum pool ``_avgpool`` and its gradient ``_avgpool_backward``,
 the logistic function and the spike nonlinearities (``_sigmoid``, ``_fire``,
 ``_surrogate_backward``): each formula is written once.
@@ -758,10 +764,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
             shared = xd is not None and xd.dtype == dtype
             dcols = None if shared else np.empty((parts, blk, cin * kk, l), dtype=dtype)
             dpad = np.empty((parts, blk, cin, h + 2 * padding, w + 2 * padding), dtype=dtype)
+        # the bias gradient from each frame's sums over L, taken in the
+        # blocks; numpy sums a one-channel gradient pairwise as one run
+        bias_sums = np.empty((b, cout), dtype=g.dtype) if bias_grad and cout > 1 else None
 
         def backward_block(part, block):
             lo, hi = block * blk, min(block * blk + blk, b)
             n, gl = hi - lo, g3[lo:hi]
+            if bias_sums is not None:
+                _frame_sums(g[lo:hi], out=bias_sums[lo:hi])
             if dw is not None:
                 patches = gathers[part](lo, hi)
                 np.matmul(gl, patches.transpose(0, 2, 1), out=dw_parts[block % parts, :n])
@@ -785,11 +796,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
             if dw is not None:
                 for sample in dw_samples[: min(b, (first + m) * blk) - first * blk]:
                     np.add(dw, sample, out=dw)
-        return (
-            dx,
-            None if dw is None else dw.reshape(w_shape),
-            g.sum(axis=(0, 2, 3)) if bias_grad else None,
-        )
+        db = None
+        if bias_grad:
+            db = g.sum(axis=(0, 2, 3)) if bias_sums is None else _sum_frames(bias_sums)
+        return dx, None if dw is None else dw.reshape(w_shape), db
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out_data, parents, backward)
@@ -920,21 +930,42 @@ def _bn_square(x: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(out, out, out=out)
 
 
-def _bn_fold(state: BatchNormState, m: np.ndarray, square: np.ndarray) -> np.ndarray:
-    """From the batch mean ``m`` [1, C, 1, 1] and the squared deviations
-    ``square`` [N, C, H, W] of the whole batch: returns ``std`` [1, C, 1, 1]
-    and folds the batch statistics into ``state`` as ``BN_MOMENTUM * old +
-    (1 - BN_MOMENTUM) * batch`` (the running variance takes the unbiased
-    estimate)."""
-    c = square.shape[1]
-    n = square.size // c
-    var = square.mean(axis=_BN_AXES, keepdims=True)
+def _frame_sums(x: np.ndarray, out=None) -> np.ndarray:
+    """The sums over the last two axes of every frame and channel of any
+    range ``x`` [..., C, H, W], into ``out`` [..., C] if given: the first
+    stage of numpy's sum of a C-contiguous [N, C, H, W] array over (0, 2,
+    3), a pairwise sum over H*W for each frame and channel."""
+    return np.sum(x, axis=(-2, -1), out=out)
+
+
+def _sum_frames(sums: np.ndarray) -> np.ndarray:
+    """The per-channel total of per-frame sums ``sums`` [..., C], the rows
+    added in frame order: numpy's second stage. With C > 1 this is bitwise
+    the whole-array sum over (0, 2, 3); one channel numpy sums pairwise as
+    one run."""
+    return np.add.reduce(sums.reshape(-1, sums.shape[-1]), axis=0)
+
+
+def _mean_of_frames(sums: np.ndarray, n: int) -> np.ndarray:
+    """The per-channel mean of ``n`` values a channel from their per-frame
+    sums, divided as ``ndarray.mean`` divides: in float64 by an ``intp``
+    count, cast back."""
+    total = _sum_frames(sums)
+    return np.true_divide(total, np.intp(n), out=total, casting="unsafe")
+
+
+def _bn_fold(state: BatchNormState, m: np.ndarray, var: np.ndarray, n: int) -> np.ndarray:
+    """From the batch mean ``m`` and variance ``var`` of ``n`` values a
+    channel: returns ``std`` [1, C, 1, 1] and folds the batch statistics
+    into ``state`` as ``BN_MOMENTUM * old + (1 - BN_MOMENTUM) * batch`` (the
+    running variance takes the unbiased estimate)."""
+    c = var.size
     unbias = n / (n - 1) if n > 1 else 1.0
     # in-place so captured references (checkpointing) stay valid
     state.mean[...] = BN_MOMENTUM * state.mean + (1.0 - BN_MOMENTUM) * m.reshape(c)
     state.var[...] = BN_MOMENTUM * state.var + (1.0 - BN_MOMENTUM) * unbias * var.reshape(c)
     state.initialized = True
-    return np.sqrt(var + square.dtype.type(BN_EPS))
+    return np.sqrt(var.reshape(1, c, 1, 1) + var.dtype.type(BN_EPS))
 
 
 def _bn_normalize(x: np.ndarray, m: np.ndarray, std: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -998,18 +1029,20 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, tra
     gamma4 = gamma.data.reshape(1, c, 1, 1)
     beta4 = beta.data.reshape(1, c, 1, 1)
     if training:
-        m = x.data.mean(axis=_BN_AXES, keepdims=True)
+        # every per-channel sum from per-frame sums, as the layer node takes them
+        n = x.size // c
+        m = _mean_of_frames(_frame_sums(x.data), n).reshape(1, c, 1, 1)
         xhat = _bn_square(x.data, m, np.empty_like(x.data))
-        std = _bn_fold(state, m, xhat)
+        std = _bn_fold(state, m, _mean_of_frames(_frame_sums(xhat), n), n)
         xhat = _bn_normalize(x.data, m, std, out=xhat)
         out_data = gamma4 * xhat
         out_data += beta4
 
         def grads(g):
-            dbeta = g.sum(axis=_BN_AXES)
+            dbeta = _sum_frames(_frame_sums(g))
             product = g * xhat
-            dgamma = product.sum(axis=_BN_AXES)
-            dx = _bn_train_dx(g, xhat, dbeta, dgamma, gamma4, std, g.size // c, None, product) if x_grad else None
+            dgamma = _sum_frames(_frame_sums(product))
+            dx = _bn_train_dx(g, xhat, dbeta, dgamma, gamma4, std, n, None, product) if x_grad else None
             return dx, dgamma, dbeta
 
     else:

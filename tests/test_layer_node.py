@@ -11,15 +11,17 @@ import pytest
 from spikefuse import training
 from spikefuse.attention import AttentionVariant, init_attention_params
 from spikefuse.errors import ParameterError, ShapeError, StateError
-from spikefuse.network import SpikingNetwork, _SpikingLayer, parse_architecture
+from spikefuse.network import ConvStage, SpikingNetwork, _SpikingLayer, parse_architecture
 from spikefuse.neuron import BatchNorm, LifConfig, lif_sequence
 from spikefuse.rng import Rng
 from spikefuse.tensor import (
     BatchNormState,
+    BN_EPS,
     Tensor,
     _topo_order,
     avgpool2d,
     batchnorm,
+    conv2d,
     no_grad,
     tsum,
 )
@@ -303,6 +305,86 @@ class TestSampleSplit:
         assert lif_sequence(Tensor(currents), CFG, att, smooth=True, timesteps=T)[0].data.tobytes() == clean.tobytes()
 
 
+def preset_maps():
+    """(T, H, W) of every preset conv layer's output, at 128x128 for the DVS
+    presets and at 16x16 and 32x32 for synth_bar, and one map of more than
+    8192 values."""
+    from spikefuse.harness import ARCH_PRESETS, HYPER_PRESETS
+
+    maps = set()
+    for name, side in (("dvs_gesture", 128), ("sl_animals", 128), ("mnist_dvs", 128),
+                       ("synth_bar", 16), ("synth_bar", 32)):
+        t_steps = HYPER_PRESETS[name]["timesteps"]
+        spec = parse_architecture(ARCH_PRESETS[name], input_shape=(2, side, side), timesteps=t_steps)
+        maps |= {(t_steps,) + st.out_hw for st in spec.stages if isinstance(st, ConvStage)}
+    return sorted(maps) + [(2, 96, 96)]
+
+
+class TestWholeArraySums:
+    """Batch norm's statistics and conv2d's bias gradient come from
+    per-frame sums taken in the ranges and blocks, added in frame order on
+    the caller: bitwise numpy's whole-array ``mean``/``sum`` over (0, 2, 3),
+    which sums each frame's map pairwise and then the frames in order. A
+    channel's sums read only its own values, so two channels of each preset
+    map stand for all of them (one channel numpy sums as one run)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [2, 16])
+    @pytest.mark.parametrize("t_steps,h,w", preset_maps())
+    def test_node_statistics(self, monkeypatch, conv_workers, t_steps, h, w, batch, dtype):
+        import spikefuse.neuron as neuron_module
+
+        rng = Rng(h + batch)
+        x = rng.normal(0.3, 1.2, size=(t_steps * batch, 2, h, w)).astype(dtype)
+        gamma, beta = np.array([1.3, 0.7], dtype), np.array([0.4, -0.2], dtype)
+        weighting = Tensor(rng.normal(0, 1, size=(t_steps * batch, 2, h // 2, w // 2)).astype(dtype))
+        # numpy on the whole array, and the gradient of the normalized
+        # currents from the node without norm
+        axes = (0, 2, 3)
+        m = x.mean(axis=axes, keepdims=True)
+        var = ((x - m) ** 2).mean(axis=axes, keepdims=True)
+        xhat = (x - m) / np.sqrt(var + dtype(BN_EPS))
+        cur = Tensor(xhat * gamma.reshape(1, 2, 1, 1) + beta.reshape(1, 2, 1, 1), requires_grad=True)
+        out, _ = lif_sequence(cur, CFG, timesteps=t_steps, pool=2)
+        tsum(out * weighting).backward()
+        dbeta, dgamma = cur.grad.sum(axis=axes), (cur.grad * xhat).sum(axis=axes)
+
+        fold, folds = neuron_module._bn_fold, []
+
+        def recorded(state, mean, variance, n):
+            folds.append((mean.tobytes(), variance.tobytes()))
+            return fold(state, mean, variance, n)
+
+        monkeypatch.setattr(neuron_module, "_bn_fold", recorded)
+        for workers in (1, 2, 3):
+            conv_workers(workers)
+            g, b = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+            norm = BatchNorm(g, b, BatchNormState(2, dtype), True)
+            out, _ = lif_sequence(Tensor(x, requires_grad=True), CFG, timesteps=t_steps, norm=norm, pool=2)
+            tsum(out * weighting).backward()
+            assert folds.pop() == (m.tobytes(), var.tobytes())
+            assert b.grad.tobytes() == dbeta.tobytes() and g.grad.tobytes() == dgamma.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [2, 16])
+    @pytest.mark.parametrize("t_steps,h,w", preset_maps())
+    def test_conv2d_bias_gradient(self, monkeypatch, conv_workers, t_steps, h, w, batch, dtype):
+        import spikefuse.tensor as tensor_module
+
+        rng = Rng(h + batch)
+        frames = t_steps * batch
+        x = Tensor(rng.normal(0, 1, size=(frames, 2, h, w)).astype(dtype), requires_grad=True)
+        weight = Tensor(rng.normal(0, 1, size=(2, 2, 1, 1)).astype(dtype), requires_grad=True)
+        g = rng.normal(0, 1, size=(frames, 2, h, w)).astype(dtype)
+        # blocks of three samples, in rounds of one block a thread
+        monkeypatch.setattr(tensor_module, "_CONV_BLOCK_BYTES", 3 * 2 * h * w * x.dtype.itemsize)
+        for workers in (1, 2, 3):
+            conv_workers(workers)
+            bias = Tensor(np.zeros(2, dtype), requires_grad=True)
+            tsum(conv2d(x, weight, bias) * Tensor(g)).backward()
+            assert bias.grad.tobytes() == g.sum(axis=(0, 2, 3)).tobytes()
+
+
 class TestStepSchedule:
     """Every layer makes one runner call for all T steps, forward and
     backward, on one range or many: the channel gate's MLP runs per sample
@@ -353,7 +435,7 @@ class TestStepSchedule:
         import spikefuse.tensor as tensor_module
 
         conv_workers(2)  # B = 2 samples: two ranges of one
-        runs, ranges, folds = [], {}, []
+        runs, ranges, totals, folds = [], {}, [], []
         run_blocks = tensor_module._run_blocks
 
         def counting_run_blocks(parts, n, work):
@@ -362,40 +444,54 @@ class TestStepSchedule:
 
         def in_a_range(name, fn):
             def recorded(*args, **kwargs):
-                ranges.setdefault(name, set()).add((threading.get_ident(), args[0].size))
+                ranges.setdefault(name, set()).add((threading.get_ident(), args[0].shape))
                 time.sleep(0.02)  # the other thread takes the other range
                 return fn(*args, **kwargs)
 
             return recorded
 
-        def on_the_caller(state, m, square):
-            folds.append((threading.get_ident(), square.shape))
-            return fold(state, m, square)
+        def on_the_caller(fn):
+            def recorded(sums):
+                totals.append((threading.get_ident(), sums.shape))
+                return fn(sums)
+
+            return recorded
+
+        def fold_on_the_caller(state, m, var, n):
+            folds.append((threading.get_ident(), var.shape, n))
+            return fold(state, m, var, n)
 
         fold = neuron_module._bn_fold
         monkeypatch.setattr(tensor_module, "_run_blocks", counting_run_blocks)
-        monkeypatch.setattr(neuron_module, "_bn_fold", on_the_caller)
-        for name in ("_bn_square", "_bn_normalize", "_bn_train_dx"):
+        monkeypatch.setattr(neuron_module, "_bn_fold", fold_on_the_caller)
+        # the mean reaches the total through the tensor module
+        for module in (neuron_module, tensor_module):
+            monkeypatch.setattr(module, "_sum_frames", on_the_caller(module._sum_frames))
+        for name in ("_frame_sums", "_bn_square", "_bn_normalize", "_bn_train_dx"):
             monkeypatch.setattr(neuron_module, name, in_a_range(name, getattr(neuron_module, name)))
         currents, gamma, beta, _, att = layer_case("stfa", np.float64)
         norm = BatchNorm(Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True),
                          BatchNormState(C, np.float64), True)
         out, _ = lif_sequence(Tensor(currents, requires_grad=True), CFG, att, timesteps=T, norm=norm)
-        # the squares, then the steps: one call more than a layer without norm
-        assert runs == [2, 2]
+        # the sums of the currents, the squares and their sums, then the steps
+        assert runs == [2] * 3
+        forward_ranges = {name: set(calls) for name, calls in ranges.items()}
         tsum(out).backward()
-        # the steps, then g * xhat and dx: two calls more
+        # the steps with the sums of g and of g * xhat, then dx
         assert runs == [2] * 5
-        # every elementwise pass on one sample, on both threads: all steps
-        # at once, or one step at a time for the normalize step
-        sample, caller = currents.size // B, threading.get_ident()
-        assert sorted(ranges) == ["_bn_normalize", "_bn_square", "_bn_train_dx"]
+        # every pass on one sample, on both threads: all steps at once for
+        # the sums of the currents, else one step at a time
+        caller, step = threading.get_ident(), (1, C, HW, HW)
+        assert sorted(ranges) == ["_bn_normalize", "_bn_square", "_bn_train_dx", "_frame_sums"]
+        assert {shape for _, shape in forward_ranges["_frame_sums"]} == {(T, 1, C, HW, HW), step}
         for name, calls in ranges.items():
-            assert {size for _, size in calls} == {sample // T if name == "_bn_normalize" else sample}
+            assert {shape for _, shape in calls} - {(T, 1, C, HW, HW)} == {step}
             threads = {thread for thread, _ in calls}
             assert len(threads) == 2 and caller in threads
-        # the variance is a reduction over the whole batch, on the caller
-        assert folds == [(threading.get_ident(), currents.shape)]
+        # the caller only adds the [T*B, C] rows: the mean, the variance,
+        # then the sums of g and of g * xhat
+        assert totals == [(caller, (T, B, C))] * 4
+        assert folds == [(caller, (C,), T * B * HW * HW)]
 
 
 class TestNoGrad:
@@ -434,7 +530,7 @@ class TestNoGrad:
         assert 0 < out.data.sum() < out.size
 
 
-    def test_training_norm_rolls_with_one_map_of_squares(self):
+    def test_training_norm_rolls_with_no_map_of_all_steps(self):
         # the warm-up of ``complexity``: training-mode batch norm under no_grad
         t_steps, batch, ch, hw = 16, 2, 8, 32
         rng = Rng(5)
@@ -451,13 +547,40 @@ class TestNoGrad:
             finally:
                 tracemalloc.stop()
         assert v is None and out._backward_fn is None
-        # the squared deviations are the one map of all steps, freed before
-        # the steps run; no xhat of all steps is made
+        # the eval bound: the squared deviations go through the step buffer
+        # and only per-frame sums of them are kept; no xhat of all steps
         step = x.data.nbytes // t_steps
-        assert peak < t_steps * step + 4 * step + 12 * step, peak / step
+        assert peak < 4 * step + 12 * step, peak / step
         reference = batchnorm(Tensor(x.data), norm.gamma, norm.beta, BatchNormState(ch, np.float32), True)
         recorded, _ = lif_sequence(reference, CFG, att, timesteps=t_steps)
         assert out.data.tobytes() == avgpool2d(recorded, 2).data.tobytes()
+
+
+class TestBackwardMemory:
+    def test_training_backward_needs_rows_step_maps_beyond_the_gradient(self):
+        t_steps, batch, ch, hw = 10, 2, 8, 32
+        rng = Rng(8)
+        x = Tensor(rng.normal(0.3, 1.2, size=(t_steps * batch, ch, hw, hw)).astype(np.float32), requires_grad=True)
+        att = init_attention_params(ch, 2, AttentionVariant.SCTFA, rng.split("att"), np.float32)
+        norm = BatchNorm(Tensor(np.full(ch, 1.5, np.float32), requires_grad=True),
+                         Tensor(np.full(ch, 0.2, np.float32), requires_grad=True), BatchNormState(ch, np.float32), True)
+        out, _ = lif_sequence(x, CFG, att, timesteps=t_steps, norm=norm, pool=2)
+        loss = tsum(out)
+        gc.collect()
+        tracemalloc.start()  # the saved arrays exist already
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and norm.gamma.grad is not None
+        # the current gradient (T step maps), the pooled output's gradient
+        # (T/4), and rows = 6 step buffers: z, the two carries, the pool
+        # gradient, the recast bits and the decayed history. Batch norm's
+        # sums of g and of g * xhat are per frame; a map of the products of
+        # all steps would add T - rows = 4 step maps (22.5 steps)
+        step = x.data.nbytes // t_steps
+        assert peak < (t_steps + t_steps / 4 + 6 + 0.5) * step, peak / step
 
 
 class TestChecks:
