@@ -9,9 +9,10 @@ From a layer's binary spike map [B, C, H, W] the full block builds
     per-channel weights [B, C];
   - their broadcast product, a full gate [B, C, H, W] with values in (0,1).
 
-Variants: ``sctfa`` fuses both branches, ``stfa`` keeps only the spatial
-branch, ``ctfa`` only the channel branch, ``bl`` produces no gate at all.
-The omitted branch's parameters are never allocated.
+Variants: ``sctfa`` has both branches, ``stfa`` only the spatial branch,
+``ctfa`` only the channel branch, ``bl`` no gate at all. The omitted
+branch's parameters are never allocated, and the gate runs the branches
+whose parameters exist.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ from .errors import ParameterError, ShapeError
 from .rng import Rng
 from .tensor import (
     Tensor,
+    _data_for,
+    _result,
+    _row_matmul,
     conv2d,
     kaiming_uniform,
-    linear,
     mul,
     relu,
     reshape,
@@ -104,56 +107,42 @@ def spatial_excitation(s: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return sigmoid(conv2d(s, weight, bias, stride=1, padding=0))
 
 
-def channel_squeeze(s: Tensor) -> Tensor:
-    """Spatial mean per channel: [B, C, H, W] -> [B, C]."""
-    if s.ndim != 4:
-        raise ShapeError(f"channel_squeeze: need 4-D input, got {s.shape}")
-    return tmean(s, axis=(2, 3))
+def _row_linear(x: Tensor, weight: Tensor) -> Tensor:
+    """``x [B, F] @ weight[O, F].T`` as one-row products
+    (``tensor._row_matmul``), as the layer node computes the channel MLP;
+    the weight gradient is a sum over rows."""
+    wd, xd = _data_for(weight, x), _data_for(x, weight)
+    return _result(
+        _row_matmul(x.data, weight.data.T),
+        (x, weight),
+        lambda g: (None if wd is None else _row_matmul(g, wd), None if xd is None else g.T @ xd),
+    )
 
 
 def channel_excitation(e: Tensor, reduce_weight: Tensor, expand_weight: Tensor) -> Tensor:
     """Bottleneck MLP with ReLU then sigmoid, no biases: [B, C] -> [B, C].
     Its products are one-row products, as in the layer node, so a sample's
     gate does not depend on the batch it is in."""
-    hidden = relu(linear(e, reduce_weight, rowwise=True))
-    return sigmoid(linear(hidden, expand_weight, rowwise=True))
+    return sigmoid(_row_linear(relu(_row_linear(e, reduce_weight)), expand_weight))
 
 
-def fuse(u_spatial: Tensor, u_channel: Tensor) -> Tensor:
-    """Broadcast product of [B, 1, H, W] and [B, C] into a [B, C, H, W] gate."""
-    if u_spatial.ndim != 4 or u_channel.ndim != 2:
-        raise ShapeError(f"fuse: got {u_spatial.shape} and {u_channel.shape}")
-    b, c = u_channel.shape
-    return mul(u_spatial, reshape(u_channel, (b, c, 1, 1)))
+def compute_attention(s: Tensor, params: Optional[AttentionParams]) -> Optional[Tensor]:
+    """The gate of one layer from its previous-step spike map: the product
+    of the branches whose parameters ``params`` holds, None when it holds
+    none.
 
-
-def compute_attention(
-    s: Tensor,
-    params: Optional[AttentionParams],
-    variant: AttentionVariant,
-) -> Optional[Tensor]:
-    """Build the gate for one layer from its previous-step spike map.
-
-    Returns None for the baseline variant. For the degenerate variants the
-    surviving branch broadcasts over the missing axis at multiply time, so
-    no values are materialized that a fused gate whose other branch is
-    exactly one would not produce bitwise.
+    A lone branch broadcasts over the missing axis at multiply time, so no
+    values are materialized that a gate whose other branch is exactly one
+    would not produce bitwise.
     """
-    if variant == AttentionVariant.BL:
-        return None
     if params is None:
-        raise ParameterError(f"variant {variant.value} requires attention parameters")
-    b, c = s.shape[:2]
-
-    u_s = None
-    if variant.has_spatial:
-        u_s = spatial_excitation(s, params.spatial_weight, params.spatial_bias)
-    u_c = None
-    if variant.has_channel:
-        u_c = channel_excitation(channel_squeeze(s), params.reduce_weight, params.expand_weight)
-
-    if variant == AttentionVariant.SCTFA:
-        return fuse(u_s, u_c)
-    if variant == AttentionVariant.STFA:
-        return u_s  # broadcasts over channels
-    return reshape(u_c, (b, c, 1, 1))  # broadcasts over space
+        return None
+    u = None
+    if params.spatial_weight is not None:
+        u = spatial_excitation(s, params.spatial_weight, params.spatial_bias)
+    if params.reduce_weight is not None:
+        b, c = s.shape[:2]
+        u_c = channel_excitation(tmean(s, axis=(2, 3)), params.reduce_weight, params.expand_weight)
+        u_c = reshape(u_c, (b, c, 1, 1))
+        u = u_c if u is None else mul(u, u_c)
+    return u

@@ -58,6 +58,7 @@ from .training import (
     LabeledFrames,
     TrainConfig,
     _list_of,
+    _reject_unknown,
     _require,
     _typed,
     config_from_dict,
@@ -237,6 +238,7 @@ class ExperimentPlan:
 
 def plan_from_dict(doc: dict) -> ExperimentPlan:
     """Validate a JSON plan document; errors name the field."""
+    _reject_unknown(doc, ("base_config", "cells", "variants", "seeds", "master_seed"), "")
     base = _require(doc, "base_config", dict, "")
     lif = _require(base, "lif", dict, "base_config.", {})  # each cell sets its kappa there
     if "cells" in doc:
@@ -475,16 +477,7 @@ def cmd_sweep_kappa(args) -> int:
     out_dir = Path(args.out)
     summaries = run_plan(plan, out_dir, threads=args.threads, force=args.force)
     rows = aggregate_records(summaries, lambda r: {"kappa": r["kappa"]})
-    with atomic_open(out_dir / "table.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kappa", "mean_acc", "std_acc", "best_acc"])
-        for row in rows:
-            writer.writerow([
-                row.group["kappa"], repr(row.mean_acc),
-                "" if row.std_acc is None else repr(row.std_acc), repr(row.best_acc),
-            ])
-    with atomic_open(out_dir / "sweep_meta.json", "w") as fh:
-        fh.write(json.dumps({"master_seed": doc.get("seed", 0), "variant": variant}, sort_keys=True) + "\n")
+    _write_table(out_dir / "table.csv", rows, ["kappa"], {"master_seed": doc.get("seed", 0), "variant": variant})
     for row in rows:
         print(f"kappa={row.group['kappa']:g}: mean {row.mean_acc:.4f}, best {row.best_acc:.4f}")
     return 0

@@ -2,17 +2,14 @@
 
 The membrane update is the hard-reset iterative form
 
-    v' = kappa * v * (1 - s) + input_current
-
-with an optional gating tensor ``u`` multiplying the decayed history term:
-
     v' = kappa * v * u * (1 - s) + input_current
 
-``u`` is the per-neuron attention value from the previous timestep; with
-``u`` identically one the gated update degenerates to the plain one bitwise
-(the factor ordering below is chosen to guarantee that), so a gate branch
-whose parameters make it exactly one, a spatial branch with weight 0 and
-bias 40 say, reproduces the variant without that branch.
+where the gate ``u`` is the per-neuron attention value built from the
+layer's spikes of the previous timestep; a layer without a gate has no
+``u`` factor. The factors multiply in that order (``lif_step``), so a gate
+of exactly one gives the ungated update bitwise, and a gate branch whose
+parameters make it exactly one, a spatial branch with weight 0 and bias 40
+say, reproduces the variant without that branch.
 
 ``lif_sequence`` is what the network layers run: the whole tail of one
 layer after its synapse as a single graph node. For a conv layer that is
@@ -20,10 +17,10 @@ batch norm, the T-step LIF and attention-gate recurrence and the k*k
 average pool of each step's spikes; dense and voting layers use it without
 norm or pool. Its forward is plain numpy and runs the same operations in
 the same order as the composition ``tensor.batchnorm`` -> per-step
-``lif_step`` / ``lif_step_attended`` with ``attention.compute_attention``
--> ``tensor.avgpool2d``, so its outputs, membrane and running statistics
-are bitwise those of the composition; the batch-norm and pool arithmetic
-is the same numpy helpers those ops run. It works one time step at a time:
+``lif_step`` gated by ``attention.compute_attention`` ->
+``tensor.avgpool2d``, so its outputs, membrane and running statistics are
+bitwise those of the composition; the batch-norm and pool arithmetic is
+the same numpy helpers those ops run. It works one time step at a time:
 each step's current, spikes and pooled spikes go through step buffers
 allocated once per call, so no normalized current or float spike map of
 all steps exists. Training batch norm takes its mean and variance from
@@ -43,8 +40,8 @@ norm's closed-form input gradient is then computed in place in it, step
 by step. The node saves the membrane, the gate's per-step
 values, batch norm's ``xhat`` and the spikes; Heaviside spikes are
 exactly 0/1, so they are saved as bits (``bool``) and recast per step.
-Smooth spikes are real-valued and saved as they are. The per-step
-functions stay as the reference it is tested against.
+Smooth spikes are real-valued and saved as they are. ``lif_step`` stays
+as the per-step reference it is tested against.
 
 Its steps run over ranges of samples through ``tensor._run_blocks``, the
 runner conv2d uses, one range per thread when a step holds at least
@@ -152,59 +149,30 @@ class LifConfig:
             raise ParameterError(f"kappa must be in [0, 1], got {self.kappa}")
 
 
-@dataclass
-class LayerState:
-    """Carried across timesteps: membrane potential and previous spikes."""
+def lif_step(v: Tensor, s: Tensor, input_current: Tensor, cfg: LifConfig, smooth: bool = False,
+             u: Optional[Tensor] = None) -> Tuple[Tensor, Tensor]:
+    """One membrane update from the last step's membrane ``v`` and spikes
+    ``s``; returns (v', s').
 
-    v: Tensor
-    s: Tensor
-
-
-def initial_state(shape, dtype=np.float32) -> LayerState:
-    zeros = np.zeros(shape, dtype=dtype)
-    return LayerState(v=Tensor(zeros), s=Tensor(zeros.copy()))
-
-
-def lif_step(state: LayerState, input_current: Tensor, cfg: LifConfig, smooth: bool = False):
-    """One plain membrane update; returns (new_state, spikes).
-
-    ``smooth`` swaps the Heaviside spike for its smooth surrogate so that the
-    whole trajectory is finite-difference checkable.
+    A gate ``u``, which must broadcast to the membrane, scales the decayed
+    history, and its gradient is the history's. ``smooth`` swaps the
+    Heaviside spike for its smooth surrogate so that the whole trajectory
+    is finite-difference checkable.
     """
-    if state.v.shape != input_current.shape:
-        raise ShapeError(
-            f"lif_step: state {state.v.shape} vs input {input_current.shape}"
-        )
-    v_new = (cfg.kappa * state.v) * (1.0 - state.s) + input_current
-    s_new = smooth_spike(v_new, cfg.v_th) if smooth else spike(v_new, cfg.v_th)
-    return LayerState(v=v_new, s=s_new), s_new
+    if v.shape != input_current.shape:
+        raise ShapeError(f"lif_step: membrane {v.shape} vs input {input_current.shape}")
+    history = cfg.kappa * v
+    if u is not None:
+        history = history * u
+    v_new = history * (1.0 - s) + input_current
+    return v_new, smooth_spike(v_new, cfg.v_th) if smooth else spike(v_new, cfg.v_th)
 
 
-def lif_step_attended(
-    state: LayerState,
-    input_current: Tensor,
-    u: Tensor,
-    cfg: LifConfig,
-    smooth: bool = False,
-):
-    """Gated membrane update: the decayed history is scaled elementwise by u.
-
-    u must broadcast to the membrane shape; gradient flows into u through
-    the saved kappa * v * (1 - s) factor.
-    """
+def lif_step_attended(v: Tensor, s: Tensor, input_current: Tensor, u: Tensor, cfg: LifConfig, smooth: bool = False):
+    """``lif_step`` with its gate ``u`` required."""
     if u is None:
         raise ParameterError("lif_step_attended requires a gating tensor; use lif_step")
-    if state.v.shape != input_current.shape:
-        raise ShapeError(
-            f"lif_step_attended: state {state.v.shape} vs input {input_current.shape}"
-        )
-    try:
-        np.broadcast_shapes(u.shape, state.v.shape)
-    except ValueError:
-        raise ShapeError(f"gate shape {u.shape} does not broadcast to {state.v.shape}")
-    v_new = ((cfg.kappa * state.v) * u) * (1.0 - state.s) + input_current
-    s_new = smooth_spike(v_new, cfg.v_th) if smooth else spike(v_new, cfg.v_th)
-    return LayerState(v=v_new, s=s_new), s_new
+    return lif_step(v, s, input_current, cfg, smooth, u)
 
 
 # ---------------------------------------------------------------------------

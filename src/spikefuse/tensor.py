@@ -668,15 +668,11 @@ def _row_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], m)[:, 0]
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, *, rowwise: bool = False) -> Tensor:
-    """Affine map: ``x [B,F] @ weight[O,F].T + bias[O]``. With ``rowwise``
-    the products with the weight are one-row products (``_row_matmul``), as
-    the layer node computes the channel gate's MLP; the weight gradient is
-    a sum over rows either way."""
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Affine map: ``x [B,F] @ weight[O,F].T + bias[O]``."""
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ShapeError(f"linear: input {x.shape} incompatible with weight {weight.shape}")
-    product = _row_matmul if rowwise else np.matmul
-    out_data = product(x.data, weight.data.T)
+    out_data = x.data @ weight.data.T
     if bias is not None:
         if bias.shape != (weight.shape[0],):
             raise ShapeError(f"linear: bias {bias.shape} incompatible with weight {weight.shape}")
@@ -686,7 +682,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, *, rowwise: bo
 
     def backward(g):
         return (
-            None if wd is None else product(g, wd),
+            None if wd is None else g @ wd,
             None if xd is None else g.T @ xd,
             g.sum(axis=0) if bias_grad else None,
         )

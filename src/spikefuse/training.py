@@ -20,7 +20,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -178,6 +178,14 @@ def _require(mapping: dict, key: str, kind, path: str, default=_REQUIRED):
     return _typed(mapping[key], kind, f"{path}{key}")
 
 
+def _reject_unknown(mapping: dict, known, path: str) -> None:
+    """ConfigError naming the first key of ``mapping`` not in ``known``, so
+    that a misspelled key fails instead of leaving its default in place."""
+    for key in mapping:
+        if key not in known:
+            raise ConfigError("unknown field", field=f"{path}{key}")
+
+
 def _list_of(doc: dict, key: str, kind, default=_REQUIRED) -> list:
     """``doc[key]``, a list whose every item ``_typed`` passes as a ``kind``."""
     return [_typed(item, kind, f"{key}[{i}]") for i, item in enumerate(_require(doc, key, list, "", default))]
@@ -189,6 +197,8 @@ def config_from_dict(doc: dict) -> TrainConfig:
         raise ConfigError("config must be a JSON object")
     lif_doc = _require(doc, "lif", dict, "")
     data_doc = _require(doc, "data", dict, "")
+    for mapping, cls, path in ((doc, TrainConfig, ""), (lif_doc, LifConfig, "lif."), (data_doc, DataConfig, "data.")):
+        _reject_unknown(mapping, {f.name for f in fields(cls)}, path)
     variant = _require(doc, "variant", str, "")
     if variant not in ("bl", "stfa", "ctfa", "sctfa"):
         raise ConfigError(f"unknown variant {variant!r}", field="variant")

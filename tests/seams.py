@@ -16,7 +16,6 @@ runs its production forward path unchanged:
 
 import numpy as np
 
-from spikefuse.attention import AttentionVariant
 from spikefuse.tensor import _sigmoid
 
 PIN_BIAS = 40.0
@@ -50,15 +49,6 @@ def apply_seams(params, spatial=False, channel=False):
     if spatial:
         pin_spatial(params)
     return remove_channel(params) if channel else params
-
-
-def variant_of(params):
-    """The variant whose gate has the branches ``params`` holds."""
-    if params is None:
-        return AttentionVariant.BL
-    if params.spatial_weight is None:
-        return AttentionVariant.CTFA
-    return AttentionVariant.STFA if params.reduce_weight is None else AttentionVariant.SCTFA
 
 
 def seam_network(net, spatial=False, channel=False):

@@ -18,7 +18,7 @@ from spikefuse.events import CorruptionSpec, synth_moving_bar
 from spikefuse.harness import main as cli_main
 from spikefuse.harness import synth_corpus
 from spikefuse.network import SpikingNetwork, count_mult_adds, count_parameters, parse_architecture
-from spikefuse.neuron import LifConfig, initial_state, lif_step, lif_step_attended
+from spikefuse.neuron import LifConfig, lif_step, lif_step_attended
 from spikefuse.rng import Rng
 from spikefuse.tensor import (
     BatchNormState,
@@ -182,35 +182,31 @@ def test_lif_analytics():
             steps = int(rng.integers(1, 10))
 
             # zero-input decay: v_n = kappa^n * v0, same multiply sequence
-            state = initial_state(shape, np.float64)
-            state.v.data[...] = v0
+            v, s = Tensor(v0.copy()), Tensor(np.zeros(shape))
             zero = Tensor(np.zeros(shape))
             for _ in range(steps):
-                state, spikes = lif_step(state, zero, cfg)
-                assert not spikes.data.any()
+                v, s = lif_step(v, s, zero, cfg)
+                assert not s.data.any()
             expect = v0.copy()
             for _ in range(steps):
                 expect = kappa * expect * 1.0
-            assert np.array_equal(state.v.data, expect)
+            assert np.array_equal(v.data, expect)
 
             # hard reset: any neuron that spiked contributes zero history
             cfg2 = LifConfig(v_th=0.5, kappa=0.8)
-            hot = initial_state(shape, np.float64)
-            hot.v.data[...] = rng.normal(0, 2, size=shape)
-            hot, fired = lif_step(hot, zero, cfg2)
-            after, _ = lif_step(hot, zero, cfg2)
-            assert np.all(after.v.data[fired.data == 1.0] == 0.0)
+            hot, fired = lif_step(Tensor(rng.normal(0, 2, size=shape)), Tensor(np.zeros(shape)), zero, cfg2)
+            after, _ = lif_step(hot, fired, zero, cfg2)
+            assert np.all(after.data[fired.data == 1.0] == 0.0)
 
             # unit gate: attended trajectory identical to plain, bitwise
-            sa = initial_state(shape, np.float64)
-            sb = initial_state(shape, np.float64)
+            va = vb = sa = sb = Tensor(np.zeros(shape))
             ones = Tensor(np.ones(shape))
             for _ in range(steps):
                 drive = Tensor(rng.normal(0, 1, size=shape))
-                sa, _ = lif_step(sa, drive, cfg2)
-                sb, _ = lif_step_attended(sb, drive, ones, cfg2)
-                assert np.array_equal(sa.v.data, sb.v.data)
-                assert np.array_equal(sa.s.data, sb.s.data)
+                va, sa = lif_step(va, sa, drive, cfg2)
+                vb, sb = lif_step_attended(vb, sb, drive, ones, cfg2)
+                assert np.array_equal(va.data, vb.data)
+                assert np.array_equal(sa.data, sb.data)
 
     criterion("lif analytics: exact decay, hard reset, unit-gate neutrality", body)
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikefuse import harness
+from spikefuse import harness, training
 from spikefuse.atomic import atomic_open
 from spikefuse.errors import ConfigError, EventFormatError
 from spikefuse.events import read_events, synth_moving_bar, write_events
@@ -33,6 +34,7 @@ from spikefuse.tensor import Tensor
 from spikefuse.training import config_from_dict
 
 TINY_ARCH = "Input-4C3-BN-AP2-4C3-BN-VotingC4P2-AP"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -463,11 +465,24 @@ class TestPlans:
         ({"cells": [["sctfa", float("nan"), 1]]}, "cells[0][1]"),
         ({"cells": [["sctfa", float("inf"), 1]]}, "cells[0][1]"),
         ({"base_config": {"lif": {"kappa": float("nan")}}}, "base_config.lif.kappa"),
+        # misspelled keys that would otherwise run the default grid
+        ({"variant": ["bl"]}, "variant"),
+        ({"seed": [1]}, "seed"),
     ])
     def test_malformed_field_names_it(self, change, field):
         with pytest.raises(ConfigError) as info:
             plan_from_dict({"base_config": config_doc("x", "y"), **change})
         assert info.value.field == field
+
+
+    def test_readme_samples_load(self):
+        config_text, plan_text = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+        config = json.loads(config_text)
+        assert config_from_dict(config).variant == config["variant"]
+        base = {k: v for k, v in config.items() if k not in ("variant", "seed")}
+        plan = plan_from_dict(json.loads(plan_text.replace("{ ... config without variant/seed ... }",
+                                                           json.dumps(base))))
+        assert len(plan.cells) == 12  # 4 variants x 3 seeds
 
 
 class TestAblate:
@@ -582,8 +597,32 @@ class TestSweepKappa:
             reader = csv.reader(fh)
             header = next(reader)
             rows = list(reader)
-        assert header == ["kappa", "mean_acc", "std_acc", "best_acc"]
+        assert header == ["kappa", "trials", "mean_acc", "std_acc", "best_acc", "status", "master_seed", "variant"]
         assert [r[0] for r in rows] == ["0.4", "0.7"]
+        assert all(r[5:] == ["complete", "5", "sctfa"] for r in rows)
+        assert sorted(p.name for p in out.iterdir() if p.is_file()) == ["table.csv"]
+
+    def test_diverged_run_marks_its_kappa_incomplete(self, corpus, tmp_path, monkeypatch):
+        # binary spikes keep the loss finite, so stub it to go non-finite in one run
+        train_dir, test_dir = corpus
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_doc(train_dir, test_dir)))
+        real_train, real_loss, diverging = harness.train, training.mse_vote_loss, [False]
+
+        def train(cfg, *args):
+            diverging[0] = (cfg.lif.kappa, cfg.seed) == (0.4, 1)
+            return real_train(cfg, *args)
+
+        monkeypatch.setattr(harness, "train", train)
+        monkeypatch.setattr("spikefuse.training.mse_vote_loss",
+                            lambda o, y: Tensor(np.array(np.nan)) if diverging[0] else real_loss(o, y))
+        out = tmp_path / "sweep"
+        assert main(["sweep-kappa", "--config", str(cfg_path), "--kappas", "0.4,0.7",
+                     "--seeds", "1,2", "--out", str(out)]) == 0
+        with open(out / "table.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["kappa"], r["trials"], r["status"]) for r in rows] == [
+            ("0.4", "1", "incomplete"), ("0.7", "2", "complete")]
 
     def test_kappa_outside_range_rejected(self, corpus, tmp_path, capsys):
         train_dir, test_dir = corpus
@@ -744,8 +783,6 @@ class TestRobustnessCommand:
     def test_csv_bytes_equal_with_numpy_norm_distances(self, corpus, run_dir, tmp_path, monkeypatch):
         # the activation distances as np.linalg.norm of the whole set's
         # traces give the same file, byte for byte
-        from spikefuse import training
-
         _, test_dir = corpus
         real_evaluate = training.evaluate_frames
 

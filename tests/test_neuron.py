@@ -9,24 +9,21 @@ from hypothesis import strategies as st
 from spikefuse.attention import AttentionVariant, compute_attention, init_attention_params
 from spikefuse.errors import NumericError, ParameterError, ShapeError
 from spikefuse.network import SpikingNetwork, parse_architecture
-from spikefuse.neuron import (
-    LayerState,
-    LifConfig,
-    initial_state,
-    lif_sequence,
-    lif_step,
-    lif_step_attended,
-)
+from spikefuse.neuron import LifConfig, lif_sequence, lif_step, lif_step_attended
 from spikefuse.rng import Rng
 from spikefuse.tensor import Tensor, reshape, set_debug_nan, stack, tsum
 
 from oracles import fd_gradient, rel_err
-from seams import apply_seams, variant_of
+from seams import apply_seams
 
 
 def state_with(v, s, dtype=np.float64):
-    v = np.asarray(v, dtype=dtype)
-    return LayerState(v=Tensor(v), s=Tensor(np.asarray(s, dtype=dtype)))
+    """A membrane and the spikes of the last step, as tensors."""
+    return Tensor(np.asarray(v, dtype=dtype)), Tensor(np.asarray(s, dtype=dtype))
+
+
+def zero_state(shape, dtype=np.float64):
+    return state_with(np.zeros(shape), np.zeros(shape), dtype)
 
 
 class TestLifConfig:
@@ -44,25 +41,25 @@ class TestLifConfig:
 class TestLifStep:
     def test_subthreshold_decay(self):
         cfg = LifConfig(v_th=1.15, kappa=0.7)
-        state, spikes = lif_step(state_with([1.0], [0.0]), Tensor(np.zeros(1)), cfg)
-        assert state.v.data[0] == pytest.approx(0.7)
+        v, spikes = lif_step(*state_with([1.0], [0.0]), Tensor(np.zeros(1)), cfg)
+        assert v.data[0] == pytest.approx(0.7)
         assert spikes.data[0] == 0.0
 
     def test_hard_reset_after_spike(self):
         cfg = LifConfig(v_th=1.0, kappa=0.9)
-        state, _ = lif_step(state_with([5.0], [1.0]), Tensor(np.zeros(1)), cfg)
-        assert state.v.data[0] == 0.0
+        v, _ = lif_step(*state_with([5.0], [1.0]), Tensor(np.zeros(1)), cfg)
+        assert v.data[0] == 0.0
 
     def test_threshold_crossing(self):
         cfg = LifConfig(v_th=0.8, kappa=0.7)
-        state, spikes = lif_step(state_with([0.0], [0.0]), Tensor(np.array([1.2])), cfg)
-        assert state.v.data[0] == pytest.approx(1.2)
+        v, spikes = lif_step(*state_with([0.0], [0.0]), Tensor(np.array([1.2])), cfg)
+        assert v.data[0] == pytest.approx(1.2)
         assert spikes.data[0] == 1.0
 
     def test_shape_mismatch(self):
         cfg = LifConfig(v_th=1.0, kappa=0.5)
         with pytest.raises(ShapeError):
-            lif_step(state_with([0.0], [0.0]), Tensor(np.zeros(2)), cfg)
+            lif_step(*state_with([0.0], [0.0]), Tensor(np.zeros(2)), cfg)
 
     @given(
         st.floats(0.05, 1.0),
@@ -73,15 +70,15 @@ class TestLifStep:
     def test_zero_input_decay_is_exact_power(self, kappa, v0, steps):
         # below threshold with zero input: v_n = kappa^n * v0 exactly
         cfg = LifConfig(v_th=2.0, kappa=kappa)
-        state = state_with([v0], [0.0])
+        v, s = state_with([v0], [0.0])
         zero = Tensor(np.zeros(1))
         for _ in range(steps):
-            state, spikes = lif_step(state, zero, cfg)
-            assert spikes.data[0] == 0.0
+            v, s = lif_step(v, s, zero, cfg)
+            assert s.data[0] == 0.0
         expect = np.float64(v0)
         for _ in range(steps):
             expect = np.float64(kappa) * expect * np.float64(1.0)
-        assert state.v.data[0] == expect  # bitwise: same op sequence
+        assert v.data[0] == expect  # bitwise: same op sequence
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(1, 6))
     @settings(max_examples=30, deadline=None)
@@ -89,12 +86,11 @@ class TestLifStep:
         cfg = LifConfig(v_th=0.5, kappa=0.8)
         rng = Rng(seed)
         v = rng.normal(0, 2, size=(b, c))
-        state = state_with(v, np.zeros((b, c)))
-        state, spikes = lif_step(state, Tensor(np.zeros((b, c))), cfg)
+        v, spikes = lif_step(*state_with(v, np.zeros((b, c))), Tensor(np.zeros((b, c))), cfg)
         # wherever a spike fired, the next zero-input update must start at 0
-        state2, _ = lif_step(state, Tensor(np.zeros((b, c))), cfg)
+        v2, _ = lif_step(v, spikes, Tensor(np.zeros((b, c))), cfg)
         fired = spikes.data == 1.0
-        assert np.all(state2.v.data[fired] == 0.0)
+        assert np.all(v2.data[fired] == 0.0)
 
 
 class TestLifStepAttended:
@@ -104,51 +100,40 @@ class TestLifStepAttended:
         v = rng.normal(0, 1, size=(3, 4))
         s = (rng.random((3, 4)) < 0.3).astype(np.float64)
         i = rng.normal(0, 1, size=(3, 4))
-        plain, sp_plain = lif_step(state_with(v, s), Tensor(i), cfg)
+        plain, sp_plain = lif_step(*state_with(v, s), Tensor(i), cfg)
         ones = Tensor(np.ones((3, 4)))
-        gated, sp_gated = lif_step_attended(state_with(v, s), Tensor(i), ones, cfg)
-        assert np.array_equal(plain.v.data, gated.v.data)
+        gated, sp_gated = lif_step_attended(*state_with(v, s), Tensor(i), ones, cfg)
+        assert np.array_equal(plain.data, gated.data)
         assert np.array_equal(sp_plain.data, sp_gated.data)
 
     def test_half_gate_halves_history(self):
         cfg = LifConfig(v_th=1.15, kappa=0.7)
-        state, _ = lif_step_attended(
-            state_with([1.0], [0.0]), Tensor(np.zeros(1)), Tensor(np.array([0.5])), cfg
-        )
-        assert state.v.data[0] == pytest.approx(0.35)
+        v, _ = lif_step(*state_with([1.0], [0.0]), Tensor(np.zeros(1)), cfg, u=Tensor(np.array([0.5])))
+        assert v.data[0] == pytest.approx(0.35)
 
     def test_gate_gradient_is_decayed_history(self):
         # d v' / d u = kappa * v * (1 - s) = 0.7 at (kappa=.7, v=1, s=0)
         cfg = LifConfig(v_th=10.0, kappa=0.7)
         u = Tensor(np.array([0.9]), requires_grad=True)
-        state, _ = lif_step_attended(
-            state_with([1.0], [0.0]), Tensor(np.zeros(1)), u, cfg, smooth=True
-        )
-        tsum(state.v).backward()
+        v, _ = lif_step(*state_with([1.0], [0.0]), Tensor(np.zeros(1)), cfg, smooth=True, u=u)
+        tsum(v).backward()
         assert u.grad[0] == pytest.approx(0.7)
 
         def loss_fn():
-            st2, _ = lif_step_attended(
-                state_with([1.0], [0.0]), Tensor(np.zeros(1)), u, cfg, smooth=True
-            )
-            return float(st2.v.data.sum())
+            v2, _ = lif_step(*state_with([1.0], [0.0]), Tensor(np.zeros(1)), cfg, smooth=True, u=u)
+            return float(v2.data.sum())
 
         assert rel_err(u.grad, fd_gradient(loss_fn, u.data)).max() < 1e-6
 
     def test_missing_gate_rejected(self):
         cfg = LifConfig(v_th=1.0, kappa=0.5)
         with pytest.raises(ParameterError):
-            lif_step_attended(state_with([0.0], [0.0]), Tensor(np.zeros(1)), None, cfg)
+            lif_step_attended(*state_with([0.0], [0.0]), Tensor(np.zeros(1)), None, cfg)
 
     def test_bad_gate_shape_rejected(self):
         cfg = LifConfig(v_th=1.0, kappa=0.5)
         with pytest.raises(ShapeError):
-            lif_step_attended(
-                state_with(np.zeros((2, 3)), np.zeros((2, 3))),
-                Tensor(np.zeros((2, 3))),
-                Tensor(np.zeros((2, 4))),
-                cfg,
-            )
+            lif_step(*zero_state((2, 3)), Tensor(np.zeros((2, 3))), cfg, u=Tensor(np.zeros((2, 4))))
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 8))
     @settings(max_examples=30, deadline=None)
@@ -157,28 +142,23 @@ class TestLifStepAttended:
         rng = Rng(seed)
         shape = (2, 3)
         inputs = [Tensor(rng.normal(0, 1, size=shape)) for _ in range(steps)]
-        sa = initial_state(shape, np.float64)
-        sb = initial_state(shape, np.float64)
+        va, sa = zero_state(shape)
+        vb, sb = zero_state(shape)
         for i in inputs:
-            sa, _ = lif_step(sa, i, cfg)
-            sb, _ = lif_step_attended(sb, i, Tensor(np.ones(shape)), cfg)
-            assert np.array_equal(sa.v.data, sb.v.data)
-            assert np.array_equal(sa.s.data, sb.s.data)
+            va, sa = lif_step(va, sa, i, cfg)
+            vb, sb = lif_step_attended(vb, sb, i, Tensor(np.ones(shape)), cfg)
+            assert np.array_equal(va.data, vb.data)
+            assert np.array_equal(sa.data, sb.data)
 
 
 class TestStateHandling:
-    def test_initial_state_zero(self):
-        state = initial_state((2, 3), np.float32)
-        assert np.all(state.v.data == 0.0)
-        assert np.all(state.s.data == 0.0)
-
     def test_bounded_inputs_stay_finite(self):
         cfg = LifConfig(v_th=0.9, kappa=0.95)
-        state = initial_state((4,), np.float64)
+        v, s = zero_state((4,))
         rng = Rng(13)
         for _ in range(200):
-            state, _ = lif_step(state, Tensor(rng.uniform(-2, 2, size=4)), cfg)
-        assert np.all(np.isfinite(state.v.data))
+            v, s = lif_step(v, s, Tensor(rng.uniform(-2, 2, size=4)), cfg)
+        assert np.all(np.isfinite(v.data))
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -191,23 +171,19 @@ class TestStateHandling:
 # the fused T-step node against the per-step composition
 
 
-def composed_sequence(currents, t_steps, cfg, params, variant, smooth=False):
-    """The per-step reference: ``lif_step`` / ``lif_step_attended`` and
+def composed_sequence(currents, t_steps, cfg, params, smooth=False):
+    """The per-step reference: ``lif_step`` gated from the second step on by
     ``compute_attention`` over the T steps of the step-major ``currents``
     [T*B, ...], as separate graph nodes; returns (spikes [T*B, ...] tensor,
     membrane [T, B, ...] array)."""
     steps = reshape(currents, (t_steps, currents.shape[0] // t_steps) + currents.shape[1:])
-    state = initial_state(steps.shape[1:], currents.dtype)
+    v, s = zero_state(steps.shape[1:], currents.dtype)
     spikes, membrane = [], []
     for t in range(t_steps):
-        i_t = steps[t]
-        if t > 0 and params is not None:
-            u = compute_attention(state.s, params, variant)
-            state, s = lif_step_attended(state, i_t, u, cfg, smooth=smooth)
-        else:
-            state, s = lif_step(state, i_t, cfg, smooth=smooth)
+        u = compute_attention(s, params) if t > 0 else None
+        v, s = lif_step(v, s, steps[t], cfg, smooth=smooth, u=u)
         spikes.append(s)
-        membrane.append(state.v.data)
+        membrane.append(v.data)
     return reshape(stack(spikes), currents.shape), np.stack(membrane)
 
 
@@ -252,7 +228,7 @@ class TestLifSequence:
     def test_forward_bitwise_equals_composition(self, variant, smooth, dtype, t_steps, unit):
         currents, params, _ = sequence_case(variant, dtype, t_steps, seed=t_steps)
         params = apply_seams(params, *unit)
-        ref_s, ref_v = composed_sequence(Tensor(currents), t_steps, SEQ_CFG, params, variant_of(params), smooth=smooth)
+        ref_s, ref_v = composed_sequence(Tensor(currents), t_steps, SEQ_CFG, params, smooth=smooth)
         s, v = lif_sequence(Tensor(currents), SEQ_CFG, params, smooth=smooth, timesteps=t_steps, keep_membrane=True)
         assert s.dtype == dtype and v.dtype == dtype
         assert np.array_equal(s.data, ref_s.data)
@@ -271,7 +247,7 @@ class TestLifSequence:
         currents, params, weighting = sequence_case(variant, np.float64, t_steps, seed=10 + t_steps)
         params = apply_seams(params, *unit)
         ref = sequence_grads(
-            lambda x: composed_sequence(x, t_steps, SEQ_CFG, params, variant_of(params), smooth=smooth)[0],
+            lambda x: composed_sequence(x, t_steps, SEQ_CFG, params, smooth=smooth)[0],
             currents, params, weighting,
         )
         got = sequence_grads(lambda x: lif_sequence(x, SEQ_CFG, params, smooth=smooth, timesteps=t_steps)[0],

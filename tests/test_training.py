@@ -233,6 +233,8 @@ class TestConfig:
         ("input_height", "16"), ("input_width", 16.0),
         ("data.binarize", "false"), ("data.binarize", 1),
         ("data.train_dir", 5), ("master_seed", "9"),
+        # a misspelled key fails instead of leaving its field at the default
+        ("reducton", 2), ("lif.kapa", 0.5), ("data.binarise", True),
     ])
     def test_malformed_optional_field_names_it(self, field, value):
         doc = self.doc()
