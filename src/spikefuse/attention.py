@@ -56,6 +56,9 @@ class AttentionVariant(str, enum.Enum):
         return self in (AttentionVariant.CTFA, AttentionVariant.SCTFA)
 
 
+VARIANTS = tuple(v.value for v in AttentionVariant)  # the names a config or flag takes
+
+
 @dataclass
 class AttentionParams:
     """Learnable tensors of one gating block; branch fields are None when the

@@ -50,13 +50,12 @@ class CheckpointError(SpikefuseError):
 
 
 class ConfigError(SpikefuseError):
-    """A config document failed validation. ``field`` is the dotted path."""
+    """A config document failed validation. ``field`` is the dotted path,
+    and ``reason`` the message without it."""
 
     def __init__(self, message, field=None):
-        if field is not None:
-            message = f"{field}: {message}"
-        super().__init__(message)
-        self.field = field
+        self.reason, self.field = message, field
+        super().__init__(message if field is None else f"{field}: {message}")
 
 
 class DivergenceError(NumericError):

@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .atomic import atomic_open
+from .attention import VARIANTS
 from .errors import ConfigError, DivergenceError, EventFormatError, ParameterError, SpikefuseError
 from .events import (
     _LINE_END,
@@ -210,51 +211,58 @@ def _load_dataset(cfg: TrainConfig, which: str) -> LabeledFrames:
 # experiment plans
 
 
-@dataclass(frozen=True)
-class ExperimentCell:
-    variant: str
-    kappa: float
-    seed: int
+def run_name(cfg: TrainConfig) -> str:
+    """The run directory a grid writes ``cfg`` to."""
+    return f"run_{cfg.variant}_k{cfg.lif.kappa:g}_s{cfg.seed}"
 
 
-@dataclass
-class ExperimentPlan:
-    base: dict  # TrainConfig document without variant/seed
-    cells: List[ExperimentCell]
+def grid_configs(base: dict, cells, prefix: str = "", precision: Optional[str] = None
+                 ) -> List[TrainConfig]:
+    """The validated config of each grid cell, a (values, names) pair: the
+    variant, kappa and seed the cell sets in the config document ``base``,
+    and the names an error in each of them is reported under. An error in
+    a base field is named with ``prefix`` in front. ``precision`` replaces
+    the base's. Two cells that would share a run directory fail."""
+    lif = _require(base, "lif", dict, prefix, {})
+    if precision is not None:
+        base = {**base, "precision": precision}
+    configs, owners = [], {}
+    for values, names in cells:
+        variant, kappa, seed = values
+        try:
+            cfg = config_from_dict({**base, "variant": variant, "seed": seed,
+                                    "lif": {**lif, "kappa": kappa}})
+        except ConfigError as exc:  # every error of config_from_dict on a dict names a field
+            own = dict(zip(("variant", "lif.kappa", "seed"), names))
+            raise ConfigError(exc.reason, field=own.get(exc.field, prefix + exc.field)) from None
+        name = run_name(cfg)
+        if name in owners:
+            raise ConfigError(f"cells {owners[name]} and {values} would both write {name}")
+        owners[name] = values
+        configs.append(cfg)
+    return configs
 
-    def __post_init__(self):
-        if len(set(self.cells)) != len(self.cells):
-            raise ConfigError("experiment plan contains duplicate cells")
-        for cell in self.cells:
-            self.cell_config(cell)  # validates
 
-    def cell_config(self, cell: ExperimentCell) -> TrainConfig:
-        doc = json.loads(json.dumps(self.base))  # deep copy
-        doc["variant"] = cell.variant
-        doc["seed"] = cell.seed
-        doc.setdefault("lif", {})["kappa"] = cell.kappa
-        return config_from_dict(doc)
-
-
-def plan_from_dict(doc: dict) -> ExperimentPlan:
-    """Validate a JSON plan document; errors name the field."""
+def plan_from_dict(doc: dict, precision: Optional[str] = None) -> List[TrainConfig]:
+    """The run configs of a JSON plan document, with ``precision`` in place
+    of the base config's when given; errors name the field."""
     _reject_unknown(doc, ("base_config", "cells", "variants", "seeds", "master_seed"), "")
     base = _require(doc, "base_config", dict, "")
-    lif = _require(base, "lif", dict, "base_config.", {})  # each cell sets its kappa there
     if "cells" in doc:
         cells = []
         for i, cell in enumerate(_list_of(doc, "cells", list)):
             if len(cell) != 3:
                 raise ConfigError("expected [variant, kappa, seed]", field=f"cells[{i}]")
-            variant, kappa, seed = (_typed(value, kind, f"cells[{i}][{j}]")
-                                    for j, (value, kind) in enumerate(zip(cell, (str, float, int))))
-            cells.append(ExperimentCell(variant, kappa, seed))
+            names = tuple(f"cells[{i}][{j}]" for j in range(3))
+            cells.append((tuple(map(_typed, cell, (str, float, int), names)), names))
     else:
+        lif = _require(base, "lif", dict, "base_config.", {})  # each cell sets its kappa there
         kappa = _require(lif, "kappa", float, "base_config.lif.")
-        cells = [ExperimentCell(variant, kappa, seed)
-                 for variant in _list_of(doc, "variants", str, ["bl", "stfa", "ctfa", "sctfa"])
-                 for seed in _list_of(doc, "seeds", int, [1, 2, 3])]
-    return ExperimentPlan(base=base, cells=cells)
+        variants = _list_of(doc, "variants", str, list(VARIANTS))
+        seeds = _list_of(doc, "seeds", int, [1, 2, 3])
+        cells = [((variant, kappa, seed), (f"variants[{i}]", "base_config.lif.kappa", f"seeds[{j}]"))
+                 for i, variant in enumerate(variants) for j, seed in enumerate(seeds)]
+    return grid_configs(base, cells, "base_config.", precision)
 
 
 @dataclass
@@ -373,19 +381,19 @@ def run_training(cfg: TrainConfig, run_dir: Path, force: bool = False) -> dict:
     return _run_summary(record_path)
 
 
-def run_plan(plan: ExperimentPlan, out_dir: Path, threads: int = 1, force: bool = False):
-    """Run every cell (bounded worker pool) and return its summary dicts."""
+def run_plan(configs: Sequence[TrainConfig], out_dir: Path, threads: int = 1,
+             force: bool = False) -> List[dict]:
+    """Train every config into its run directory (bounded worker pool) and
+    return their summary dicts."""
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def one(cell: ExperimentCell) -> dict:
-        cfg = plan.cell_config(cell)
-        run_dir = out_dir / f"run_{cell.variant}_k{cell.kappa:g}_s{cell.seed}"
-        return run_training(cfg, run_dir, force=force)
+    def one(cfg: TrainConfig) -> dict:
+        return run_training(cfg, out_dir / run_name(cfg), force=force)
 
     if threads <= 1:
-        return [one(c) for c in plan.cells]
+        return [one(cfg) for cfg in configs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, plan.cells))
+        return list(pool.map(one, configs))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +440,10 @@ def _parse_list(text: str, convert, flag: str) -> list:
 
 def cmd_train(args) -> int:
     doc = _read_json_object(args.config, "--config")
-    doc = _apply_overrides(doc, args)
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    if args.precision is not None:
+        doc["precision"] = args.precision
     cfg = config_from_dict(doc)
     run_dir = Path(args.out) / f"run_seed{cfg.seed}_{cfg.variant}"
     summary = run_training(cfg, run_dir, force=args.force)
@@ -445,42 +456,37 @@ def _check_threads(threads: int) -> None:
         raise ConfigError(f"must be at least 1, got {threads}", field="--threads")
 
 
-def cmd_ablate(args) -> int:
-    _check_threads(args.threads)
-    doc = _read_json_object(args.plan, "--plan")
-    plan = plan_from_dict(doc)
-    master_seed = _require(doc, "master_seed", int, "", plan.base.get("seed", 0))
+def _run_grid(configs: List[TrainConfig], args, column: str, extra: dict) -> int:
+    """Train a grid's configs under ``--out``, write its ``table.csv``
+    grouped by ``column`` with the ``extra`` columns, and print each row."""
     out_dir = Path(args.out)
-    summaries = run_plan(plan, out_dir, threads=args.threads, force=args.force)
-    rows = aggregate_records(summaries, lambda r: {"variant": r["variant"]})
-    _write_table(out_dir / "table.csv", rows, ["variant"], {"master_seed": master_seed})
+    summaries = run_plan(configs, out_dir, threads=args.threads, force=args.force)
+    rows = aggregate_records(summaries, lambda r: {column: r[column]})
+    _write_table(out_dir / "table.csv", rows, [column], extra)
     for row in rows:
         std = "" if row.std_acc is None else f" +/- {row.std_acc:.4f}"
-        print(f"{row.group['variant']:>6}: mean {row.mean_acc:.4f}{std}, "
+        print(f"{column} {row.group[column]}: mean {row.mean_acc:.4f}{std}, "
               f"best {row.best_acc:.4f} ({row.trials} trials, {row.status})")
     return 0
 
 
+def cmd_ablate(args) -> int:
+    _check_threads(args.threads)
+    doc = _read_json_object(args.plan, "--plan")
+    configs = plan_from_dict(doc, args.precision)
+    master_seed = _require(doc, "master_seed", int, "", doc["base_config"].get("seed", 0))
+    return _run_grid(configs, args, "variant", {"master_seed": master_seed})
+
+
 def cmd_sweep_kappa(args) -> int:
     _check_threads(args.threads)
-    doc = _apply_overrides(_read_json_object(args.config, "--config"), args)
+    doc = _read_json_object(args.config, "--config")
     kappas = _parse_list(args.kappas, float, "--kappas")
-    for k in kappas:
-        if not 0.0 <= k <= 1.0:
-            raise ConfigError(f"kappa {k} outside [0, 1]", field="--kappas")
     seeds = _parse_list(args.seeds, int, "--seeds")
     variant = doc.get("variant", "sctfa")
-    plan = ExperimentPlan(
-        base=doc,
-        cells=[ExperimentCell(variant, k, s) for k in kappas for s in seeds],
-    )
-    out_dir = Path(args.out)
-    summaries = run_plan(plan, out_dir, threads=args.threads, force=args.force)
-    rows = aggregate_records(summaries, lambda r: {"kappa": r["kappa"]})
-    _write_table(out_dir / "table.csv", rows, ["kappa"], {"master_seed": doc.get("seed", 0), "variant": variant})
-    for row in rows:
-        print(f"kappa={row.group['kappa']:g}: mean {row.mean_acc:.4f}, best {row.best_acc:.4f}")
-    return 0
+    cells = [((variant, k, s), ("variant", "--kappas", "--seeds")) for k in kappas for s in seeds]
+    configs = grid_configs(doc, cells, precision=args.precision)
+    return _run_grid(configs, args, "kappa", {"master_seed": doc.get("seed", 0), "variant": variant})
 
 
 _CORRUPTION_FLAGS = (
@@ -588,23 +594,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _apply_overrides(doc: dict, args) -> dict:
-    if getattr(args, "seed_override", None) is not None:
-        doc["seed"] = args.seed_override
-    if getattr(args, "precision", None):
-        doc["precision"] = args.precision
-    return doc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spikefuse")
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--force", action="store_true", help="overwrite existing run dirs")
-    common.add_argument("--precision", choices=list(PRECISIONS), default=None)
-    common.add_argument("--seed", dest="seed_override", type=int, default=None,
-                        help="override the config seed")
+    common.add_argument("--precision", choices=list(PRECISIONS), default=None,
+                        help="override the config precision")
 
     p = sub.add_parser("synth", help="generate a moving-bar event corpus")
     p.add_argument("--out", required=True)
@@ -619,18 +616,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common], help="train one config")
     p.add_argument("--config", required=True)
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--threads", type=int, default=1, help="worker pool size")
 
-    p = sub.add_parser("ablate", parents=[common, grid], help="variant x seed grid")
+    # no abbreviated flags on the grids, where --seed would read as --seeds
+    p = sub.add_parser("ablate", parents=[common, grid], help="variant x seed grid",
+                       allow_abbrev=False)
     p.add_argument("--plan", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("sweep-kappa", parents=[common, grid], help="kappa x seed grid")
+    p = sub.add_parser("sweep-kappa", parents=[common, grid], help="kappa x seed grid",
+                       allow_abbrev=False)
     p.add_argument("--config", required=True)
     p.add_argument("--kappas", default="0.3,0.4,0.5,0.6,0.7,0.8")
     p.add_argument("--seeds", default="1,2,3")
@@ -649,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complexity", help="count parameters and mult-adds")
     p.add_argument("--arch", required=True, help="architecture string or preset name")
-    p.add_argument("--variant", default="bl", choices=["bl", "stfa", "ctfa", "sctfa"])
+    p.add_argument("--variant", default="bl", choices=VARIANTS)
     p.add_argument("--timesteps", type=int, default=10)
     p.add_argument("--height", type=int, default=128)
     p.add_argument("--width", type=int, default=128)

@@ -30,6 +30,7 @@ counts.
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -602,6 +603,8 @@ _CKPT_CONFIG_TYPES = {
     "input_height": (int,),
     "input_width": (int,),
 }
+# The keys a run adds for slicing its corpus, which a checkpoint may lack.
+_CKPT_SLICING_TYPES = {"delta_t_ms": (int, float), "binarize": (bool,)}
 
 
 def _checkpoint_entries(net: SpikingNetwork):
@@ -653,8 +656,9 @@ def load_checkpoint(path):
     raises CheckpointError naming the path. Every read is bounds-checked: a
     truncated or malformed file raises CheckpointError naming the path and
     the byte offset. An embedded config that lacks a key the network needs,
-    or holds it with the wrong type, names the path and the key; one that
-    describes no valid network names the path.
+    or holds it or a slicing key (``delta_t_ms``, ``binarize``) with the
+    wrong type or value, names the path and the key; one that describes no
+    valid network names the path.
     """
     path = Path(path)
     try:
@@ -686,14 +690,20 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: bad config blob at byte offset 8: {exc}")
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: config blob is not a JSON object")
-    for key, types in _CKPT_CONFIG_TYPES.items():
+    for key, types in (*_CKPT_CONFIG_TYPES.items(), *_CKPT_SLICING_TYPES.items()):
         if key not in config:
+            if key in _CKPT_SLICING_TYPES:
+                continue
             raise CheckpointError(f"{path}: config lacks key {key!r}")
-        if isinstance(config[key], bool) or not isinstance(config[key], types):
+        value = config[key]
+        if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
             expected = " or ".join(t.__name__ for t in types)
             raise CheckpointError(
-                f"{path}: config key {key!r} is {type(config[key]).__name__}, expected {expected}"
+                f"{path}: config key {key!r} is {type(value).__name__}, expected {expected}"
             )
+    if not 0.0 < config.get("delta_t_ms", 1.0) < math.inf:
+        raise CheckpointError(f"{path}: config key 'delta_t_ms' is {config['delta_t_ms']}, "
+                              "expected a finite positive number")
     flag, count = unpack("<BI", "precision flag and tensor count")
     if flag >= len(PRECISIONS):
         raise CheckpointError(f"{path}: bad precision flag {flag} at byte offset {pos - 5}")

@@ -26,6 +26,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor
+from .attention import VARIANTS
 from .errors import ArchError, ConfigError, DivergenceError, ParameterError, ShapeError, StateError
 from .events import (
     CorruptionSpec,
@@ -200,7 +201,7 @@ def config_from_dict(doc: dict) -> TrainConfig:
     for mapping, cls, path in ((doc, TrainConfig, ""), (lif_doc, LifConfig, "lif."), (data_doc, DataConfig, "data.")):
         _reject_unknown(mapping, {f.name for f in fields(cls)}, path)
     variant = _require(doc, "variant", str, "")
-    if variant not in ("bl", "stfa", "ctfa", "sctfa"):
+    if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}", field="variant")
     precision = doc.get("precision", "f32")
     precision_dtype(precision)
@@ -216,13 +217,14 @@ def config_from_dict(doc: dict) -> TrainConfig:
     lr_decay = _require(doc, "lr_decay", float, "")
     if not 0.0 < lr_decay <= 1.0:
         raise ConfigError("lr_decay must be in (0, 1]", field="lr_decay")
+    v_th = _require(lif_doc, "v_th", float, "lif.")
+    kappa = _require(lif_doc, "kappa", float, "lif.")
+    if not 0.0 <= kappa <= 1.0:
+        raise ConfigError(f"kappa must be in [0, 1], got {kappa}", field="lif.kappa")
     try:
-        lif = LifConfig(
-            v_th=_require(lif_doc, "v_th", float, "lif."),
-            kappa=_require(lif_doc, "kappa", float, "lif."),
-        )
-    except ParameterError as exc:
-        raise ConfigError(str(exc), field="lif")
+        lif = LifConfig(v_th=v_th, kappa=kappa)
+    except ParameterError as exc:  # kappa is in range, so v_th is not
+        raise ConfigError(str(exc), field="lif.v_th")
     data = DataConfig(
         delta_t_ms=_require(data_doc, "delta_t_ms", float, "data."),
         timesteps=_require(data_doc, "timesteps", int, "data."),

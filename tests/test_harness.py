@@ -17,8 +17,6 @@ from spikefuse.atomic import atomic_open
 from spikefuse.errors import ConfigError, EventFormatError
 from spikefuse.events import read_events, synth_moving_bar, write_events
 from spikefuse.harness import (
-    ExperimentCell,
-    ExperimentPlan,
     aggregate_records,
     build_parser,
     load_corpus,
@@ -430,23 +428,21 @@ class TestTrainCommand:
 
 class TestPlans:
     def test_grid_expansion(self):
-        plan = plan_from_dict(
+        configs = plan_from_dict(
             {"base_config": config_doc("x", "y"), "variants": ["bl", "sctfa"], "seeds": [1, 2]}
         )
-        assert len(plan.cells) == 4
+        assert [(c.variant, c.seed) for c in configs] == [("bl", 1), ("bl", 2), ("sctfa", 1),
+                                                          ("sctfa", 2)]
 
     def test_duplicate_cells_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentPlan(
-                base=config_doc("x", "y"),
-                cells=[ExperimentCell("bl", 0.7, 1), ExperimentCell("bl", 0.7, 1)],
-            )
+        with pytest.raises(ConfigError, match="would both write run_bl_k0.7_s1"):
+            plan_from_dict({"base_config": config_doc("x", "y"),
+                            "cells": [["bl", 0.7, 1], ["bl", 0.7, 1]]})
 
     def test_cell_config_overrides(self):
-        plan = plan_from_dict(
+        (cfg,) = plan_from_dict(
             {"base_config": config_doc("x", "y"), "variants": ["sctfa"], "seeds": [9]}
         )
-        cfg = plan.cell_config(plan.cells[0])
         assert cfg.variant == "sctfa" and cfg.seed == 9
 
     @pytest.mark.parametrize("change, field", [
@@ -468,21 +464,42 @@ class TestPlans:
         # misspelled keys that would otherwise run the default grid
         ({"variant": ["bl"]}, "variant"),
         ({"seed": [1]}, "seed"),
+        # an error in a base config field is named under base_config, one
+        # in a cell's own value by where the value came from
+        ({"base_config": config_doc("x", "y", reducton=2)}, "base_config.reducton"),
+        ({"base_config": config_doc("x", "y", reducton=2), "cells": [["bl", 0.7, 1]]},
+         "base_config.reducton"),
+        ({"base_config": config_doc("x", "y", epochs=0)}, "base_config.epochs"),
+        ({"base_config": config_doc("x", "y", arch="Input-4X3")}, "base_config.arch"),
+        ({"base_config": config_doc("x", "y", lif={"v_th": 0.0, "kappa": 0.7})},
+         "base_config.lif.v_th"),
+        ({"base_config": config_doc("x", "y", lif={"v_th": 1.0, "kappa": 0.7, "tau": 2.0})},
+         "base_config.lif.tau"),
+        ({"base_config": config_doc("x", "y", lif={"v_th": 1.0, "kappa": 1.5})},
+         "base_config.lif.kappa"),
+        ({"cells": [["bl", 0.7, 1], ["bogus", 0.7, 1]]}, "cells[1][0]"),
+        ({"cells": [["bl", 1.5, 1]]}, "cells[0][1]"),
+        ({"variants": ["bl", "bogus"]}, "variants[1]"),
     ])
     def test_malformed_field_names_it(self, change, field):
         with pytest.raises(ConfigError) as info:
             plan_from_dict({"base_config": config_doc("x", "y"), **change})
         assert info.value.field == field
-
+        assert str(info.value).startswith(field + ": ")
 
     def test_readme_samples_load(self):
-        config_text, plan_text = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+        config_text, plan_text, cells_text = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
         config = json.loads(config_text)
         assert config_from_dict(config).variant == config["variant"]
         base = {k: v for k, v in config.items() if k not in ("variant", "seed")}
-        plan = plan_from_dict(json.loads(plan_text.replace("{ ... config without variant/seed ... }",
-                                                           json.dumps(base))))
-        assert len(plan.cells) == 12  # 4 variants x 3 seeds
+
+        def load(text):
+            return plan_from_dict(json.loads(text.replace("{ ... config without variant/seed ... }",
+                                                          json.dumps(base))))
+
+        assert len(load(plan_text)) == 12  # 4 variants x 3 seeds
+        cells = json.loads(cells_text.replace("{ ... config without variant/seed ... }", "{}"))["cells"]
+        assert [(c.variant, c.lif.kappa, c.seed) for c in load(cells_text)] == [tuple(c) for c in cells]
 
 
 class TestAblate:
@@ -564,17 +581,110 @@ class TestAblate:
         assert rows[0].trials == 1
 
 
+class TestGridFlags:
+    def test_ablate_precision_reaches_every_run(self, corpus, tmp_path):
+        train_dir, test_dir = corpus
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({
+            "base_config": config_doc(train_dir, test_dir, precision="f32"),
+            "cells": [["bl", 0.7, 1], ["stfa", 0.5, 2]]}))
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--plan", str(plan_path), "--out", str(out),
+                     "--precision", "f64"]) == 0
+        for name in ("run_bl_k0.7_s1", "run_stfa_k0.5_s2"):
+            record = json.loads((out / name / "run_record.json").read_text())
+            assert record["config"]["precision"] == "f64"
+            net, _ = harness.load_checkpoint(out / name / "checkpoint.bin")
+            assert net.precision == "f64"
+
+    def test_sweep_kappa_precision_reaches_every_run(self, corpus, tmp_path):
+        train_dir, test_dir = corpus
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_doc(train_dir, test_dir)))
+        out = tmp_path / "sweep"
+        assert main(["sweep-kappa", "--config", str(cfg_path), "--kappas", "0.4", "--seeds", "1,2",
+                     "--precision", "f64", "--out", str(out)]) == 0
+        for name in ("run_bl_k0.4_s1", "run_bl_k0.4_s2"):
+            record = json.loads((out / name / "run_record.json").read_text())
+            assert record["config"]["precision"] == "f64"
+
+    @pytest.mark.parametrize("command", [["ablate", "--plan"], ["sweep-kappa", "--config"]])
+    def test_seed_flag_rejected_on_grids(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main(command + [str(tmp_path / "doc.json"), "--out", str(tmp_path / "o"),
+                            "--seed", "99"])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_built_once_per_cell(self, corpus, tmp_path, monkeypatch):
+        train_dir, test_dir = corpus
+        calls = []
+        monkeypatch.setattr(harness, "config_from_dict",
+                            lambda doc: calls.append(doc) or config_from_dict(doc))
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"base_config": config_doc(train_dir, test_dir),
+                                         "variants": ["bl", "ctfa"], "seeds": [1]}))
+        assert main(["ablate", "--plan", str(plan_path), "--out", str(tmp_path / "a")]) == 0
+        assert [(doc["variant"], doc["seed"]) for doc in calls] == [("bl", 1), ("ctfa", 1)]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_doc(train_dir, test_dir)))
+        calls.clear()
+        assert main(["sweep-kappa", "--config", str(cfg_path), "--kappas", "0.4,0.6",
+                     "--seeds", "1", "--out", str(tmp_path / "s")]) == 0
+        assert [doc["lif"]["kappa"] for doc in calls] == [0.4, 0.6]
+
+    @pytest.mark.parametrize("kappas, seeds, name", [
+        ("0.3,0.3000001", "1", "run_sctfa_k0.3_s1"),
+        ("0.3", "1,1", "run_sctfa_k0.3_s1"),
+    ])
+    @pytest.mark.parametrize("extra", [[], ["--force"], ["--threads", "2"]])
+    def test_shared_run_directory_fails_before_any_run(self, corpus, tmp_path, capsys, kappas,
+                                                        seeds, name, extra):
+        train_dir, test_dir = corpus
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_doc(train_dir, test_dir, variant="sctfa")))
+        out = tmp_path / "sweep"
+        assert main(["sweep-kappa", "--config", str(cfg_path), "--kappas", kappas,
+                     "--seeds", seeds, "--out", str(out)] + extra) == 2
+        assert f"would both write {name}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_shared_run_directory_in_a_plan_fails_before_any_run(self, corpus, tmp_path, capsys):
+        train_dir, test_dir = corpus
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"base_config": config_doc(train_dir, test_dir),
+                                         "cells": [["bl", 0.5, 1], ["bl", 0.50000001, 1]]}))
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--plan", str(plan_path), "--out", str(out)]) == 2
+        assert "would both write run_bl_k0.5_s1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"reducton": 2}, "error: reducton: unknown field"),
+        ({"lif": 5}, "error: lif: expected dict, got int"),
+        ({"variant": "bogus"}, "error: variant: unknown variant 'bogus'"),
+    ])
+    def test_sweep_kappa_config_error_names_its_field(self, tmp_path, capsys, change, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_doc("x", "y", **change)))
+        assert main(["sweep-kappa", "--config", str(cfg_path), "--kappas", "0.4",
+                     "--seeds", "1", "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "s").exists()
+
+
 class TestWorkerPool:
     def test_threaded_plan_matches_sequential(self, corpus, tmp_path):
         train_dir, test_dir = corpus
         from spikefuse.harness import run_plan
 
-        plan = plan_from_dict(
+        configs = plan_from_dict(
             {"base_config": config_doc(train_dir, test_dir), "variants": ["bl", "stfa"],
              "seeds": [1]}
         )
-        seq = run_plan(plan, tmp_path / "seq", threads=1)
-        par = run_plan(plan, tmp_path / "par", threads=2)
+        seq = run_plan(configs, tmp_path / "seq", threads=1)
+        par = run_plan(configs, tmp_path / "par", threads=2)
         for a, b in zip(seq, par):
             assert a["best_acc"] == b["best_acc"]
         rec_a = (tmp_path / "seq" / "run_bl_k0.7_s1" / "run_record.json").read_bytes()
@@ -633,7 +743,8 @@ class TestSweepKappa:
             "--seeds", "1", "--out", str(tmp_path / "s"),
         ])
         assert rc == 2
-        assert "kappa" in capsys.readouterr().err
+        assert "error: --kappas: kappa must be in [0, 1], got 1.4" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 class TestCliFailsClosed:
@@ -840,6 +951,35 @@ class TestRobustnessCommand:
         err = capsys.readouterr().err
         assert f"{test_dir / 'manifest.tsv'}: label 3 is past the 2 classes of {tmp_path / 'ck.bin'}" in err
         assert not (tmp_path / "rb").exists()
+
+    @pytest.mark.parametrize("command", [["eval"], ["robustness", "--noise", "0.5"]])
+    @pytest.mark.parametrize("key, value", [
+        ("delta_t_ms", "abc"), ("delta_t_ms", None), ("delta_t_ms", True),
+        ("delta_t_ms", 0.0), ("delta_t_ms", -5.0), ("delta_t_ms", float("nan")),
+        ("delta_t_ms", float("inf")), ("binarize", "no"), ("binarize", 1), ("binarize", None),
+    ])
+    def test_bad_slicing_key_names_path_and_key(self, corpus, tmp_path, capsys, command, key,
+                                                 value):
+        _, test_dir = corpus
+        net = build_network({"arch": TINY_ARCH, "variant": "bl", "v_th": 1.0, "kappa": 0.7,
+                             "reduction": 4, "timesteps": 5, "input_height": 16, "input_width": 16})
+        save_checkpoint(tmp_path / "ck.bin", net, extra_config={key: value})
+        rc = main(command + ["--checkpoint", str(tmp_path / "ck.bin"), "--data", str(test_dir)]
+                  + (["--out", str(tmp_path / "rb")] if command[0] == "robustness" else []))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'ck.bin'}: config key {key!r} is ")
+        assert not (tmp_path / "rb").exists()
+
+    def test_absent_slicing_keys_keep_their_defaults(self, corpus, tmp_path):
+        _, test_dir = corpus
+        net = build_network({"arch": TINY_ARCH, "variant": "bl", "v_th": 1.0, "kappa": 0.7,
+                             "reduction": 4, "timesteps": 5, "input_height": 16, "input_width": 16})
+        save_checkpoint(tmp_path / "ck.bin", net, extra_config={"delta_t_ms": 40})
+        args = build_parser().parse_args(["eval", "--checkpoint", str(tmp_path / "ck.bin"),
+                                          "--data", str(test_dir)])
+        assert harness._load_run(args)[2:] == (40.0, 5, False)
+        save_checkpoint(tmp_path / "ck.bin", net)
+        assert harness._load_run(args)[2:] == (100.0, 5, False)
 
     def test_eval_command(self, corpus, run_dir, capsys):
         _, test_dir = corpus
