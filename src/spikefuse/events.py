@@ -172,8 +172,15 @@ BAR_WIDTH = 2  # pixels
 BAR_JITTER_MS = 8.0
 
 
+def _is_index(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_bar(height: int, width: int, duration_ms: float, rate: float) -> None:
     """Raise ParameterError unless ``synth_moving_bar`` can draw this bar."""
+    if not (_is_index(height) and _is_index(width)):
+        raise ParameterError(f"height and width must be integers, got {height!r} and {width!r}")
     if height < 8 or width < 8:
         raise ParameterError("field must be at least 8x8")
     if not 0.0 <= rate < math.inf:
@@ -197,55 +204,46 @@ def synth_moving_bar(
     The leading edge emits polarity-1 events, the trailing edge polarity-0;
     each pixel crossing draws Poisson(rate) events jittered uniformly within
     ``BAR_JITTER_MS``. Label = direction index. ``rate`` 0 gives a valid
-    empty stream.
+    empty stream. The draw order keeps a seed's stream bitwise stable: per
+    bar position, the leading then the trailing edge draws Poisson counts
+    for every pixel across the field, then a jitter per event if it has
+    any. Events that share a timestamp keep that order.
     """
-    if not 0 <= direction < 4:
-        raise ParameterError(f"direction must be in [0, 4), got {direction}")
+    if not (_is_index(direction) and 0 <= direction < 4):
+        raise ParameterError(f"direction must be an integer in [0, 4), got {direction!r}")
     _check_bar(height, width, duration_ms, rate)
 
     along = width if direction < 2 else height
     across = height if direction < 2 else width
     gen = rng.generator
+    counts = np.empty((2 * along, across), dtype=np.int64)  # one row per crossing, in draw order
+    jitter = []
+    for crossing in counts:
+        crossing[:] = gen.poisson(rate, size=across)
+        if total := int(crossing.sum()):
+            jitter.append(gen.uniform(0.0, BAR_JITTER_MS, size=total))
+    if not jitter:
+        return EventStream(width=width, height=height, label=direction)
+
+    # each crossing's edge time (in step_ms's precision, as (pos + 1) * step_ms
+    # would be), line (mirrored for 1 and 3) and polarity, once per event
+    pos = np.arange(along)
+    per_crossing = counts.sum(axis=1)
     step_ms = duration_ms / (along + BAR_WIDTH)  # bar fully exits the field
-
-    ts, xs, ys, ps = [], [], [], []
-    for pos in range(along):
-        lead_ms = (pos + 1) * step_ms
-        trail_ms = (pos + 1 + BAR_WIDTH) * step_ms
-        for pol, edge_ms in ((1, lead_ms), (0, trail_ms)):
-            counts = gen.poisson(rate, size=across)
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            perp = np.repeat(np.arange(across), counts)
-            jitter = gen.uniform(0.0, BAR_JITTER_MS, size=total)
-            t_us = np.minimum((edge_ms + jitter) * 1000.0, duration_ms * 1000.0 - 1.0)
-            if direction == 0:  # left -> right
-                ex, ey = np.full(total, pos), perp
-            elif direction == 1:  # right -> left
-                ex, ey = np.full(total, along - 1 - pos), perp
-            elif direction == 2:  # top -> bottom
-                ex, ey = perp, np.full(total, pos)
-            else:  # bottom -> top
-                ex, ey = perp, np.full(total, along - 1 - pos)
-            ts.append(t_us.astype(np.uint64))
-            xs.append(ex.astype(np.uint16))
-            ys.append(ey.astype(np.uint16))
-            ps.append(np.full(total, pol, dtype=np.uint8))
-
-    if ts:
-        t = np.concatenate(ts)
+    edge_ms = np.stack([pos + 1, pos + 1 + BAR_WIDTH], axis=1).ravel().astype(type(step_ms)) * step_ms
+    t_ms = np.repeat(edge_ms, per_crossing) + np.concatenate(jitter)
+    t = np.minimum(t_ms * 1000.0, duration_ms * 1000.0 - 1.0).astype(np.uint64)
+    line = np.repeat(pos if direction % 2 == 0 else along - 1 - pos, counts.reshape(along, -1).sum(axis=1))
+    polarity = np.repeat(np.tile(np.array([1, 0], dtype=np.uint8), along), per_crossing)
+    perp = np.repeat(np.tile(np.arange(across), 2 * along), counts.ravel())
+    x, y = (line, perp) if direction < 2 else (perp, line)
+    n = len(t)
+    if (int(t.max()) + 1) * n <= 2**63:  # the distinct keys t * n + i sort as a stable argsort of t
+        order = np.sort(t.view(np.int64) * n + np.arange(n)) % n
+    else:
         order = np.argsort(t, kind="stable")
-        return EventStream(
-            width=width,
-            height=height,
-            t=t[order],
-            x=np.concatenate(xs)[order],
-            y=np.concatenate(ys)[order],
-            polarity=np.concatenate(ps)[order],
-            label=direction,
-        )
-    return EventStream(width=width, height=height, label=direction)
+    return EventStream(width=width, height=height, t=t[order], x=x[order].astype(np.uint16),
+                       y=y[order].astype(np.uint16), polarity=polarity[order], label=direction)
 
 
 # numpy's Generator.poisson refuses a larger rate

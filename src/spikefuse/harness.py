@@ -249,6 +249,8 @@ def plan_from_dict(doc: dict, precision: Optional[str] = None) -> List[TrainConf
     _reject_unknown(doc, ("base_config", "cells", "variants", "seeds", "master_seed"), "")
     base = _require(doc, "base_config", dict, "")
     if "cells" in doc:
+        if given := [key for key in ("variants", "seeds") if key in doc]:
+            raise ConfigError("cannot be given with cells", field=given[0])
         cells = []
         for i, cell in enumerate(_list_of(doc, "cells", list)):
             if len(cell) != 3:
@@ -457,8 +459,8 @@ def _check_threads(threads: int) -> None:
 
 
 def _run_grid(configs: List[TrainConfig], args, column: str, extra: dict) -> int:
-    """Train a grid's configs under ``--out``, write its ``table.csv``
-    grouped by ``column`` with the ``extra`` columns, and print each row."""
+    """Train a grid's configs under ``--out``, write its ``table.csv`` grouped by
+    ``column`` with the ``extra`` columns, print each row; 1 if any run diverged."""
     out_dir = Path(args.out)
     summaries = run_plan(configs, out_dir, threads=args.threads, force=args.force)
     rows = aggregate_records(summaries, lambda r: {column: r[column]})
@@ -467,7 +469,7 @@ def _run_grid(configs: List[TrainConfig], args, column: str, extra: dict) -> int
         std = "" if row.std_acc is None else f" +/- {row.std_acc:.4f}"
         print(f"{column} {row.group[column]}: mean {row.mean_acc:.4f}{std}, "
               f"best {row.best_acc:.4f} ({row.trials} trials, {row.status})")
-    return 0
+    return 0 if all(row.status == "complete" for row in rows) else 1
 
 
 def cmd_ablate(args) -> int:
@@ -486,7 +488,7 @@ def cmd_sweep_kappa(args) -> int:
     variant = doc.get("variant", "sctfa")
     cells = [((variant, k, s), ("variant", "--kappas", "--seeds")) for k in kappas for s in seeds]
     configs = grid_configs(doc, cells, precision=args.precision)
-    return _run_grid(configs, args, "kappa", {"master_seed": doc.get("seed", 0), "variant": variant})
+    return _run_grid(configs, args, "kappa", {"variant": variant})
 
 
 _CORRUPTION_FLAGS = (

@@ -5,14 +5,22 @@ sharing no code with the engine, so agreement is evidence rather than
 tautology. The one exception is ``sweep_level_frames``, which composes the
 engine's public event operators one stream at a time: it is the reference
 for the robustness sweep's batch, which bins each stream once and reuses
-the binning for every level.
+the binning for every level. ``moving_bar_loops`` takes the engine's bar
+constants, so that it draws the same bar.
 """
 
 import math
 
 import numpy as np
 
-from spikefuse.events import add_poisson_noise, drop_events, drop_frames, slice_to_frames
+from spikefuse.events import (
+    BAR_JITTER_MS,
+    BAR_WIDTH,
+    add_poisson_noise,
+    drop_events,
+    drop_frames,
+    slice_to_frames,
+)
 from spikefuse.rng import Rng
 
 
@@ -152,6 +160,31 @@ def slice_counts_add_at(t, x, y, polarity, width, height, delta_t_ms, timesteps)
     np.add.at(frames, (idx[keep], np.asarray(polarity, dtype=np.int64)[keep],
                        np.asarray(y, dtype=np.int64)[keep], np.asarray(x, dtype=np.int64)[keep]), 1)
     return frames
+
+
+def moving_bar_loops(direction, height, width, duration_ms, rate, rng):
+    """``(t, x, y, polarity)`` of ``synth_moving_bar``, built one crossing at
+    a time and ordered by a stable argsort of t."""
+    along, across = (width, height) if direction < 2 else (height, width)
+    gen = rng.generator
+    step_ms = duration_ms / (along + BAR_WIDTH)
+    events = []  # (t_us, x, y, polarity) in draw order
+    for pos in range(along):
+        line = pos if direction in (0, 2) else along - 1 - pos
+        for polarity, edge_ms in ((1, (pos + 1) * step_ms), (0, (pos + 1 + BAR_WIDTH) * step_ms)):
+            counts = gen.poisson(rate, size=across)
+            if counts.sum() == 0:
+                continue
+            jitter = iter(gen.uniform(0.0, BAR_JITTER_MS, size=int(counts.sum())))
+            for perp in range(across):
+                for _ in range(counts[perp]):
+                    t_us = min((edge_ms + next(jitter)) * 1000.0, duration_ms * 1000.0 - 1.0)
+                    x, y = (line, perp) if direction < 2 else (perp, line)
+                    events.append((np.uint64(t_us), x, y, polarity))
+    t = np.array([e[0] for e in events], dtype=np.uint64)
+    order = np.argsort(t, kind="stable")
+    return tuple(np.array([e[i] for e in events], dtype=dtype)[order]
+                 for i, dtype in enumerate((np.uint64, np.uint16, np.uint16, np.uint8)))
 
 
 def sweep_level_frames(streams, delta_t_ms, timesteps, spec=None, binarize=False, dtype=np.float32):

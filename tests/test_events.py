@@ -1,5 +1,7 @@
 """Event pipeline: slicing, synthesis, corruption, file round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from spikefuse.errors import EventFormatError, ParameterError
 from spikefuse.events import (
+    BAR_DIRECTIONS,
     CorruptionSpec,
     EventStream,
     add_poisson_noise,
@@ -17,9 +20,10 @@ from spikefuse.events import (
     synth_moving_bar,
     write_events,
 )
+from spikefuse.harness import synth_corpus
 from spikefuse.rng import Rng
 
-from oracles import slice_counts_add_at
+from oracles import moving_bar_loops, slice_counts_add_at
 
 
 def make_stream(seed=1, n=500, width=16, height=16, duration_us=1_000_000, label=3):
@@ -34,6 +38,16 @@ def make_stream(seed=1, n=500, width=16, height=16, duration_us=1_000_000, label
         polarity=rng.integers(0, 2, size=n).astype(np.uint8),
         label=label,
     )
+
+
+def stream_digest(streams) -> str:
+    """sha256 over the dtype and bytes of every array of ``streams``."""
+    h = hashlib.sha256()
+    for s in streams:
+        for a in (s.t, s.x, s.y, s.polarity):
+            h.update(a.dtype.str.encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
 
 
 class TestSliceToFrames:
@@ -153,6 +167,16 @@ class TestSynthMovingBar:
         assert len(stream) > 0
         assert stream.t.max() < 500_000
 
+    @given(st.integers(0, 3), st.integers(8, 24), st.integers(8, 24),
+           st.sampled_from([0.001, 0.5, 500.0, 1e13, np.float32(333.3)]) | st.floats(0.001, 1e15),
+           st.sampled_from([0.0, 0.3, 2.0, 8.0]) | st.floats(0.0, 8.0), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop_oracle(self, direction, height, width, duration_ms, rate, seed):
+        stream = synth_moving_bar(direction, height, width, duration_ms, rate, Rng(seed))
+        expected = moving_bar_loops(direction, height, width, duration_ms, rate, Rng(seed))
+        for got, want in zip((stream.t, stream.x, stream.y, stream.polarity), expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_too_small_field_rejected(self):
         with pytest.raises(ParameterError):
             synth_moving_bar(0, 4, 16, 500, 1.0, Rng(1))
@@ -167,10 +191,74 @@ class TestSynthMovingBar:
         with pytest.raises(ParameterError, match="duration_ms"):
             synth_moving_bar(0, 16, 16, duration, 2.0, Rng(1))
 
+    @pytest.mark.parametrize("direction", [1.5, 1.0, np.float64(2.0), True, "1", None])
+    def test_non_integer_direction_rejected(self, direction):
+        with pytest.raises(ParameterError, match="direction must be an integer"):
+            synth_moving_bar(direction, 16, 16, 500, 2.0, Rng(1))
+
+    @pytest.mark.parametrize("height,width", [(16.5, 16), (16, 16.0), (np.float32(16), 16), ("16", 16),
+                                              (16, None), (16, np.True_)])
+    def test_non_integer_field_rejected(self, height, width):
+        with pytest.raises(ParameterError, match="height and width must be integers"):
+            synth_moving_bar(0, height, width, 500, 2.0, Rng(1))
+
+    def test_numpy_integers_draw_the_int_stream(self):
+        a = synth_moving_bar(np.int64(3), np.int32(12), np.uint16(20), 500, 2.0, Rng(6))
+        b = synth_moving_bar(3, 12, 20, 500, 2.0, Rng(6))
+        assert a.label == 3 and stream_digest([a]) == stream_digest([b])
+
     def test_one_microsecond_stream_stays_in_range(self):
         # every event is clamped to t = 0, the stream's last microsecond
         stream = synth_moving_bar(1, 16, 16, 0.001, 2.0, Rng(4))
         assert len(stream) > 0 and not stream.t.any()
+
+
+class TestSynthDigests:
+    """The generator's bytes, pinned: any change to the draws, their order,
+    the clamp or the order of events that share a timestamp shows here."""
+
+    FIELDS = ((16, 16), (12, 20))
+    RATES = (0.0, 0.3, 2.0, 8.0)
+    # 0.001 ms puts every event at t = 0, so only the tie order counts;
+    # 1e13 ms makes the sort key of the dense streams overflow int64
+    STREAM_DIGESTS = {  # (direction, duration_ms) -> digest over FIELDS x RATES
+        (0, 500.0): "f0378ce01c0e133e900755e5455759b9a26d0ce2b333afe8d7cd0f93549bf60e",
+        (0, 0.001): "1539eafdbceb9cc99914494356fa47f2e51c0ea0871bb397700efe18efabd528",
+        (0, 1e13): "1ea9bb2617830e17e9477c7bcee9f663b2c389737804fe2c7066b6ff35a28fa2",
+        (1, 500.0): "1ea15f3790bac80d8573d1610f8ed5f4611b7bbf0e1dd14688daf7b0e3d9f5a2",
+        (1, 0.001): "595969482cf35a690fe9c314102f8dd1bb7b41817c84b77696b829eae40632a1",
+        (1, 1e13): "3b840adf84dd4edc4bccfdc5826801c48b2af6752773ddc09ae4a5c196f4b08a",
+        (2, 500.0): "3a748e70bd13e5cded0a31c7b0c0dacb0237248691196118974be15c4ad8783b",
+        (2, 0.001): "736e09ff2c37a4086802eaa8d5f6f9d0426c3d9dfe66e1bed9dcdf26b44907af",
+        (2, 1e13): "bf737a73a8cc2ed441ec86cdad0d6e4153e430b1de6e9ba4bc6d5d35c27358b9",
+        (3, 500.0): "b6bfc8da20e3d1eeb666a5737414f00bdefa2957890c4d5fe6d32e3116128b6a",
+        (3, 0.001): "bd4e515e21bd4ba57e221474966060e8957541c77e66e5a8217d9ee287ed2e2d",
+        (3, 1e13): "d29df216519f263a06831615ee4ca021edb776673f452e79f703387d1841854d",
+    }
+    CORPUS_DIGEST = "640bd4eb9125d5d843064d4b222ae013caa3a90acf7baeeafa6976e98b032cf7"
+
+    @staticmethod
+    def streams(direction, duration_ms):
+        return [synth_moving_bar(direction, h, w, duration_ms, rate, Rng(9).split(direction, h, w, rate))
+                for h, w in TestSynthDigests.FIELDS for rate in TestSynthDigests.RATES]
+
+    @pytest.mark.parametrize("direction,duration_ms", sorted(STREAM_DIGESTS))
+    def test_streams_pinned_by_digest(self, direction, duration_ms):
+        digest = stream_digest(self.streams(direction, duration_ms))
+        assert digest == self.STREAM_DIGESTS[direction, duration_ms]
+
+    def test_long_streams_reach_both_sort_paths(self):
+        # the key t * n + i fits int64 for the sparse streams only
+        fits = [(int(s.t.max()) + 1) * len(s) <= 2**63 for s in self.streams(2, 1e13) if len(s)]
+        assert True in fits and False in fits
+
+    def test_corpus_pinned_by_digest(self, tmp_path):
+        synth_corpus(tmp_path, len(BAR_DIRECTIONS), 2, 12, 20, 500.0, 2.0, seed=5)
+        h = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            h.update(path.name.encode())
+            h.update(path.read_bytes())
+        assert h.hexdigest() == self.CORPUS_DIGEST
 
 
 class TestPoissonNoise:

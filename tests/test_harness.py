@@ -14,7 +14,7 @@ import pytest
 
 from spikefuse import harness, training
 from spikefuse.atomic import atomic_open
-from spikefuse.errors import ConfigError, EventFormatError
+from spikefuse.errors import ConfigError, EventFormatError, ParameterError
 from spikefuse.events import read_events, synth_moving_bar, write_events
 from spikefuse.harness import (
     aggregate_records,
@@ -90,6 +90,12 @@ class TestSynth:
         for fa in sorted((tmp_path / "a").iterdir()):
             fb = tmp_path / "b" / fa.name
             assert fa.read_bytes() == fb.read_bytes()
+
+    @pytest.mark.parametrize("height,width", [(16.5, 16), (16, 16.0)])
+    def test_non_integer_field_rejected_before_any_file(self, tmp_path, height, width):
+        with pytest.raises(ParameterError, match="height and width must be integers"):
+            synth_corpus(tmp_path / "c", 2, 1, height, width, 500.0, 2.0, seed=4)
+        assert not (tmp_path / "c").exists()
 
     def test_load_round_trip(self, tmp_path):
         synth_corpus(tmp_path / "c", 3, 2, 16, 16, 500.0, 2.0, seed=4)
@@ -480,6 +486,9 @@ class TestPlans:
         ({"cells": [["bl", 0.7, 1], ["bogus", 0.7, 1]]}, "cells[1][0]"),
         ({"cells": [["bl", 1.5, 1]]}, "cells[0][1]"),
         ({"variants": ["bl", "bogus"]}, "variants[1]"),
+        # a plan that lists cells may not give variants or seeds too
+        ({"cells": [["bl", 0.7, 1]], "variants": ["bl", "sctfa"]}, "variants"),
+        ({"cells": [["bl", 0.7, 1]], "seeds": [7]}, "seeds"),
     ])
     def test_malformed_field_names_it(self, change, field):
         with pytest.raises(ConfigError) as info:
@@ -533,6 +542,21 @@ class TestAblate:
         assert main(["ablate", "--plan", str(plan_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: master_seed: expected int")
         assert not out.exists()
+
+    def test_diverged_run_exits_1(self, tmp_path, monkeypatch):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"base_config": config_doc("x", "y"), "variants": ["bl", "sctfa"],
+                                         "seeds": [1]}))
+
+        def run_plan(configs, out_dir, **kwargs):
+            out_dir.mkdir()
+            return [{"variant": c.variant, "best_acc": 0.5, "status": status}
+                    for c, status in zip(configs, ["complete", "diverged"])]
+
+        monkeypatch.setattr(harness, "run_plan", run_plan)
+        assert main(["ablate", "--plan", str(plan_path), "--out", str(tmp_path / "ablate")]) == 1
+        with open(tmp_path / "ablate" / "table.csv") as fh:
+            assert [r["status"] for r in csv.DictReader(fh)] == ["complete", "incomplete"]
 
     def test_table_regenerated_from_disk_bitwise(self, corpus, tmp_path):
         from spikefuse.harness import _write_table, summaries_from_run_dirs
@@ -707,9 +731,9 @@ class TestSweepKappa:
             reader = csv.reader(fh)
             header = next(reader)
             rows = list(reader)
-        assert header == ["kappa", "trials", "mean_acc", "std_acc", "best_acc", "status", "master_seed", "variant"]
+        assert header == ["kappa", "trials", "mean_acc", "std_acc", "best_acc", "status", "variant"]
         assert [r[0] for r in rows] == ["0.4", "0.7"]
-        assert all(r[5:] == ["complete", "5", "sctfa"] for r in rows)
+        assert all(r[5:] == ["complete", "sctfa"] for r in rows)
         assert sorted(p.name for p in out.iterdir() if p.is_file()) == ["table.csv"]
 
     def test_diverged_run_marks_its_kappa_incomplete(self, corpus, tmp_path, monkeypatch):
@@ -728,7 +752,7 @@ class TestSweepKappa:
                             lambda o, y: Tensor(np.array(np.nan)) if diverging[0] else real_loss(o, y))
         out = tmp_path / "sweep"
         assert main(["sweep-kappa", "--config", str(cfg_path), "--kappas", "0.4,0.7",
-                     "--seeds", "1,2", "--out", str(out)]) == 0
+                     "--seeds", "1,2", "--out", str(out)]) == 1
         with open(out / "table.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [(r["kappa"], r["trials"], r["status"]) for r in rows] == [
