@@ -32,13 +32,14 @@ import numpy as np
 
 from .atomic import atomic_open
 from .attention import VARIANTS
-from .errors import ConfigError, DivergenceError, EventFormatError, ParameterError, SpikefuseError
+from .errors import ConfigError, DivergenceError, EventFormatError, ParameterError, SpikefuseError, typed
 from .events import (
     _LINE_END,
     BAR_DIRECTIONS,
     CorruptionSpec,
     EventStream,
     _check_bar,
+    _is_index,
     read_events,
     synth_moving_bar,
     write_events,
@@ -58,10 +59,7 @@ from .tensor import no_grad
 from .training import (
     LabeledFrames,
     TrainConfig,
-    _list_of,
     _reject_unknown,
-    _require,
-    _typed,
     config_from_dict,
     evaluate,
     evaluate_sweep,
@@ -111,6 +109,9 @@ def synth_corpus(
     seed: int,
 ) -> List[dict]:
     """Write a deterministic labeled corpus plus manifest; returns rows."""
+    for name, value in (("classes", classes), ("n_per_class", n_per_class)):
+        if not _is_index(value) or value < 1:
+            raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
     if classes > len(BAR_DIRECTIONS):
         raise ParameterError(f"at most {len(BAR_DIRECTIONS)} motion classes available")
     _check_bar(height, width, duration_ms, rate)  # before any file is made
@@ -211,6 +212,21 @@ def _load_dataset(cfg: TrainConfig, which: str) -> LabeledFrames:
 # experiment plans
 
 
+def _require(mapping: dict, key: str, kind, path: str, default=None):
+    """``mapping[key]`` checked by ``typed``, else ``default``; a key
+    without a default is required."""
+    if key in mapping:
+        return typed(mapping[key], kind, f"{path}{key}")
+    if default is None:
+        raise ConfigError("missing required field", field=f"{path}{key}")
+    return default
+
+
+def _list_of(doc: dict, key: str, kind, default=None) -> list:
+    """``doc[key]``, a list whose every item ``typed`` passes as a ``kind``."""
+    return [typed(item, kind, f"{key}[{i}]") for i, item in enumerate(_require(doc, key, list, "", default))]
+
+
 def run_name(cfg: TrainConfig) -> str:
     """The run directory a grid writes ``cfg`` to."""
     return f"run_{cfg.variant}_k{cfg.lif.kappa:g}_s{cfg.seed}"
@@ -246,7 +262,7 @@ def grid_configs(base: dict, cells, prefix: str = "", precision: Optional[str] =
 def plan_from_dict(doc: dict, precision: Optional[str] = None) -> List[TrainConfig]:
     """The run configs of a JSON plan document, with ``precision`` in place
     of the base config's when given; errors name the field."""
-    _reject_unknown(doc, ("base_config", "cells", "variants", "seeds", "master_seed"), "")
+    _reject_unknown(doc, ("base_config", "cells", "variants", "seeds"), "")
     base = _require(doc, "base_config", dict, "")
     if "cells" in doc:
         if given := [key for key in ("variants", "seeds") if key in doc]:
@@ -256,7 +272,7 @@ def plan_from_dict(doc: dict, precision: Optional[str] = None) -> List[TrainConf
             if len(cell) != 3:
                 raise ConfigError("expected [variant, kappa, seed]", field=f"cells[{i}]")
             names = tuple(f"cells[{i}][{j}]" for j in range(3))
-            cells.append((tuple(map(_typed, cell, (str, float, int), names)), names))
+            cells.append((tuple(map(typed, cell, (str, float, int), names)), names))
     else:
         lif = _require(base, "lif", dict, "base_config.", {})  # each cell sets its kappa there
         kappa = _require(lif, "kappa", float, "base_config.lif.")
@@ -474,10 +490,8 @@ def _run_grid(configs: List[TrainConfig], args, column: str, extra: dict) -> int
 
 def cmd_ablate(args) -> int:
     _check_threads(args.threads)
-    doc = _read_json_object(args.plan, "--plan")
-    configs = plan_from_dict(doc, args.precision)
-    master_seed = _require(doc, "master_seed", int, "", doc["base_config"].get("seed", 0))
-    return _run_grid(configs, args, "variant", {"master_seed": master_seed})
+    configs = plan_from_dict(_read_json_object(args.plan, "--plan"), args.precision)
+    return _run_grid(configs, args, "variant", {})
 
 
 def cmd_sweep_kappa(args) -> int:

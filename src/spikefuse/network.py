@@ -30,7 +30,6 @@ counts.
 from __future__ import annotations
 
 import json
-import math
 import re
 import struct
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .attention import AttentionVariant, init_attention_params
-from .errors import ArchError, CheckpointError, ConfigError, ParameterError, ShapeError, SpikefuseError, StateError
+from .errors import ArchError, CheckpointError, ConfigError, ParameterError, ShapeError, SpikefuseError, StateError, typed
 from .neuron import BatchNorm, LifConfig, lif_sequence
 from .rng import Rng
 from .tensor import (
@@ -170,17 +169,19 @@ def parse_architecture(
     """Parse and shape-check an architecture string against an input shape.
 
     Raises ArchError naming the token index on unknown tokens, zero sizes,
-    inconsistent shapes, or a voting layer that is not last, and ArchError
-    for an unknown variant or a reduction ratio or timestep count below 1. A spec without a
-    voting layer is valid for the complexity counters but cannot be
-    instantiated.
+    inconsistent shapes, a voting layer that is not last, or channels that
+    a channel-gated variant's reduction ratio does not divide, and ArchError
+    for an unknown variant or a reduction ratio or timestep count below 1.
+    The ``field`` of a variant or reduction error names that argument. A
+    spec without a voting layer is valid for the complexity counters but
+    cannot be instantiated.
     """
     try:
         variant = AttentionVariant(variant)
     except ValueError:
-        raise ArchError(f"unknown attention variant {variant!r}")
+        raise ArchError(f"unknown variant {variant!r}", field="variant")
     if reduction < 1:
-        raise ArchError(f"reduction ratio must be >= 1, got {reduction}")
+        raise ArchError(f"reduction ratio must be >= 1, got {reduction}", field="reduction")
     if timesteps < 1:
         raise ArchError(f"timesteps must be >= 1, got {timesteps}")
     lif = lif or LifConfig(v_th=1.15, kappa=0.7)
@@ -213,6 +214,9 @@ def parse_architecture(
             ow = (w + 2 * pad - k) // stride + 1
             if oh < 1 or ow < 1:
                 raise ArchError(f"{tok!r} collapses spatial extent ({h}, {w})", token_index=i)
+            if variant.has_channel and n % reduction:
+                raise ArchError(f"reduction ratio {reduction} must divide the {n} channels of {tok!r}",
+                                token_index=i, field="reduction")
             stages.append(ConvStage(n, k, stride, False, channels, (oh, ow)))
             channels, (h, w) = n, (oh, ow)
             continue
@@ -592,19 +596,12 @@ def build_network(config: dict, seed: int = 0) -> SpikingNetwork:
 # checkpoints
 
 _CKPT_MAGIC = b"SNN1"
-# The embedded config keys build_network reads, with their JSON types.
-_CKPT_CONFIG_TYPES = {
-    "arch": (str,),
-    "variant": (str,),
-    "v_th": (int, float),
-    "kappa": (int, float),
-    "reduction": (int,),
-    "timesteps": (int,),
-    "input_height": (int,),
-    "input_width": (int,),
-}
+# The embedded config keys build_network reads, with the types ``typed``
+# checks them as.
+_CKPT_CONFIG_TYPES = {"arch": str, "variant": str, "v_th": float, "kappa": float, "reduction": int,
+                      "timesteps": int, "input_height": int, "input_width": int}
 # The keys a run adds for slicing its corpus, which a checkpoint may lack.
-_CKPT_SLICING_TYPES = {"delta_t_ms": (int, float), "binarize": (bool,)}
+_CKPT_SLICING_TYPES = {"delta_t_ms": float, "binarize": bool}
 
 
 def _checkpoint_entries(net: SpikingNetwork):
@@ -690,20 +687,17 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: bad config blob at byte offset 8: {exc}")
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: config blob is not a JSON object")
-    for key, types in (*_CKPT_CONFIG_TYPES.items(), *_CKPT_SLICING_TYPES.items()):
+    for key, kind in (*_CKPT_CONFIG_TYPES.items(), *_CKPT_SLICING_TYPES.items()):
         if key not in config:
             if key in _CKPT_SLICING_TYPES:
                 continue
             raise CheckpointError(f"{path}: config lacks key {key!r}")
-        value = config[key]
-        if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
-            expected = " or ".join(t.__name__ for t in types)
-            raise CheckpointError(
-                f"{path}: config key {key!r} is {type(value).__name__}, expected {expected}"
-            )
-    if not 0.0 < config.get("delta_t_ms", 1.0) < math.inf:
-        raise CheckpointError(f"{path}: config key 'delta_t_ms' is {config['delta_t_ms']}, "
-                              "expected a finite positive number")
+        try:
+            typed(config[key], kind, key)
+        except ConfigError as exc:
+            raise CheckpointError(f"{path}: config key {key!r} is not valid: {exc.reason}")
+    if config.get("delta_t_ms", 1.0) <= 0:
+        raise CheckpointError(f"{path}: config key 'delta_t_ms' is {config['delta_t_ms']}, expected a positive number")
     flag, count = unpack("<BI", "precision flag and tensor count")
     if flag >= len(PRECISIONS):
         raise CheckpointError(f"{path}: bad precision flag {flag} at byte offset {pos - 5}")

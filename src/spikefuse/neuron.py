@@ -95,7 +95,6 @@ gradient, the gradient times u, and the branches' per-sample products.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
@@ -103,7 +102,7 @@ import numpy as np
 
 from . import tensor
 from .attention import AttentionParams
-from .errors import ParameterError, ShapeError
+from .errors import ConfigError, ParameterError, ShapeError, check_fields
 from .tensor import (
     SURROGATE_ALPHA,
     BatchNormState,
@@ -137,16 +136,18 @@ from .tensor import (
 
 @dataclass(frozen=True)
 class LifConfig:
-    """Threshold and decay of one LIF population (resting potential is 0)."""
+    """Threshold and decay of one LIF population (resting potential is 0).
+    A bad field raises ConfigError, a ParameterError, naming it."""
 
     v_th: float
     kappa: float
 
     def __post_init__(self):
-        if not 0.0 < self.v_th < math.inf:
-            raise ParameterError(f"v_th must be positive and finite, got {self.v_th}")
+        check_fields(self)
+        if self.v_th <= 0.0:
+            raise ConfigError(f"v_th must be positive, got {self.v_th}", field="v_th")
         if not 0.0 <= self.kappa <= 1.0:
-            raise ParameterError(f"kappa must be in [0, 1], got {self.kappa}")
+            raise ConfigError(f"kappa must be in [0, 1], got {self.kappa}", field="kappa")
 
 
 def lif_step(v: Tensor, s: Tensor, input_current: Tensor, cfg: LifConfig, smooth: bool = False,

@@ -124,7 +124,17 @@ _conv_pool = concurrent.futures.ThreadPoolExecutor(max(1, CONV_WORKERS - 1), "sp
 # Graph recording is per-thread: independent graphs may run on separate
 # threads, and one thread's no_grad must not leak into another's training.
 _tls = threading.local()
-_debug_nan = bool(int(os.environ.get("SPIKEFUSE_DEBUG_NAN", "0") or "0"))
+
+
+def debug_nan_from_env(environ=os.environ) -> bool:
+    """``SPIKEFUSE_DEBUG_NAN``: unset, empty or 0 is off, 1 on, else ParameterError."""
+    value = environ.get("SPIKEFUSE_DEBUG_NAN", "")
+    if value not in ("", "0", "1"):
+        raise ParameterError(f"SPIKEFUSE_DEBUG_NAN must be unset, empty, 0 or 1, got {value!r}")
+    return value == "1"
+
+
+_debug_nan = debug_nan_from_env()
 
 
 def _grad_enabled() -> bool:

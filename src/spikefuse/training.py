@@ -20,14 +20,13 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import Iterator, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
 from . import tensor
-from .attention import VARIANTS
-from .errors import ArchError, ConfigError, DivergenceError, ParameterError, ShapeError, StateError
+from .errors import ArchError, ConfigError, DivergenceError, ParameterError, ShapeError, StateError, check_fields, typed
 from .events import (
     CorruptionSpec,
     EventStream,
@@ -107,17 +106,30 @@ class Adam:
 # config
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataConfig:
+    """How a run reads its corpora; a bad field raises ConfigError naming it."""
+
     delta_t_ms: float
     timesteps: int
     train_dir: Optional[str] = None
     test_dir: Optional[str] = None
     binarize: bool = False
 
+    def __post_init__(self):
+        check_fields(self)
+        if self.delta_t_ms <= 0:
+            raise ConfigError("delta_t_ms must be positive", field="delta_t_ms")
+        if self.timesteps < 1:
+            raise ConfigError("timesteps must be >= 1", field="timesteps")
 
-@dataclass
+
+@dataclass(frozen=True)
 class TrainConfig:
+    """One training run. A bad field raises ConfigError naming it, as does
+    a config that describes no network (naming ``arch`` unless the variant
+    or the reduction ratio is at fault). Frozen, so it stays as checked."""
+
     arch: str
     variant: str
     epochs: int
@@ -131,10 +143,22 @@ class TrainConfig:
     precision: str = "f32"
     input_height: int = 128
     input_width: int = 128
-    master_seed: Optional[int] = None
+
+    def __post_init__(self):
+        check_fields(self)
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1", field=name)
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ConfigError("lr_decay must be in (0, 1]", field="lr_decay")
+        precision_dtype(self.precision)
+        try:
+            self.spec()
+        except ArchError as exc:
+            raise ConfigError(str(exc), field=exc.field or "arch")
 
     def spec(self) -> NetworkSpec:
-        """The network this config describes; raises ArchError if it is none."""
+        """The network this config describes."""
         return parse_architecture(
             self.arch,
             input_shape=(2, self.input_height, self.input_width),
@@ -145,38 +169,7 @@ class TrainConfig:
         )
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        if self.master_seed is None:
-            del out["master_seed"]
-        return out
-
-
-def _typed(value, kind, field: str):
-    """``value`` if it is a ``kind``: an int passes for a float, a bool for
-    nothing but a bool, and a float must be finite (``json`` parses ``NaN``
-    and ``Infinity``); else ConfigError naming ``field``."""
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"expected {kind.__name__}, got {type(value).__name__}", field=field)
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {value}", field=field)
-    return value
-
-
-_REQUIRED = object()
-
-
-def _require(mapping: dict, key: str, kind, path: str, default=_REQUIRED):
-    """``mapping[key]`` checked by ``_typed``; ``default`` if the key is
-    absent and a default is given. A field whose default is None may be null."""
-    if key not in mapping:
-        if default is _REQUIRED:
-            raise ConfigError("missing required field", field=f"{path}{key}")
-        return default
-    if mapping[key] is None and default is None:
-        return None
-    return _typed(mapping[key], kind, f"{path}{key}")
+        return asdict(self)
 
 
 def _reject_unknown(mapping: dict, known, path: str) -> None:
@@ -187,75 +180,36 @@ def _reject_unknown(mapping: dict, known, path: str) -> None:
             raise ConfigError("unknown field", field=f"{path}{key}")
 
 
-def _list_of(doc: dict, key: str, kind, default=_REQUIRED) -> list:
-    """``doc[key]``, a list whose every item ``_typed`` passes as a ``kind``."""
-    return [_typed(item, kind, f"{key}[{i}]") for i, item in enumerate(_require(doc, key, list, "", default))]
+def _from_dict(cls, doc: dict, path: str = ""):
+    """The dataclass ``cls`` built from the JSON object ``doc``: a field the
+    object lacks keeps its default, and a field whose type is a dataclass
+    is built from a nested object. Errors name the field, ``path`` first."""
+    _reject_unknown(doc, {f.name for f in fields(cls)}, path)
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        kind, name = hints[f.name], path + f.name
+        if f.name not in doc:
+            if f.default is MISSING:
+                raise ConfigError("missing required field", field=name)
+        elif is_dataclass(kind):
+            kwargs[f.name] = _from_dict(kind, typed(doc[f.name], dict, name), name + ".")
+        else:
+            kwargs[f.name] = doc[f.name]
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(exc.reason, field=path + exc.field) from None
 
 
 def config_from_dict(doc: dict) -> TrainConfig:
-    """Validate a JSON config document; errors name the dotted field path."""
+    """The TrainConfig of a JSON config document, which must also give a
+    positive ``lr``; errors name the dotted field path."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    lif_doc = _require(doc, "lif", dict, "")
-    data_doc = _require(doc, "data", dict, "")
-    for mapping, cls, path in ((doc, TrainConfig, ""), (lif_doc, LifConfig, "lif."), (data_doc, DataConfig, "data.")):
-        _reject_unknown(mapping, {f.name for f in fields(cls)}, path)
-    variant = _require(doc, "variant", str, "")
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}", field="variant")
-    precision = doc.get("precision", "f32")
-    precision_dtype(precision)
-    epochs = _require(doc, "epochs", int, "")
-    if epochs < 1:
-        raise ConfigError("epochs must be >= 1", field="epochs")
-    batch_size = _require(doc, "batch_size", int, "")
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1", field="batch_size")
-    lr = _require(doc, "lr", float, "")
-    if lr <= 0:
+    cfg = _from_dict(TrainConfig, doc)
+    if cfg.lr <= 0:
         raise ConfigError("lr must be positive", field="lr")
-    lr_decay = _require(doc, "lr_decay", float, "")
-    if not 0.0 < lr_decay <= 1.0:
-        raise ConfigError("lr_decay must be in (0, 1]", field="lr_decay")
-    v_th = _require(lif_doc, "v_th", float, "lif.")
-    kappa = _require(lif_doc, "kappa", float, "lif.")
-    if not 0.0 <= kappa <= 1.0:
-        raise ConfigError(f"kappa must be in [0, 1], got {kappa}", field="lif.kappa")
-    try:
-        lif = LifConfig(v_th=v_th, kappa=kappa)
-    except ParameterError as exc:  # kappa is in range, so v_th is not
-        raise ConfigError(str(exc), field="lif.v_th")
-    data = DataConfig(
-        delta_t_ms=_require(data_doc, "delta_t_ms", float, "data."),
-        timesteps=_require(data_doc, "timesteps", int, "data."),
-        train_dir=_require(data_doc, "train_dir", str, "data.", None),
-        test_dir=_require(data_doc, "test_dir", str, "data.", None),
-        binarize=_require(data_doc, "binarize", bool, "data.", False),
-    )
-    if data.delta_t_ms <= 0:
-        raise ConfigError("delta_t_ms must be positive", field="data.delta_t_ms")
-    if data.timesteps < 1:
-        raise ConfigError("timesteps must be >= 1", field="data.timesteps")
-    cfg = TrainConfig(
-        arch=_require(doc, "arch", str, ""),
-        variant=variant,
-        epochs=epochs,
-        batch_size=batch_size,
-        lr=lr,
-        lr_decay=lr_decay,
-        seed=_require(doc, "seed", int, ""),
-        lif=lif,
-        data=data,
-        reduction=_require(doc, "reduction", int, "", 4),
-        precision=precision,
-        input_height=_require(doc, "input_height", int, "", 128),
-        input_width=_require(doc, "input_width", int, "", 128),
-        master_seed=_require(doc, "master_seed", int, "", None),
-    )
-    try:
-        cfg.spec()  # surface architecture problems at config time
-    except ArchError as exc:
-        raise ConfigError(str(exc), field="arch")
     return cfg
 
 
@@ -432,8 +386,6 @@ def train(
     """
     if not len(train_set) or not len(test_set):
         raise ParameterError("datasets must be non-empty")
-    if cfg.epochs < 1:
-        raise ParameterError("epochs must be >= 1")
     net = SpikingNetwork(cfg.spec(), seed=cfg.seed, dtype=precision_dtype(cfg.precision))
     classes = net.spec.classes
     if int(train_set.labels.max()) >= classes or int(test_set.labels.max()) >= classes:

@@ -97,6 +97,12 @@ class TestSynth:
             synth_corpus(tmp_path / "c", 2, 1, height, width, 500.0, 2.0, seed=4)
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("classes, n_per_class", [(2.5, 1), (2, 1.0), (True, 1), (0, 1), (2, 0)])
+    def test_bad_count_rejected_before_any_file(self, tmp_path, classes, n_per_class):
+        with pytest.raises(ParameterError, match="must be an integer >= 1"):
+            synth_corpus(tmp_path / "c", classes, n_per_class, 16, 16, 500.0, 2.0, seed=4)
+        assert not (tmp_path / "c").exists()
+
     def test_load_round_trip(self, tmp_path):
         synth_corpus(tmp_path / "c", 3, 2, 16, 16, 500.0, 2.0, seed=4)
         streams = load_corpus(tmp_path / "c")
@@ -518,7 +524,6 @@ class TestAblate:
             "base_config": config_doc(train_dir, test_dir),
             "variants": ["bl", "sctfa"],
             "seeds": [1],
-            "master_seed": 42,
         }
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(plan))
@@ -530,18 +535,23 @@ class TestAblate:
         assert [r["variant"] for r in rows] == ["bl", "sctfa"]
         assert all(r["trials"] == "1" for r in rows)
         assert all(r["std_acc"] == "" for r in rows)  # std needs >= 2 trials
-        assert all(r["master_seed"] == "42" for r in rows)
+        assert list(rows[0]) == ["variant", "trials", "mean_acc", "std_acc", "best_acc", "status"]
         assert (out / "run_bl_k0.7_s1" / "run_record.json").exists()
 
+    # master_seed changes no run, so neither a plan nor its base config
+    # takes one: any value fails as an unknown field
     @pytest.mark.parametrize("master_seed", ["42", 4.2, True, {"x": 1}])
     def test_malformed_master_seed_fails_before_any_run(self, tmp_path, capsys, master_seed):
-        plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps({"base_config": config_doc("x", "y"), "variants": ["bl"],
-                                         "seeds": [1], "master_seed": master_seed}))
         out = tmp_path / "ablate"
-        assert main(["ablate", "--plan", str(plan_path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: master_seed: expected int")
-        assert not out.exists()
+        for plan, field in (
+            ({"base_config": config_doc("x", "y"), "master_seed": master_seed}, "master_seed"),
+            ({"base_config": config_doc("x", "y", master_seed=master_seed)}, "base_config.master_seed"),
+        ):
+            plan_path = tmp_path / "plan.json"
+            plan_path.write_text(json.dumps({**plan, "variants": ["bl"], "seeds": [1]}))
+            assert main(["ablate", "--plan", str(plan_path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {field}: unknown field")
+            assert not out.exists()
 
     def test_diverged_run_exits_1(self, tmp_path, monkeypatch):
         plan_path = tmp_path / "plan.json"
@@ -566,7 +576,6 @@ class TestAblate:
             "base_config": config_doc(train_dir, test_dir),
             "variants": ["bl", "stfa"],
             "seeds": [3],
-            "master_seed": 7,
         }
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(plan))
@@ -575,7 +584,7 @@ class TestAblate:
         rebuilt = aggregate_records(
             summaries_from_run_dirs(out), lambda r: {"variant": r["variant"]}
         )
-        _write_table(tmp_path / "again.csv", rebuilt, ["variant"], {"master_seed": 7})
+        _write_table(tmp_path / "again.csv", rebuilt, ["variant"], {})
         assert (tmp_path / "again.csv").read_bytes() == (out / "table.csv").read_bytes()
 
     def test_aggregation_pure(self, corpus, tmp_path):
@@ -696,6 +705,41 @@ class TestGridFlags:
                      "--seeds", "1", "--out", str(tmp_path / "s")]) == 2
         assert capsys.readouterr().err.startswith(message)
         assert not (tmp_path / "s").exists()
+
+
+class TestReductionRatio:
+    """A reduction ratio that does not divide a channel-gated layer's
+    channels fails when the config is built, so before any run."""
+
+    BAD = dict(arch=harness.ARCH_PRESETS["synth_bar"], reduction=3)
+
+    def test_ablate_fails_before_any_run_directory(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"base_config": config_doc("x", "y", **self.BAD),
+                                         "variants": ["bl", "sctfa"], "seeds": [1]}))
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--plan", str(plan_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: base_config.reduction: token 1: ")
+        assert not out.exists()
+
+    def test_sweep_kappa_fails_before_any_run(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_doc("x", "y", variant="sctfa", **self.BAD)))
+        out = tmp_path / "sweep"
+        assert main(["sweep-kappa", "--config", str(cfg_path), "--kappas", "0.4", "--seeds", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: reduction: ")
+        assert not out.exists()
+
+    def test_complexity_fails_before_printing_counts(self, capsys):
+        argv = ["complexity", "--arch", "synth_bar", "--variant", "sctfa", "--reduction", "3",
+                "--no-timing"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "reduction ratio 3 must divide the 8 channels of '8C3'" in captured.err
+        assert captured.out == ""
+        argv[argv.index("sctfa")] = "stfa"  # no channel branch, so no ratio to divide
+        assert main(argv) == 0
 
 
 class TestWorkerPool:

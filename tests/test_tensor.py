@@ -17,6 +17,7 @@ from spikefuse.tensor import (
     avgpool2d,
     batchnorm,
     conv2d,
+    debug_nan_from_env,
     dropout,
     hadamard,
     kaiming_uniform,
@@ -804,6 +805,17 @@ class TestDeterminismAndModes:
                 Tensor([1.0]) / Tensor([0.0])
         finally:
             set_debug_nan(False)
+
+    @pytest.mark.parametrize("environ, on", [({}, False), ({"SPIKEFUSE_DEBUG_NAN": ""}, False),
+                                             ({"SPIKEFUSE_DEBUG_NAN": "0"}, False),
+                                             ({"SPIKEFUSE_DEBUG_NAN": "1"}, True)])
+    def test_debug_nan_switch_values(self, environ, on):
+        assert debug_nan_from_env(environ) is on
+
+    @pytest.mark.parametrize("value", ["true", "yes", "2", " 1", "on"])
+    def test_debug_nan_bad_value_names_variable_and_value(self, value):
+        with pytest.raises(ParameterError, match=f"^SPIKEFUSE_DEBUG_NAN must be .*, got {value!r}$"):
+            debug_nan_from_env({"SPIKEFUSE_DEBUG_NAN": value})
 
     def test_mean_reduction_gradient(self):
         x = Tensor(rand((4, 5), 71), requires_grad=True)

@@ -1,5 +1,6 @@
 """Loss, optimizer, schedule, the training loop, corrupted evaluation."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -169,13 +170,13 @@ class TestConfig:
         assert config_from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
     @staticmethod
-    def every_field(**extra):
+    def every_field():
         return TrainConfig(
             arch=TINY_ARCH, variant="sctfa", epochs=1, batch_size=4, lr=0.004, lr_decay=0.97,
             seed=5, lif=LifConfig(v_th=1.25, kappa=0.6),
             data=DataConfig(delta_t_ms=50.0, timesteps=2, train_dir="corpus/train",
                             test_dir="corpus/test", binarize=True),
-            reduction=2, precision="f64", input_height=8, input_width=12, **extra,
+            reduction=2, precision="f64", input_height=8, input_width=12,
         )
 
     # Literals written by the TrainConfig before ``to_dict`` came from
@@ -185,27 +186,85 @@ class TestConfig:
         '{"arch": "Input-4C3-BN-AP2-4C3-BN-VotingC4P2-AP", "batch_size": 4, "data": '
         '{"binarize": true, "delta_t_ms": 50.0, "test_dir": "corpus/test", "timesteps": 2, '
         '"train_dir": "corpus/train"}, "epochs": 1, "input_height": 8, "input_width": 12, '
-        '"lif": {"kappa": 0.6, "v_th": 1.25}, "lr": 0.004, "lr_decay": 0.97, %s"precision": '
+        '"lif": {"kappa": 0.6, "v_th": 1.25}, "lr": 0.004, "lr_decay": 0.97, "precision": '
         '"f64", "reduction": 2, "seed": 5, "variant": "sctfa"}'
     )
 
     def test_to_dict_pinned_with_every_field(self):
-        got = json.dumps(self.every_field(master_seed=9).to_dict(), sort_keys=True)
-        assert got == self.PINNED % '"master_seed": 9, '
-
-    def test_to_dict_pinned_without_master_seed(self):
-        assert json.dumps(self.every_field().to_dict(), sort_keys=True) == self.PINNED % ""
+        assert json.dumps(self.every_field().to_dict(), sort_keys=True) == self.PINNED
 
     def test_trained_network_config_pinned(self):
         frames = Rng(0).poisson(1.0, size=(4, 2, 2, 8, 12)).astype(np.float64)
         data = training.LabeledFrames(frames, np.arange(4))
-        _, net = train(self.every_field(master_seed=9), data, data)
+        _, net = train(self.every_field(), data, data)
         assert net.dtype is np.float64
         assert json.dumps(net.config_dict(), sort_keys=True) == (
             '{"arch": "Input-4C3-BN-AP2-4C3-BN-VotingC4P2-AP", "input_height": 8, '
             '"input_width": 12, "kappa": 0.6, "precision": "f64", "reduction": 2, '
             '"timesteps": 2, "v_th": 1.25, "variant": "sctfa"}'
         )
+
+    @pytest.mark.parametrize("change, field", [
+        ({"epochs": 0}, "epochs"), ({"epochs": 1.5}, "epochs"), ({"batch_size": 0}, "batch_size"),
+        ({"variant": "x"}, "variant"), ({"lr_decay": 0.0}, "lr_decay"), ({"seed": "1"}, "seed"),
+        ({"reduction": 0}, "reduction"), ({"variant": "sctfa", "reduction": 3}, "reduction"),
+        ({"input_height": 0}, "arch"), ({"lif": {"v_th": 1.0, "kappa": 0.7}}, "lif"),
+    ])
+    def test_config_built_in_code_names_its_field(self, change, field):
+        with pytest.raises(ConfigError) as exc:
+            tiny_config(**change)
+        assert exc.value.field == field
+
+    def test_config_stays_as_checked(self):
+        cfg = tiny_config()
+        for target, name in ((cfg, "epochs"), (cfg.data, "timesteps"), (cfg.lif, "kappa")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(target, name, 0)
+
+    @pytest.mark.parametrize("change, field", [
+        ({"timesteps": 0}, "timesteps"), ({"timesteps": 2.0}, "timesteps"),
+        ({"delta_t_ms": 0.0}, "delta_t_ms"), ({"train_dir": 5}, "train_dir"),
+        ({"binarize": 0}, "binarize"),
+    ])
+    def test_data_config_built_in_code_names_its_field(self, change, field):
+        with pytest.raises(ConfigError) as exc:
+            DataConfig(**{"delta_t_ms": 100.0, "timesteps": 5, **change})
+        assert exc.value.field == field
+
+    def test_lr_zero_constructs_in_code_but_not_from_a_document(self):
+        assert tiny_config(lr=0.0).lr == 0.0
+        doc = self.doc()
+        doc["lr"] = 0.0
+        with pytest.raises(ConfigError, match="^lr: lr must be positive$"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("variant, reduction, ok", [
+        ("bl", 3, True), ("stfa", 3, True), ("ctfa", 3, False), ("sctfa", 3, False),
+        ("sctfa", 2, True), ("bl", 0, False),
+    ])
+    def test_reduction_must_divide_gated_channels(self, variant, reduction, ok):
+        doc = {**self.doc(), "variant": variant, "reduction": reduction}
+        if ok:
+            assert config_from_dict(doc).reduction == reduction
+        else:
+            with pytest.raises(ConfigError) as exc:
+                config_from_dict(doc)
+            assert exc.value.field == "reduction"
+
+    def test_minimal_doc_takes_the_dataclass_defaults(self):
+        doc = self.doc()
+        del doc["input_height"], doc["input_width"]
+        cfg = config_from_dict(doc)
+        echo = cfg.to_dict()  # the run record's config
+        for cls, got in ((TrainConfig, echo), (DataConfig, echo["data"])):
+            for f in dataclasses.fields(cls):
+                if f.default is not dataclasses.MISSING:
+                    assert got[f.name] == f.default, f.name
+        assert cfg == TrainConfig(arch=TINY_ARCH, variant="bl", epochs=1, batch_size=4, lr=0.01,
+                                  lr_decay=0.98, seed=3, lif=LifConfig(v_th=1.0, kappa=0.7),
+                                  data=DataConfig(delta_t_ms=100.0, timesteps=5))
+        assert (cfg.reduction, cfg.precision, cfg.input_height, cfg.input_width) == (4, "f32", 128, 128)
+        assert (cfg.data.train_dir, cfg.data.test_dir, cfg.data.binarize) == (None, None, False)
 
     def test_missing_v_th_names_field(self):
         doc = self.doc()
