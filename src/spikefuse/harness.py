@@ -55,7 +55,7 @@ from .network import (
     save_checkpoint,
 )
 from .rng import Rng
-from .tensor import no_grad
+from .tensor import no_grad, settings
 from .training import (
     LabeledFrames,
     TrainConfig,
@@ -688,6 +688,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        settings()  # a bad SPIKEFUSE_DEBUG_NAN fails here, before the command
         return args.func(args)
     except SpikefuseError as exc:
         print(f"error: {exc}", file=sys.stderr)

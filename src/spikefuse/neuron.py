@@ -44,10 +44,10 @@ Smooth spikes are real-valued and saved as they are. ``lif_step`` stays
 as the per-step reference it is tested against.
 
 Its steps run over ranges of samples through ``tensor._run_blocks``, the
-runner conv2d uses, one range per thread when a step holds at least
-``_SPLIT_STEP_BYTES`` per range; a smaller call has one range, the whole
-batch, which the runner runs on the caller. A range computes what is per
-sample: batch norm's per-frame sums, squared deviations, ``xhat`` and
+runner conv2d uses, one range per thread (``tensor._threads``) when a
+step holds at least ``_SPLIT_STEP_BYTES`` per range; a smaller call has
+one range, the whole batch, run on the caller. A range computes what is
+per sample: batch norm's per-frame sums, squared deviations, ``xhat`` and
 affine current, the gated membrane update, the spikes and their bits, the
 pool, and the next step's gate, the channel MLP included; in the backward
 the pool gradient, the carries, the surrogate slope, the reset term, the
@@ -356,7 +356,7 @@ def lif_sequence(
     v_th, alpha = cfg.v_th, SURROGATE_ALPHA
     b = step_shape[0]
     # the bounds of the call's sample ranges: [0, b] below the split gate
-    parts = max(1, min(tensor.CONV_WORKERS, b, xs[0].nbytes // _SPLIT_STEP_BYTES))
+    parts = tensor._threads(min(b, xs[0].nbytes // _SPLIT_STEP_BYTES))
     bounds = [b * i // parts for i in range(parts + 1)]
 
     def run_ranges(work):

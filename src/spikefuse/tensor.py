@@ -35,34 +35,34 @@ the samples' in sample order, so the block size does not change any
 result.
 
 The blocks of one call run side by side: on the calling thread and on a
-process-wide pool of ``CONV_WORKERS - 1`` threads, ``CONV_WORKERS`` being
-the number of CPUs the process may run on. numpy and BLAS release the GIL,
-so the threads overlap, and BLAS itself keeps whatever thread count the
-environment gives it. A call splits over ``min(CONV_WORKERS, blocks //
-_CONV_BLOCKS_PER_WORKER)`` threads; a call with fewer blocks stays on its
-caller, since handing a block of about a millisecond to another thread
-does not pay. That gate and the timings behind it were measured with two
-threads and BLAS pinned to one thread; with more CPUs, or with BLAS
-starting its own threads inside each part, they are unmeasured. Each
-thread claims the next block when it is free, so a thread the host
-deschedules holds up at most the block it is on. Each thread has its own
-patch and col2im buffers, allocated per call on the calling thread (a
-buffer a pool thread allocated would stay in that thread's malloc arena);
-in the backward a block's patch gradients overwrite its patches once the
-weight gradient has read them. The runner, ``_run_blocks``, only hands
-out independent blocks, and ordered sums run on the caller, as in the
-layer node: the backward goes in rounds of one block a thread, and after
-each round the caller adds the round's per-sample weight-gradient products
-in sample order. Each block also takes its samples' sums of the output
-gradient over L, and the caller adds them in sample order for the bias
-gradient, numpy's order for the whole array. So which thread computes a
-block, and how many threads there are, changes no bit. A call returns, or raises the first error, only
-once none of its pool tasks is running. A call on one thread runs its
-blocks on the caller directly, with no queue. The layer node in ``neuron``
-runs the sample ranges of its time steps through the same runner, so the
-node starts no thread of its own and its one-range calls take the same
-direct path; ``training`` fills a batch of event frames through it, one
-stream per block.
+process-wide pool of ``conv_workers - 1`` threads (``Settings``), made at
+the first call that splits. numpy and BLAS release the GIL, so the threads
+overlap, and BLAS itself keeps whatever thread count the environment gives
+it. A call splits over ``_threads(blocks // _CONV_BLOCKS_PER_WORKER)``
+threads; a call with fewer blocks stays on its caller, since handing a
+block of about a millisecond to another thread does not pay. That gate and
+the timings behind it were measured with two threads and BLAS pinned to
+one thread; with more CPUs, or with BLAS starting its own threads inside
+each part, they are unmeasured. Each thread claims the next block when it
+is free, so a thread the host deschedules holds up at most the block it is
+on. Each thread has its own patch and col2im buffers, allocated per call
+on the calling thread (a buffer a pool thread allocated would stay in that
+thread's malloc arena); in the backward a block's patch gradients
+overwrite its patches once the weight gradient has read them. The runner,
+``_run_blocks``, only hands out independent blocks, and ordered sums run
+on the caller, as in the layer node: the backward goes in rounds of one
+block a thread, and after each round the caller adds the round's
+per-sample weight-gradient products in sample order. Each block also takes
+its samples' sums of the output gradient over L, and the caller adds them
+in sample order for the bias gradient, numpy's order for the whole array.
+So which thread computes a block, and how many threads there are, changes
+no bit. A call returns, or raises the first error, only once none of its
+pool tasks is running. A call on one thread runs its blocks on the caller
+directly, with no queue. The layer node in ``neuron`` runs the sample
+ranges of its time steps through the same runner, so the node starts no
+thread of its own and its one-range calls take the same direct path;
+``training`` fills a batch of event frames through it, one stream per
+block.
 
 ``avgpool2d`` sums k*k strided slices into one buffer and scales it once.
 ``batchnorm`` is one graph node with a closed-form backward. ``transpose``
@@ -87,13 +87,15 @@ the logistic function and the spike nonlinearities (``_sigmoid``, ``_fire``,
 
 Set the environment variable ``SPIKEFUSE_DEBUG_NAN=1`` to assert that every
 operation output is finite (the fused LIF node also checks its membrane, its
-gate and its gradients).
+gate and its gradients). It is read at the first call that needs it, never
+at import.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import dataclasses
 import math
 import os
 import threading
@@ -109,32 +111,50 @@ SURROGATE_ALPHA = 2.0
 # fits in this many bytes, about half the L2 cache of a core; a fixed number,
 # so a run's block sizes do not depend on the machine.
 _CONV_BLOCK_BYTES = 1 << 20
-# Threads that may run one conv2d call's blocks, or one layer-node call's
-# sample ranges, side by side: the caller and CONV_WORKERS - 1 threads of a
-# pool shared by the whole process, one per CPU the process may run on.
-CONV_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # A call splits only with at least this many blocks per thread; fewer do not
 # pay for the handoff (see the per-layer table in CHANGES.md, measured with
 # two threads and BLAS pinned to one thread).
 _CONV_BLOCKS_PER_WORKER = 2
-# The pool beside the caller; it starts its threads at the first call that
-# splits, so a process whose calls never split runs none.
-_conv_pool = concurrent.futures.ThreadPoolExecutor(max(1, CONV_WORKERS - 1), "spikefuse-conv")
 
 # Graph recording is per-thread: independent graphs may run on separate
 # threads, and one thread's no_grad must not leak into another's training.
 _tls = threading.local()
 
 
-def debug_nan_from_env(environ=os.environ) -> bool:
-    """``SPIKEFUSE_DEBUG_NAN``: unset, empty or 0 is off, 1 on, else ParameterError."""
-    value = environ.get("SPIKEFUSE_DEBUG_NAN", "")
-    if value not in ("", "0", "1"):
-        raise ParameterError(f"SPIKEFUSE_DEBUG_NAN must be unset, empty, 0 or 1, got {value!r}")
-    return value == "1"
+@dataclasses.dataclass(frozen=True)
+class Settings:
+    """What the engine reads from its process: ``conv_workers``, one per CPU
+    it may run on, and ``debug_nan``, whether ``SPIKEFUSE_DEBUG_NAN`` is 1."""
+
+    conv_workers: int
+    debug_nan: bool
+
+    @classmethod
+    def from_process(cls) -> Settings:
+        """A bad ``SPIKEFUSE_DEBUG_NAN`` raises ParameterError naming it and its value."""
+        value = os.environ.get("SPIKEFUSE_DEBUG_NAN", "")
+        if value not in ("", "0", "1"):
+            raise ParameterError(f"SPIKEFUSE_DEBUG_NAN must be unset, empty, 0 or 1, got {value!r}")
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        return cls(workers, value == "1")
 
 
-_debug_nan = debug_nan_from_env()
+# Filled in place, never rebound, so running the engine leaves every module
+# attribute as import made it.
+_settings: list[Settings] = []  # the settings, added at the first call that needs them
+_pools: dict = {}  # conv_workers -> its pool, made at the first call that splits
+
+
+def settings() -> Settings:
+    """The settings in effect, read from the process at the first call."""
+    if not _settings:  # threads that race here add the same values; the first is used
+        _settings.append(Settings.from_process())
+    return _settings[0]
+
+
+def _threads(cap: int) -> int:
+    """The threads for a call with work for ``cap``: at most the workers."""
+    return max(1, min(settings().conv_workers, cap))
 
 
 def _grad_enabled() -> bool:
@@ -150,11 +170,6 @@ def no_grad():
         yield
     finally:
         _tls.grad_enabled = prev
-
-
-def set_debug_nan(enabled: bool) -> None:
-    global _debug_nan
-    _debug_nan = bool(enabled)
 
 
 def _coerce(data, dtype=None) -> np.ndarray:
@@ -345,7 +360,7 @@ def _topo_order(root: _Node):
 
 def _check_finite(data: np.ndarray, what: str = "an operation") -> None:
     """With the debug flag on, raise NumericError if ``data`` is not finite."""
-    if _debug_nan and not np.all(np.isfinite(data)):
+    if (_settings[0] if _settings else settings()).debug_nan and not np.all(np.isfinite(data)):
         raise NumericError(f"non-finite value produced by {what}")
 
 
@@ -742,7 +757,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
 
     out_data = np.empty((b, cout, h_out, w_out), dtype=x.dtype)
     out3 = out_data.reshape(b, cout, l)
-    parts = max(1, min(CONV_WORKERS, n_blocks // _CONV_BLOCKS_PER_WORKER))
+    parts = _threads(n_blocks // _CONV_BLOCKS_PER_WORKER)
     gathers = [_im2col(x.data, k, stride, padding, h_out, w_out, blk) for _ in range(parts)]
 
     def forward_block(part, block):
@@ -858,7 +873,11 @@ def _run_blocks(parts: int, n: int, work) -> None:
             failed.set()
             raise
 
-    tasks = [_conv_pool.submit(run, part) for part in range(1, parts)]
+    workers = settings().conv_workers
+    # two threads may both make a pool; setdefault keeps the first
+    pool = _pools.get(workers) or _pools.setdefault(
+        workers, concurrent.futures.ThreadPoolExecutor(max(1, workers - 1), "spikefuse-conv"))
+    tasks = [pool.submit(run, part) for part in range(1, parts)]
     try:
         run(0)
     finally:

@@ -271,7 +271,7 @@ def _fill_frames(frames: np.ndarray, counts, binarize: bool) -> None:
             np.minimum(row, 1, out=row)
         frames[i] = row
 
-    tensor._run_blocks(min(tensor.CONV_WORKERS, len(frames)), len(frames), fill)
+    tensor._run_blocks(tensor._threads(len(frames)), len(frames), fill)
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +309,17 @@ class RunRecord:
         return json.dumps(doc, sort_keys=True, indent=1)
 
     def timing_json(self) -> str:
-        # volatile sidecar: wall clock plus the threading context the kernels
-        # ran under (bitwise reproducibility is per fixed BLAS thread count;
-        # the conv2d worker count changes no result)
+        # volatile sidecar: wall clock plus the settings and threading context
+        # the kernels ran under (bitwise reproducibility is per fixed BLAS
+        # thread count; the conv2d worker count changes no result)
         env = {
             k: os.environ[k]
             for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
             if k in os.environ
         }
         return json.dumps(
-            {"timing_ms": self.timing_ms, "cpu_count": os.cpu_count(),
-             "conv_workers": tensor.CONV_WORKERS, "blas_env": env},
+            {"timing_ms": self.timing_ms, "cpu_count": os.cpu_count(), "blas_env": env,
+             **asdict(tensor.settings())},
             sort_keys=True,
         )
 

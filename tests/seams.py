@@ -1,7 +1,8 @@
-"""Parameter seams for the structural-equivalence tests.
+"""Seams. ``runtime`` is the one way a test changes ``tensor``'s settings,
+the worker count or the debug switch; ``on_threads`` builds on it.
 
-The ablation is reached through the gate's own parameters, so the network
-runs its production forward path unchanged:
+The structural-equivalence tests reach the ablation through the gate's own
+parameters, so the network runs its production forward path unchanged:
 
 - ``pin_spatial`` sets the spatial branch's weight to 0 and its bias to
   40. The branch is then sigmoid(0 * s + 40), which is exactly 1.0 in
@@ -14,11 +15,44 @@ runs its production forward path unchanged:
   gate, ``bl``.
 """
 
-import numpy as np
+import contextlib
+import dataclasses
 
+import numpy as np
+import pytest
+
+import spikefuse.neuron as neuron_module
+import spikefuse.tensor as tensor_module
 from spikefuse.tensor import _sigmoid
 
 PIN_BIAS = 40.0
+
+
+@contextlib.contextmanager
+def runtime(**changes):
+    """``tensor``'s settings with ``changes`` (``conv_workers``, ``debug_nan``)
+    inside the block, and a table of pools of its own, empty at the start:
+    yields that table and shuts down every pool in it on exit."""
+    saved = list(tensor_module._settings), tensor_module._pools
+    tensor_module._settings[:] = [dataclasses.replace(tensor_module.settings(), **changes)]
+    tensor_module._pools = pools = {}
+    try:
+        yield pools
+    finally:
+        tensor_module._settings[:], tensor_module._pools = saved
+        for pool in pools.values():
+            pool.shutdown()
+
+
+@contextlib.contextmanager
+def on_threads(n):
+    """conv2d and the layer node on n threads inside the block: conv2d
+    splits every call that has at least one block per thread, and the layer
+    node every call over min(n, B) sample ranges. Yields the pool table."""
+    with pytest.MonkeyPatch.context() as mp, runtime(conv_workers=n) as pools:
+        mp.setattr(tensor_module, "_CONV_BLOCKS_PER_WORKER", 1)
+        mp.setattr(neuron_module, "_SPLIT_STEP_BYTES", 1)
+        yield pools
 
 
 def pin_spatial(params):

@@ -31,6 +31,8 @@ from spikefuse.rng import Rng
 from spikefuse.tensor import Tensor
 from spikefuse.training import config_from_dict
 
+from seams import runtime
+
 TINY_ARCH = "Input-4C3-BN-AP2-4C3-BN-VotingC4P2-AP"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -261,15 +263,28 @@ class TestSynth:
             load_corpus(tmp_path / "c")
 
 
+def python(*args, **environ):
+    """``python *args`` from a checkout without an install (the package's
+    parent on the path), with ``environ`` added to the environment."""
+    paths = [str(Path(harness.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
 class TestModuleEntry:
+    BAD = {"SPIKEFUSE_DEBUG_NAN": "true"}  # reaches neither --help nor an import
+
     def test_python_m_runs_the_cli(self):
-        # from a checkout without an install: the package's parent on the path
-        paths = [str(Path(harness.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        done = subprocess.run([sys.executable, "-m", "spikefuse", "--help"], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = python("-m", "spikefuse", "--help", **self.BAD)
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: spikefuse")
+
+    def test_bad_nan_switch_is_one_error_line(self, tmp_path):
+        done = python("-m", "spikefuse", "synth", "--out", str(tmp_path / "d"), **self.BAD)
+        assert done.returncode == 2 and not (tmp_path / "d").exists()
+        assert done.stderr == "error: SPIKEFUSE_DEBUG_NAN must be unset, empty, 0 or 1, got 'true'\n"
+        code = "import spikefuse.harness, spikefuse.tensor as t; assert t._settings == [] and t._pools == {}"
+        assert python("-c", code, **self.BAD).returncode == 0
 
 
 class TestTrainCommand:
@@ -357,13 +372,15 @@ class TestTrainCommand:
         # workers; the fixture splits every layer-node call
         monkeypatch.setattr(tensor_module, "_CONV_BLOCK_BYTES", 1)
         records = []
-        for workers in (1, 2, 3):
+        for workers, debug_nan in [(1, False), (2, True), (3, False)]:
             conv_workers(workers)
             out = tmp_path / f"w{workers}"
-            assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+            with runtime(debug_nan=debug_nan):
+                assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
             run_dir = out / "run_seed5_sctfa"
             timing = json.loads((run_dir / "timing.json").read_text())
             assert timing["conv_workers"] == workers
+            assert timing["debug_nan"] is debug_nan
             assert timing["cpu_count"] >= 1
             records.append((run_dir / "run_record.json").read_bytes())
         assert records[0] == records[1] == records[2]

@@ -3,14 +3,20 @@
 membrane, running statistics and every gradient bitwise, in f32 and f64."""
 
 import gc
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import spikefuse.neuron as neuron_module
+import spikefuse.tensor as tensor_module
 from spikefuse import training
 from spikefuse.attention import AttentionVariant, init_attention_params
-from spikefuse.errors import ParameterError, ShapeError, StateError
+from spikefuse.errors import NumericError, ParameterError, ShapeError, StateError
+from spikefuse.harness import ARCH_PRESETS, HYPER_PRESETS
 from spikefuse.network import ConvStage, SpikingNetwork, _SpikingLayer, parse_architecture
 from spikefuse.neuron import BatchNorm, LifConfig, lif_sequence
 from spikefuse.rng import Rng
@@ -26,7 +32,7 @@ from spikefuse.tensor import (
     tsum,
 )
 
-from seams import apply_seams, pin_spatial
+from seams import apply_seams, pin_spatial, runtime
 
 CFG = LifConfig(v_th=1.0, kappa=0.7)
 T, B, C, HW = 3, 2, 4, 6
@@ -185,9 +191,6 @@ class TestSampleSplit:
             assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_more_threads_than_cores_switching_often(self, conv_workers):
-        import sys
-        import threading
-
         case = layer_case("sctfa", np.float32, seed=9, batch=5)
         conv_workers(1)
         ref = split_runs(case, "train", 2, False)
@@ -205,41 +208,23 @@ class TestSampleSplit:
         assert got == [ref]
 
     def test_call_below_the_gate_submits_no_pool_task(self, monkeypatch):
-        import spikefuse.neuron as neuron_module
-        import spikefuse.tensor as tensor_module
-
-        submitted = []
-
-        class Pool:
-            def submit(self, fn, *args):
-                submitted.append(args)
-                raise AssertionError("a call below the gate used the pool")
-
-        monkeypatch.setattr(tensor_module, "_conv_pool", Pool())
-        monkeypatch.setattr(tensor_module, "CONV_WORKERS", 2)
         case = layer_case("sctfa", np.float64, seed=2)
         step_bytes = B * C * HW * HW * 8
-        # a step one byte short of two ranges' worth runs on the caller
-        monkeypatch.setattr(neuron_module, "_SPLIT_STEP_BYTES", step_bytes // 2 + 1)
-        run_layer(True, case, "train", 2, False)
-        assert submitted == []
-        monkeypatch.setattr(neuron_module, "_SPLIT_STEP_BYTES", step_bytes // 2)
-        with pytest.raises(AssertionError, match="used the pool"):
+        with runtime(conv_workers=2) as pools:
+            # a step one byte short of two ranges' worth runs on the caller,
+            # and only a call that splits makes the pool
+            monkeypatch.setattr(neuron_module, "_SPLIT_STEP_BYTES", step_bytes // 2 + 1)
             run_layer(True, case, "train", 2, False)
-        assert len(submitted) == 1
+            assert pools == {}
+            monkeypatch.setattr(neuron_module, "_SPLIT_STEP_BYTES", step_bytes // 2)
+            run_layer(True, case, "train", 2, False)
+            assert list(pools) == [2]
 
     @pytest.mark.parametrize("variant", ["bl", "sctfa"])
-    def test_synth_bar_step_and_eval_batch_submit_no_pool_task(self, monkeypatch, variant):
+    def test_synth_bar_step_and_eval_batch_submit_no_pool_task(self, variant):
         # every step of the synth_bar preset at 16x16 and B = 16 holds at
         # most 128 KiB, and every convolution has too few blocks: ranges
         # that small lose to the handoffs
-        import spikefuse.tensor as tensor_module
-        from spikefuse.harness import ARCH_PRESETS, HYPER_PRESETS
-
-        class Pool:
-            def submit(self, fn, *args):
-                raise AssertionError("a synth_bar call used the pool")
-
         hyper = HYPER_PRESETS["synth_bar"]
         spec = parse_architecture(ARCH_PRESETS["synth_bar"], input_shape=(2, 16, 16), variant=variant,
                                   lif=LifConfig(hyper["v_th"], hyper["kappa"]), reduction=4,
@@ -247,22 +232,15 @@ class TestSampleSplit:
         net = SpikingNetwork(spec, seed=1)
         batch = hyper["batch_size"]
         frames = Rng(2).poisson(0.5, size=(batch, hyper["timesteps"], 2, 16, 16)).astype(np.float32)
-        monkeypatch.setattr(tensor_module, "CONV_WORKERS", 4)
-        monkeypatch.setattr(tensor_module, "_conv_pool", Pool())
-        vote = net.forward(frames, training=True, rng=Rng(3))
-        training.mse_vote_loss(vote.o, training.one_hot(np.arange(batch) % 4, 4)).backward()
-        assert all(p.grad is not None for p in net.parameters())
-        with no_grad():
-            net.forward(frames, training=False)
+        with runtime(conv_workers=4) as pools:
+            vote = net.forward(frames, training=True, rng=Rng(3))
+            training.mse_vote_loss(vote.o, training.one_hot(np.arange(batch) % 4, 4)).backward()
+            assert all(p.grad is not None for p in net.parameters())
+            with no_grad():
+                net.forward(frames, training=False)
+            assert pools == {}
 
     def test_nan_gate_in_one_part_raises_after_every_part_ends(self, monkeypatch, conv_workers):
-        import threading
-        import time
-
-        import spikefuse.neuron as neuron_module
-        from spikefuse.errors import NumericError
-        from spikefuse.tensor import set_debug_nan
-
         conv_workers(2)
         currents, _, _, _, att = layer_case("stfa", np.float64, seed=3)
         clean = lif_sequence(Tensor(currents), CFG, att, smooth=True, timesteps=T)[0].data
@@ -293,12 +271,8 @@ class TestSampleSplit:
 
         monkeypatch.setattr(neuron_module, "_fire", slow_fire)
         monkeypatch.setattr(neuron_module, "_check_finite", waiting_check)
-        set_debug_nan(True)
-        try:
-            with pytest.raises(NumericError, match="attention gate"):
-                lif_sequence(Tensor(currents, requires_grad=True), CFG, att, smooth=True, timesteps=T)
-        finally:
-            set_debug_nan(False)
+        with runtime(debug_nan=True), pytest.raises(NumericError, match="attention gate"):
+            lif_sequence(Tensor(currents, requires_grad=True), CFG, att, smooth=True, timesteps=T)
         assert at_failure == [1] and in_flight[0] == 0 and len(threads) == 2
         monkeypatch.setattr(neuron_module, "_fire", fire)
         currents[1, 0, 0, 0] = layer_case("stfa", np.float64, seed=3)[0][1, 0, 0, 0]
@@ -309,8 +283,6 @@ def preset_maps():
     """(T, H, W) of every preset conv layer's output, at 128x128 for the DVS
     presets and at 16x16 and 32x32 for synth_bar, and one map of more than
     8192 values."""
-    from spikefuse.harness import ARCH_PRESETS, HYPER_PRESETS
-
     maps = set()
     for name, side in (("dvs_gesture", 128), ("sl_animals", 128), ("mnist_dvs", 128),
                        ("synth_bar", 16), ("synth_bar", 32)):
@@ -332,8 +304,6 @@ class TestWholeArraySums:
     @pytest.mark.parametrize("batch", [2, 16])
     @pytest.mark.parametrize("t_steps,h,w", preset_maps())
     def test_node_statistics(self, monkeypatch, conv_workers, t_steps, h, w, batch, dtype):
-        import spikefuse.neuron as neuron_module
-
         rng = Rng(h + batch)
         x = rng.normal(0.3, 1.2, size=(t_steps * batch, 2, h, w)).astype(dtype)
         gamma, beta = np.array([1.3, 0.7], dtype), np.array([0.4, -0.2], dtype)
@@ -369,8 +339,6 @@ class TestWholeArraySums:
     @pytest.mark.parametrize("batch", [2, 16])
     @pytest.mark.parametrize("t_steps,h,w", preset_maps())
     def test_conv2d_bias_gradient(self, monkeypatch, conv_workers, t_steps, h, w, batch, dtype):
-        import spikefuse.tensor as tensor_module
-
         rng = Rng(h + batch)
         frames = t_steps * batch
         x = Tensor(rng.normal(0, 1, size=(frames, 2, h, w)).astype(dtype), requires_grad=True)
@@ -394,9 +362,6 @@ class TestStepSchedule:
     @pytest.mark.parametrize("variant", ["bl", "stfa", "ctfa", "sctfa"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_runner_calls_and_channel_thread(self, monkeypatch, conv_workers, variant, workers):
-        import spikefuse.neuron as neuron_module
-        import spikefuse.tensor as tensor_module
-
         conv_workers(workers)  # B = 2 samples: one range, or two
         runs, in_runner, products = [], [False], []
         run_blocks, row_matmul = tensor_module._run_blocks, neuron_module._row_matmul
@@ -428,12 +393,6 @@ class TestStepSchedule:
 
 
     def test_training_norm_runs_its_passes_in_the_ranges(self, monkeypatch, conv_workers):
-        import threading
-        import time
-
-        import spikefuse.neuron as neuron_module
-        import spikefuse.tensor as tensor_module
-
         conv_workers(2)  # B = 2 samples: two ranges of one
         runs, ranges, totals, folds = [], {}, [], []
         run_blocks = tensor_module._run_blocks

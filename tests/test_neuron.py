@@ -11,10 +11,10 @@ from spikefuse.errors import NumericError, ParameterError, ShapeError
 from spikefuse.network import SpikingNetwork, parse_architecture
 from spikefuse.neuron import LifConfig, lif_sequence, lif_step, lif_step_attended
 from spikefuse.rng import Rng
-from spikefuse.tensor import Tensor, reshape, set_debug_nan, stack, tsum
+from spikefuse.tensor import Tensor, reshape, stack, tsum
 
 from oracles import fd_gradient, rel_err
-from seams import apply_seams
+from seams import apply_seams, runtime
 
 
 def state_with(v, s, dtype=np.float64):
@@ -307,9 +307,8 @@ class TestLifSequence:
 class TestLifSequenceDebugNan:
     @pytest.fixture
     def debug_nan(self):
-        set_debug_nan(True)
-        yield
-        set_debug_nan(False)
+        with runtime(debug_nan=True):
+            yield
 
     def test_nan_current_passes_silently_without_the_flag(self):
         currents, params, _ = sequence_case("sctfa", np.float32, 3)
@@ -346,5 +345,5 @@ class TestLifSequenceDebugNan:
         frames = Rng(2).poisson(1.0, size=(2, 3, 2, 6, 6)).astype(np.float32)
         with pytest.raises(NumericError):
             net.forward(frames, training=True)
-        set_debug_nan(False)
-        assert np.isfinite(net.forward(frames, training=True).o.data).all()
+        with runtime(debug_nan=False):
+            assert np.isfinite(net.forward(frames, training=True).o.data).all()

@@ -3,46 +3,19 @@ running statistic and gradient bitwise the same on 1, 2 and 3 threads, with
 every call split over min(threads, B) sample ranges. The example budget is
 fixed and derandomized, so every run draws the same cases."""
 
-import contextlib
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import spikefuse.neuron as neuron_module
-import spikefuse.tensor as tensor_module
 from spikefuse.attention import AttentionVariant, init_attention_params
 from spikefuse.neuron import BatchNorm, LifConfig, lif_sequence
 from spikefuse.rng import Rng
 from spikefuse.tensor import BatchNormState, Tensor, no_grad, tsum
 
+from seams import on_threads
+
 WORKERS = (1, 2, 3)
 CFG = LifConfig(v_th=1.0, kappa=0.7)
-
-
-@pytest.fixture(scope="module")
-def pools():
-    """One pool of n - 1 threads per worker count n > 1, made once for the
-    module and shut down after it."""
-    made = {n: ThreadPoolExecutor(n - 1) for n in WORKERS if n > 1}
-    yield made
-    for pool in made.values():
-        pool.shutdown()
-
-
-@contextlib.contextmanager
-def on_threads(n, pool):
-    """The layer node on n threads, splitting every call."""
-    saved = tensor_module.CONV_WORKERS, tensor_module._conv_pool, neuron_module._SPLIT_STEP_BYTES
-    tensor_module.CONV_WORKERS, neuron_module._SPLIT_STEP_BYTES = n, 1
-    if pool is not None:
-        tensor_module._conv_pool = pool
-    try:
-        yield
-    finally:
-        tensor_module.CONV_WORKERS, tensor_module._conv_pool, neuron_module._SPLIT_STEP_BYTES = saved
 
 
 @st.composite
@@ -101,9 +74,9 @@ def run_node(case):
 
 @given(node_cases())
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
-def test_bitwise_for_any_worker_count(pools, case):
+def test_bitwise_for_any_worker_count(case):
     runs = []
     for n in WORKERS:
-        with on_threads(n, pools.get(n)):
+        with on_threads(n):
             runs.append(run_node(case))
     assert runs[1] == runs[0] and runs[2] == runs[0]

@@ -1,6 +1,9 @@
 """Tensor core: kernel oracles, gradient checks, spike semantics."""
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,23 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spikefuse.tensor as tensor_module
 from spikefuse.errors import NumericError, ParameterError, ShapeError, StateError
 from spikefuse.rng import Rng
 from spikefuse.tensor import (
     BatchNormState,
+    Settings,
     Tensor,
     _avgpool_backward,
     avgpool2d,
     batchnorm,
     conv2d,
-    debug_nan_from_env,
     dropout,
     hadamard,
     kaiming_uniform,
     linear,
     no_grad,
     relu,
-    set_debug_nan,
     sigmoid,
     smooth_spike,
     spike,
@@ -45,6 +48,7 @@ from oracles import (
     surrogate_slope,
     surrogate_value,
 )
+from seams import runtime
 
 
 def rand(shape, seed, dtype=np.float64, scale=1.0):
@@ -107,6 +111,35 @@ class TestConv2d:
             assert rel_err(t.grad, fd).max() < 1e-5
 
 
+def failing_blocks(monkeypatch, failing):
+    """Make every conv2d block that starts with sample ``failing`` raise once
+    another block is running, and every other block take 20 ms; returns the
+    blocks in flight and the threads that ran a block, both kept up to date."""
+    in_flight, threads, im2col = set(), set(), tensor_module._im2col
+
+    def slow_im2col(*args):
+        gather = im2col(*args)
+
+        def slow_gather(lo, hi):
+            in_flight.add(lo)
+            threads.add(threading.get_ident())
+            try:
+                if lo == failing:
+                    deadline = time.monotonic() + 5
+                    while in_flight == {lo} and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    raise RuntimeError(f"block {lo} failed")
+                time.sleep(0.02)
+                return gather(lo, hi)
+            finally:
+                in_flight.discard(lo)
+
+        return slow_gather
+
+    monkeypatch.setattr(tensor_module, "_im2col", slow_im2col)
+    return in_flight, threads
+
+
 def conv_grads(x, w, g, stride, padding, x_requires_grad=True):
     """(dx, dw, the output node) of conv2d through the autodiff graph."""
     xt = Tensor(x, requires_grad=x_requires_grad)
@@ -144,8 +177,6 @@ class TestConv2dBackward:
         assert np.max(np.abs(dw - ref_dw)) < 1e-12
 
     def test_batch_chunks_vs_loop_oracle(self, monkeypatch):
-        import spikefuse.tensor as tensor_module
-
         x = rand((5, 2, 6, 6), 51)
         w = rand((3, 2, 3, 3), 52)
         g = rand((5, 3, 3, 3), 53)
@@ -163,8 +194,6 @@ class TestConv2dBackward:
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("padding", [0, 1, 2])
     def test_results_do_not_depend_on_the_block(self, monkeypatch, conv_workers, k, stride, padding, dtype):
-        import spikefuse.tensor as tensor_module
-
         x = rand((5, 2, 7, 8), 10 * k + stride).astype(dtype)
         w = rand((3, 2, k, k), 20 * k + padding).astype(dtype)
         h_out = (7 + 2 * padding - k) // stride + 1
@@ -205,62 +234,47 @@ class TestConv2dBackward:
         assert np.max(np.abs(dw - ref_dw)) < 1e-5
 
     def test_call_below_the_gate_submits_no_pool_task(self, monkeypatch):
-        import spikefuse.tensor as tensor_module
-
-        submitted = []
-
-        class Pool:
-            def submit(self, fn, *args):
-                submitted.append(args)
-                raise AssertionError("a call below the gate used the pool")
-
-        monkeypatch.setattr(tensor_module, "_conv_pool", Pool())
-        monkeypatch.setattr(tensor_module, "CONV_WORKERS", 2)
         monkeypatch.setattr(tensor_module, "_CONV_BLOCK_BYTES", 1)  # one sample per block
         w = rand((3, 2, 3, 3), 55)
-        # one block fewer than the gate for two threads runs on the caller
+        # one block fewer than the gate for two threads runs on the caller,
+        # and only a call that splits makes the pool
         n = 2 * tensor_module._CONV_BLOCKS_PER_WORKER - 1
-        conv_grads(rand((n, 2, 6, 6), 54), w, rand((n, 3, 6, 6), 56), 1, 1)
-        assert submitted == []
-        with pytest.raises(AssertionError, match="used the pool"):
+        with runtime(conv_workers=2) as pools:
+            conv_grads(rand((n, 2, 6, 6), 54), w, rand((n, 3, 6, 6), 56), 1, 1)
+            assert pools == {}
             conv_grads(rand((n + 1, 2, 6, 6), 54), w, rand((n + 1, 3, 6, 6), 56), 1, 1)
-        assert len(submitted) == 1
+            assert list(pools) == [2]
+
+    def test_threads_making_the_pool_at_once_share_one(self, monkeypatch, conv_workers):
+        x, w = rand((4, 2, 6, 6), 62), rand((3, 2, 3, 3), 63)
+        serial = conv2d(Tensor(x), Tensor(w), None, 1, 1).data.tobytes()  # one block: no split
+        monkeypatch.setattr(tensor_module, "_CONV_BLOCK_BYTES", 1)  # one sample per block
+        pools, run_blocks, ran_on, got = conv_workers(2), tensor_module._run_blocks, set(), []
+        monkeypatch.setattr(tensor_module, "_run_blocks", lambda parts, n, work: run_blocks(
+            parts, n, lambda part, i: (ran_on.add(threading.current_thread()), work(part, i))))
+        start = threading.Barrier(2)
+
+        def first_call():
+            start.wait()
+            got.append(conv2d(Tensor(x), Tensor(w), None, 1, 1).data.tobytes())
+
+        callers = [threading.Thread(target=first_call) for _ in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60)
+        # both serial bitwise; one pool for the count, and it ran every block off the callers
+        assert got == [serial, serial] and list(pools) == [2]
+        assert ran_on - set(callers) <= set(pools[2]._threads)
 
     @pytest.mark.parametrize("failing", [0, 1, 4])
     def test_failing_block_raises_after_every_part_ends(self, monkeypatch, conv_workers, failing):
-        import threading
-        import time
-
-        import spikefuse.tensor as tensor_module
-
         conv_workers(3)
         x, w = rand((6, 2, 6, 6), 57), rand((3, 2, 3, 3), 58)
         monkeypatch.setattr(tensor_module, "_CONV_BLOCK_BYTES", 1)  # one sample per block
         serial = conv2d(Tensor(x), Tensor(w), None, 1, 1).data
-        in_flight, threads = set(), set()
-        other_started = threading.Event()
         im2col = tensor_module._im2col
-
-        def slow_im2col(*args):
-            gather = im2col(*args)
-
-            def slow_gather(lo, hi):
-                in_flight.add(lo)
-                threads.add(threading.get_ident())
-                try:
-                    if lo == failing:
-                        # fail while another thread is inside its block
-                        other_started.wait(5)
-                        raise RuntimeError(f"block {lo} failed")
-                    other_started.set()
-                    time.sleep(0.02)
-                    return gather(lo, hi)
-                finally:
-                    in_flight.discard(lo)
-
-            return slow_gather
-
-        monkeypatch.setattr(tensor_module, "_im2col", slow_im2col)
+        in_flight, threads = failing_blocks(monkeypatch, failing)
         with pytest.raises(RuntimeError, match=f"block {failing} failed"):
             conv2d(Tensor(x), Tensor(w), None, 1, 1)
         assert in_flight == set()
@@ -270,11 +284,6 @@ class TestConv2dBackward:
 
     @pytest.mark.parametrize("failing", [0, 1, 4])
     def test_failing_backward_block_raises_after_every_part_ends(self, monkeypatch, conv_workers, failing):
-        import threading
-        import time
-
-        import spikefuse.tensor as tensor_module
-
         x, w, g = rand((6, 2, 6, 6), 57), rand((3, 2, 3, 3), 58), rand((6, 3, 6, 6), 59)
         monkeypatch.setattr(tensor_module, "_CONV_BLOCK_BYTES", 1)  # one sample per block
 
@@ -286,30 +295,8 @@ class TestConv2dBackward:
         # three threads and six blocks: the backward runs two rounds
         conv_workers(3)
         out = conv()
-        in_flight, threads = set(), set()
         im2col = tensor_module._im2col
-
-        def slow_im2col(*args):
-            gather = im2col(*args)
-
-            def slow_gather(lo, hi):
-                in_flight.add(lo)
-                threads.add(threading.get_ident())
-                try:
-                    if lo == failing:
-                        # fail while another block of the round is running
-                        deadline = time.monotonic() + 5
-                        while in_flight == {lo} and time.monotonic() < deadline:
-                            time.sleep(0.001)
-                        raise RuntimeError(f"block {lo} failed")
-                    time.sleep(0.02)
-                    return gather(lo, hi)
-                finally:
-                    in_flight.discard(lo)
-
-            return slow_gather
-
-        monkeypatch.setattr(tensor_module, "_im2col", slow_im2col)
+        in_flight, threads = failing_blocks(monkeypatch, failing)
         with pytest.raises(RuntimeError, match=f"block {failing} failed"):
             out._backward_fn(g)
         assert in_flight == set()
@@ -318,12 +305,6 @@ class TestConv2dBackward:
         assert [grad.tobytes() for grad in out._backward_fn(g)[:2]] == serial
 
     def test_every_block_runs_once_and_no_task_outlives_the_call(self, conv_workers):
-        import sys
-        import threading
-        import time
-
-        import spikefuse.tensor as tensor_module
-
         # more threads than cores, switching as often as the interpreter allows
         parts, n = 5, 300
         conv_workers(parts)
@@ -799,23 +780,23 @@ class TestDeterminismAndModes:
         assert not y.requires_grad
 
     def test_debug_nan_toggle(self):
-        set_debug_nan(True)
-        try:
-            with np.errstate(divide="ignore"), pytest.raises(NumericError):
-                Tensor([1.0]) / Tensor([0.0])
-        finally:
-            set_debug_nan(False)
+        with runtime(debug_nan=True), np.errstate(divide="ignore"), pytest.raises(NumericError):
+            Tensor([1.0]) / Tensor([0.0])
 
     @pytest.mark.parametrize("environ, on", [({}, False), ({"SPIKEFUSE_DEBUG_NAN": ""}, False),
                                              ({"SPIKEFUSE_DEBUG_NAN": "0"}, False),
                                              ({"SPIKEFUSE_DEBUG_NAN": "1"}, True)])
-    def test_debug_nan_switch_values(self, environ, on):
-        assert debug_nan_from_env(environ) is on
+    def test_debug_nan_switch_values(self, monkeypatch, environ, on):
+        monkeypatch.delenv("SPIKEFUSE_DEBUG_NAN", raising=False)
+        for name, value in environ.items():
+            monkeypatch.setenv(name, value)
+        assert Settings.from_process().debug_nan is on
 
     @pytest.mark.parametrize("value", ["true", "yes", "2", " 1", "on"])
-    def test_debug_nan_bad_value_names_variable_and_value(self, value):
+    def test_debug_nan_bad_value_names_variable_and_value(self, monkeypatch, value):
+        monkeypatch.setenv("SPIKEFUSE_DEBUG_NAN", value)
         with pytest.raises(ParameterError, match=f"^SPIKEFUSE_DEBUG_NAN must be .*, got {value!r}$"):
-            debug_nan_from_env({"SPIKEFUSE_DEBUG_NAN": value})
+            Settings.from_process()
 
     def test_mean_reduction_gradient(self):
         x = Tensor(rand((4, 5), 71), requires_grad=True)
