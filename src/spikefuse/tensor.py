@@ -24,15 +24,25 @@ step with a surrogate (arctan-shaped) backward, and ``smooth_spike`` is the
 sigmoid-like arctan primitive itself with its exact derivative, used when a
 network must be end-to-end finite-difference checkable.
 
-``conv2d`` is an im2col matrix product. The patch matrix is built by k*k
-strided-slice copies of the padded input, one per kernel offset, into a
-[n, cin, k, k, L] buffer, so the product lands directly in [n, cout, L];
-the backward folds the patch gradients back onto the input (col2im) by the
-same slices, as additions. The batch goes through in blocks of samples
-whose patch matrix fits ``_CONV_BLOCK_BYTES``. Every sample's product is
-the same call whatever the block, and the weight gradient is the sum of
-the samples' in sample order, so the block size does not change any
-result.
+``conv2d`` is an im2col matrix product. The patch matrix, a [n, cin, k, k,
+L] buffer, is gathered in two stages, per chunk of (sample, channel)
+planes whose column slab fits ``_CONV_SLAB_BYTES``. First each kernel
+column copies the input columns it reads, over every row a window
+reaches, into the slab, whose padding stays zero. Then each kernel row
+copies its rows of the slab into the patches: for stride 1, one contiguous
+h_out x w_out block per plane and kernel column. So the copies run over
+whole blocks, not one output row of 8-32 elements at a time, and the
+chunk's slab is still in cache for the second stage. The product lands
+directly in [n, cout, L]. The backward folds the patch gradients back onto
+the input (col2im) by the exact transpose: each kernel row adds its patch
+gradients into the zeroed slab, then each kernel column adds its span of
+the slab into the input gradient. So a pixel's gradient is summed over
+kernel rows per column, in the patch gradients' type, then over columns,
+in the input's, whatever the chunk. The batch goes through in blocks of
+samples whose patch matrix fits ``_CONV_BLOCK_BYTES``. Every sample's
+product is the same call whatever the block, and the weight gradient is
+the sum of the samples' in sample order, so the block size does not
+change any result.
 
 The blocks of one call run side by side: on the calling thread and on a
 process-wide pool of ``conv_workers - 1`` threads (``Settings``), made at
@@ -45,24 +55,24 @@ the timings behind it were measured with two threads and BLAS pinned to
 one thread; with more CPUs, or with BLAS starting its own threads inside
 each part, they are unmeasured. Each thread claims the next block when it
 is free, so a thread the host deschedules holds up at most the block it is
-on. Each thread has its own patch and col2im buffers, allocated per call
-on the calling thread (a buffer a pool thread allocated would stay in that
-thread's malloc arena); in the backward a block's patch gradients
-overwrite its patches once the weight gradient has read them. The runner,
-``_run_blocks``, only hands out independent blocks, and ordered sums run
-on the caller, as in the layer node: the backward goes in rounds of one
-block a thread, and after each round the caller adds the round's
-per-sample weight-gradient products in sample order. Each block also takes
-its samples' sums of the output gradient over L, and the caller adds them
-in sample order for the bias gradient, numpy's order for the whole array.
-So which thread computes a block, and how many threads there are, changes
-no bit. A call returns, or raises the first error, only once none of its
-pool tasks is running. A call on one thread runs its blocks on the caller
-directly, with no queue. The layer node in ``neuron`` runs the sample
-ranges of its time steps through the same runner, so the node starts no
-thread of its own and its one-range calls take the same direct path;
-``training`` fills a batch of event frames through it, one stream per
-block.
+on. Each thread has its own patch buffer and gather and col2im slabs,
+allocated per call on the calling thread (a buffer a pool thread allocated
+would stay in that thread's malloc arena); in the backward a block's patch
+gradients overwrite its patches once the weight gradient has read them.
+The runner, ``_run_blocks``, only hands out independent blocks, and
+ordered sums run on the caller, as in the layer node: the backward goes in
+rounds of one block a thread, and after each round the caller adds the
+round's per-sample weight-gradient products in sample order. Each block
+also takes its samples' sums of the output gradient over L, and the caller
+adds them in sample order for the bias gradient, numpy's order for the
+whole array. So which thread computes a block, and how many threads there
+are, changes no bit. A call returns, or raises the first error, only once
+none of its pool tasks is running. A call on one thread runs its blocks on
+the caller directly, with no queue. The layer node in ``neuron`` runs the
+sample ranges of its time steps through the same runner, so the node
+starts no thread of its own and its one-range calls take the same direct
+path; ``training`` fills a batch of event frames through it, one stream
+per block.
 
 ``avgpool2d`` sums k*k strided slices into one buffer and scales it once.
 ``batchnorm`` is one graph node with a closed-form backward. ``transpose``
@@ -111,6 +121,11 @@ SURROGATE_ALPHA = 2.0
 # fits in this many bytes, about half the L2 cache of a core; a fixed number,
 # so a run's block sizes do not depend on the machine.
 _CONV_BLOCK_BYTES = 1 << 20
+# im2col and col2im go through their column slab in chunks of planes whose
+# slab fits in this many bytes, so that the second stage reads it from
+# cache: a whole-block slab of 128-channel maps does not fit. Fixed like the
+# block size.
+_CONV_SLAB_BYTES = 1 << 18
 # A call splits only with at least this many blocks per thread; fewer do not
 # pay for the handoff (see the per-layer table in CHANGES.md, measured with
 # two threads and BLAS pinned to one thread).
@@ -778,13 +793,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
             dw_samples = dw_parts.reshape(parts * blk, cout, cin * kk)
             gathers = [_im2col(xd, k, stride, padding, h_out, w_out, blk) for _ in range(parts)]
         if w_t is not None:
-            dx = np.empty(x_shape, dtype=x_dtype)
+            dx = np.zeros(x_shape, dtype=x_dtype)
             dtype = np.result_type(w_t, g)
             # a block reads its patches before it writes their gradients,
             # so the gradients go into the patch buffer when the types agree
             shared = xd is not None and xd.dtype == dtype
             dcols = None if shared else np.empty((parts, blk, cin * kk, l), dtype=dtype)
-            dpad = np.empty((parts, blk, cin, h + 2 * padding, w + 2 * padding), dtype=dtype)
+            scatters = [_col2im(dx, dtype, k, stride, padding, h_out, w_out, blk) for _ in range(parts)]
         # the bias gradient from each frame's sums over L, taken in the
         # blocks; numpy sums a one-channel gradient pairwise as one run
         bias_sums = np.empty((b, cout), dtype=g.dtype) if bias_grad and cout > 1 else None
@@ -797,17 +812,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
             if dw is not None:
                 patches = gathers[part](lo, hi)
                 np.matmul(gl, patches.transpose(0, 2, 1), out=dw_parts[block % parts, :n])
-            if dx is None:
-                return
-            # col2im: im2col's slices, added back into the padded input
-            dpatches = np.matmul(w_t, gl, out=patches if dcols is None else dcols[part, :n])
-            dpatches = dpatches.reshape(n, cin, k, k, h_out, w_out)
-            acc = dpad[part, :n]
-            acc.fill(0)
-            for i in range(k):
-                for j in range(k):
-                    acc[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dpatches[:, :, i, j]
-            dx[lo:hi] = acc[:, :, padding : padding + h, padding : padding + w]
+            if dx is not None:
+                scatters[part](lo, hi, np.matmul(w_t, gl, out=patches if dcols is None else dcols[part, :n]))
 
         # rounds of one block a thread; the caller then adds the round's
         # per-sample products in sample order, whatever the block
@@ -826,27 +832,76 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
     return _result(out_data, parents, backward)
 
 
+def _column_slab(h, w, k, stride, padding, h_out, w_out, planes, dtype):
+    """The column slab [m, k, hs, w_out] that ``_im2col`` and ``_col2im``
+    share, for chunks of m <= ``planes`` [h, w] input planes whose slab fits
+    ``_CONV_SLAB_BYTES``. Its [:, j] holds the padded planes' columns j,
+    j + stride, ... over their first hs rows, every row a window reaches, so
+    kernel row i's patches are its rows i, i + stride, .... Returns the
+    zeroed slab, the count of input rows it holds (from slab row
+    ``padding``), and (j, slab columns, input columns) for each kernel
+    column j that reaches the input; no other cell maps to the input."""
+    hs = k + stride * (h_out - 1)
+    m = max(1, min(planes, _CONV_SLAB_BYTES // (k * hs * w_out * np.dtype(dtype).itemsize)))
+    spans = []
+    for j in range(k):
+        # slab column q holds input column j + stride * q - padding
+        q0, q1 = max(0, -((j - padding) // stride)), min(w_out, -((j - padding - w) // stride))
+        if q0 < q1:
+            c0 = j + stride * q0 - padding
+            spans.append((j, slice(q0, q1), slice(c0, c0 + stride * (q1 - q0 - 1) + 1, stride)))
+    return np.zeros((m, k, hs, w_out), dtype=dtype), max(0, min(h, hs - padding)), spans
+
+
 def _im2col(xd, k, stride, padding, h_out, w_out, blk):
     """A function (lo, hi) -> the patch matrix [hi - lo, cin*k*k, L] of
-    samples lo:hi of ``xd`` (at most ``blk`` of them): kernel offset (i, j)
-    of every window is a stride-spaced grid of the padded input. The padded
-    and patch buffers are allocated once here and reused by every block."""
+    samples lo:hi of ``xd`` (at most ``blk`` of them). Per chunk of planes,
+    each kernel column copies the input columns it reads into the slab
+    (``_column_slab``), then each kernel row copies its rows of the slab
+    into the patches. The slab and patch buffers are made once here; nothing
+    writes the slab's padding, so it stays zero."""
     _, cin, h, w = xd.shape
-    l = h_out * w_out
-    padded = np.zeros((blk, cin, h + 2 * padding, w + 2 * padding), dtype=xd.dtype) if padding else None
-    cols = np.empty((blk, cin, k, k, h_out, w_out), dtype=xd.dtype)
+    slab, rows, spans = _column_slab(h, w, k, stride, padding, h_out, w_out, blk * cin, xd.dtype)
+    reach = stride * (h_out - 1) + 1
+    cols = np.empty((blk * cin, k, k, h_out, w_out), dtype=xd.dtype)
 
     def gather(lo, hi):
-        n, part = hi - lo, xd[lo:hi]
-        if padded is not None:
-            padded[:n, :, padding : padding + h, padding : padding + w] = part
-            part = padded[:n]
-        for i in range(k):
-            for j in range(k):
-                cols[:n, :, i, j] = part[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
-        return cols[:n].reshape(n, cin * k * k, l)
+        n = hi - lo
+        planes = xd[lo:hi].reshape(n * cin, h, w)
+        for p in range(0, n * cin, len(slab)):
+            m = min(len(slab), n * cin - p)
+            for j, slab_cols, x_cols in spans:
+                slab[:m, j, padding : padding + rows, slab_cols] = planes[p : p + m, :rows, x_cols]
+            for i in range(k):
+                cols[p : p + m, i] = slab[:m, :, i : i + reach : stride]
+        return cols[: n * cin].reshape(n, cin * k * k, h_out * w_out)
 
     return gather
+
+
+def _col2im(dx, dtype, k, stride, padding, h_out, w_out, blk):
+    """The transpose of ``_im2col``: a function (lo, hi, dpatches) that adds
+    the patch gradients [hi - lo, cin*k*k, L] of samples lo:hi into the
+    contiguous ``dx`` [B, cin, h, w]. Per chunk of planes, each kernel row
+    adds its patch gradients into the zeroed slab, summed in ``dtype``, then
+    each kernel column adds its span of the slab into ``dx``."""
+    _, cin, h, w = dx.shape
+    slab, rows, spans = _column_slab(h, w, k, stride, padding, h_out, w_out, blk * cin, dtype)
+    reach = stride * (h_out - 1) + 1
+    planes = dx.reshape(-1, h, w)
+
+    def scatter(lo, hi, dpatches):
+        dcols, block = dpatches.reshape(-1, k, k, h_out, w_out), planes[lo * cin : hi * cin]
+        for p in range(0, len(block), len(slab)):
+            m = min(len(slab), len(block) - p)
+            acc = slab[:m]
+            acc.fill(0)
+            for i in range(k):
+                acc[:, :, i : i + reach : stride] += dcols[p : p + m, i]
+            for j, slab_cols, x_cols in spans:
+                block[p : p + m, :rows, x_cols] += acc[:, j, padding : padding + rows, slab_cols]
+
+    return scatter
 
 
 def _run_blocks(parts: int, n: int, work) -> None:

@@ -74,6 +74,37 @@ def conv2d_grad_loops(x, w, g, stride, padding):
     return dxp[:, :, padding : padding + h, padding : padding + wdt], dw
 
 
+def im2col_slices(x, k, stride, padding):
+    """The patch matrix [B, cin*k*k, L] of a convolution: the padded input's
+    stride-spaced grid at kernel offset (i, j), one strided-slice copy per
+    offset, rows ordered (channel, i, j)."""
+    bs, cin, h, wdt = x.shape
+    h_out = (h + 2 * padding - k) // stride + 1
+    w_out = (wdt + 2 * padding - k) // stride + 1
+    xp = np.zeros((bs, cin, h + 2 * padding, wdt + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding : padding + h, padding : padding + wdt] = x
+    cols = np.empty((bs, cin, k, k, h_out, w_out), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+    return cols.reshape(bs, cin * k * k, h_out * w_out)
+
+
+def col2im_slices(dcols, x_shape, k, stride, padding):
+    """``im2col_slices``' transpose: the patch gradients [B, cin*k*k, L] added
+    back onto a padded input by the same slices, offset by offset, then
+    cropped to ``x_shape``."""
+    bs, cin, h, wdt = x_shape
+    h_out = (h + 2 * padding - k) // stride + 1
+    w_out = (wdt + 2 * padding - k) // stride + 1
+    dcols = dcols.reshape(bs, cin, k, k, h_out, w_out)
+    dxp = np.zeros((bs, cin, h + 2 * padding, wdt + 2 * padding), dtype=dcols.dtype)
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[:, :, i, j]
+    return dxp[:, :, padding : padding + h, padding : padding + wdt]
+
+
 def linear_loops(x, w, b):
     bs, f = x.shape
     o = w.shape[0]

@@ -616,7 +616,7 @@ class TestNoGradForwardMemory:
         # the frames' time-major copy, layer 0's conv output and its pooled
         # quarter, eight step-sized buffers (normalized current, reset
         # factor, two spike and two membrane steps, the gate), and conv2d's
-        # patch block of at most 1 MiB with its padded input. A batch-norm
+        # patch block of at most 1 MiB with its column slab. A batch-norm
         # output, membrane or float spike map of all steps does not fit:
         # the op composition peaked at 7.8 MB here, the node at 5.4 MB.
         bound = frames.nbytes + 1.25 * layer0_map + 8 * layer0_map // t_steps + 1.25 * 2**20

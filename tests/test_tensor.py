@@ -1,5 +1,6 @@
 """Tensor core: kernel oracles, gradient checks, spike semantics."""
 
+import itertools
 import math
 import sys
 import threading
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 import spikefuse.tensor as tensor_module
 from spikefuse.errors import NumericError, ParameterError, ShapeError, StateError
+from spikefuse.harness import ARCH_PRESETS
+from spikefuse.network import ConvStage, PoolStage, parse_architecture
 from spikefuse.rng import Rng
 from spikefuse.tensor import (
     BatchNormState,
@@ -40,9 +43,11 @@ from spikefuse.tensor import (
 from oracles import (
     avgpool_loops,
     batchnorm_reference,
+    col2im_slices,
     conv2d_grad_loops,
     conv2d_loops,
     fd_gradient,
+    im2col_slices,
     linear_loops,
     rel_err,
     surrogate_slope,
@@ -212,11 +217,15 @@ class TestConv2dBackward:
                g.sum(axis=(0, 2, 3)).tobytes()]
         # blocks of 1 sample, of 2, 2 and 1, the default (the whole batch
         # here) and one whole-batch block, on 1, 2 and 3 threads: split
-        # whenever there are at least as many blocks as threads
+        # whenever there are at least as many blocks as threads; each with
+        # column slabs of one plane, of three and the default
+        blocks = (1, 2 * per_sample, tensor_module._CONV_BLOCK_BYTES, 1 << 40)
+        slabs = slab_budgets(k, stride, h_out, w_out, x.itemsize)
         for workers in (1, 2, 3):
             conv_workers(workers)
-            for budget in (1, 2 * per_sample, tensor_module._CONV_BLOCK_BYTES, 1 << 40):
+            for budget, slab in itertools.product(blocks, slabs):
                 monkeypatch.setattr(tensor_module, "_CONV_BLOCK_BYTES", budget)
+                monkeypatch.setattr(tensor_module, "_CONV_SLAB_BYTES", slab)
                 dx, dw, out = conv_grads(x, w, g, stride, padding)
                 db = out._backward_fn(g)[2]
                 assert [out.data.tobytes(), dx.tobytes(), dw.tobytes(), db.tobytes()] == ref
@@ -343,6 +352,92 @@ class TestConv2dBackward:
         assert dx is None
         assert np.array_equal(dw, dw_with_dx)
         assert out._backward_fn(g)[0] is None
+
+
+def out_size(n, k, stride, padding):
+    return (n + 2 * padding - k) // stride + 1
+
+
+def slab_budgets(k, stride, h_out, w_out, itemsize):
+    """Column-slab budgets of one plane, of three planes (which divide no
+    block of 2, 4 or 10 planes) and the default."""
+    plane = k * (k + stride * (h_out - 1)) * w_out * itemsize
+    return plane, 3 * plane, tensor_module._CONV_SLAB_BYTES
+
+
+def gather_blocks(x, k, stride, padding, blk):
+    """conv2d's patch matrix of ``x``, gathered in blocks of ``blk`` samples."""
+    h_out, w_out = out_size(x.shape[2], k, stride, padding), out_size(x.shape[3], k, stride, padding)
+    gather = tensor_module._im2col(x, k, stride, padding, h_out, w_out, blk)
+    # a block's patches live in the gather's buffer until the next block
+    return np.concatenate([gather(lo, min(lo + blk, len(x))).copy() for lo in range(0, len(x), blk)])
+
+
+def scatter_blocks(dcols, x_shape, k, stride, padding, blk):
+    """conv2d's col2im of the patch gradients ``dcols``, in blocks of ``blk``
+    samples, into a zeroed input gradient."""
+    h_out, w_out = out_size(x_shape[2], k, stride, padding), out_size(x_shape[3], k, stride, padding)
+    dx = np.zeros(x_shape, dtype=dcols.dtype)
+    scatter = tensor_module._col2im(dx, dcols.dtype, k, stride, padding, h_out, w_out, blk)
+    for lo in range(0, len(dx), blk):
+        scatter(lo, min(lo + blk, len(dx)), dcols[lo : lo + blk])
+    return dx
+
+
+def bench_conv_shapes():
+    """(cin, h, w, k, stride, padding) of every convolution the benchmark's
+    workloads run: synth_bar at 16x16 and 32x32, dvs_gesture at 128x128."""
+    shapes = []
+    for preset, size in (("synth_bar", 16), ("synth_bar", 32), ("dvs_gesture", 128)):
+        c, h, w = 2, size, size
+        for stage in parse_architecture(ARCH_PRESETS[preset], input_shape=(c, h, w)).stages:
+            if isinstance(stage, ConvStage):
+                shapes.append((c, h, w, stage.kernel, stage.stride, stage.padding))
+                c, (h, w) = stage.out_channels, stage.out_hw
+            elif isinstance(stage, PoolStage):
+                h, w = h // stage.k, w // stage.k
+    return shapes
+
+
+class TestPatchGather:
+    """conv2d's two-stage gather against the one-copy-per-offset slices, and
+    its scatter against the gather's transpose. Blocks of two samples of two
+    channels: 4 planes a block, 2 in the last."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_patches_are_the_slice_oracles_bitwise(self, monkeypatch, k, stride, padding, dtype):
+        # odd width 9; k = 1 with padding 1 or 2 has windows wholly in the padding
+        x = rand((5, 2, 7, 9), 70 + 10 * k + stride, dtype=dtype)
+        ref = im2col_slices(x, k, stride, padding).tobytes()
+        for budget in slab_budgets(k, stride, out_size(7, k, stride, padding), out_size(9, k, stride, padding),
+                                   x.itemsize):
+            monkeypatch.setattr(tensor_module, "_CONV_SLAB_BYTES", budget)
+            assert gather_blocks(x, k, stride, padding, 2).tobytes() == ref
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_scatter_is_the_gathers_adjoint(self, monkeypatch, k, stride, padding):
+        h_out, w_out = out_size(7, k, stride, padding), out_size(9, k, stride, padding)
+        x = rand((5, 2, 7, 9), 80 + 10 * k + stride)
+        dcols = rand((5, 2 * k * k, h_out * w_out), 90 + padding)
+        ref = col2im_slices(dcols, x.shape, k, stride, padding)
+        for budget in slab_budgets(k, stride, h_out, w_out, x.itemsize):
+            monkeypatch.setattr(tensor_module, "_CONV_SLAB_BYTES", budget)
+            dx = scatter_blocks(dcols, x.shape, k, stride, padding, 2)
+            # <gather(x), G> = <x, scatter(G)>
+            assert abs(np.vdot(gather_blocks(x, k, stride, padding, 2), dcols) - np.vdot(x, dx)) < 1e-12
+            assert np.max(np.abs(dx - ref)) < 1e-12
+
+    @pytest.mark.parametrize("cin,h,w,k,stride,padding", bench_conv_shapes())
+    def test_every_bench_conv_gathers_the_slice_oracles_bitwise(self, cin, h, w, k, stride, padding):
+        x = rand((2, cin, h, w), h + cin, dtype=np.float32)
+        per_sample = out_size(h, k, stride, padding) * out_size(w, k, stride, padding) * cin * k * k * x.itemsize
+        blk = max(1, min(2, tensor_module._CONV_BLOCK_BYTES // per_sample))  # as conv2d blocks them
+        assert gather_blocks(x, k, stride, padding, blk).tobytes() == im2col_slices(x, k, stride, padding).tobytes()
 
 
 class TestTranspose:
