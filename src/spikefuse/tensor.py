@@ -33,12 +33,11 @@ copies its rows of the slab into the patches: for stride 1, one contiguous
 h_out x w_out block per plane and kernel column. So the copies run over
 whole blocks, not one output row of 8-32 elements at a time, and the
 chunk's slab is still in cache for the second stage. The product lands
-directly in [n, cout, L]. The backward folds the patch gradients back onto
-the input (col2im) by the exact transpose: each kernel row adds its patch
-gradients into the zeroed slab, then each kernel column adds its span of
-the slab into the input gradient. So a pixel's gradient is summed over
-kernel rows per column, in the patch gradients' type, then over columns,
-in the input's, whatever the chunk. The batch goes through in blocks of
+directly in [n, cout, L]. The input gradient is the same correlation
+(``_correlate``) on the dilated output gradient: ``g`` placed at every
+stride-th cell of a zero map (at stride 1, ``g`` itself), correlated at
+stride 1 and padding k-1-p with the flipped kernel transposed to [cin,
+cout*k*k], in the forward's blocks. The batch goes through in blocks of
 samples whose patch matrix fits ``_CONV_BLOCK_BYTES``. Every sample's
 product is the same call whatever the block, and the weight gradient is
 the sum of the samples' in sample order, so the block size does not
@@ -55,19 +54,17 @@ the timings behind it were measured with two threads and BLAS pinned to
 one thread; with more CPUs, or with BLAS starting its own threads inside
 each part, they are unmeasured. Each thread claims the next block when it
 is free, so a thread the host deschedules holds up at most the block it is
-on. Each thread has its own patch buffer and gather and col2im slabs,
-allocated per call on the calling thread (a buffer a pool thread allocated
-would stay in that thread's malloc arena); in the backward a block's patch
-gradients overwrite its patches once the weight gradient has read them.
-The runner, ``_run_blocks``, only hands out independent blocks, and
-ordered sums run on the caller, as in the layer node: the backward goes in
-rounds of one block a thread, and after each round the caller adds the
-round's per-sample weight-gradient products in sample order. Each block
-also takes its samples' sums of the output gradient over L, and the caller
-adds them in sample order for the bias gradient, numpy's order for the
-whole array. So which thread computes a block, and how many threads there
-are, changes no bit. A call returns, or raises the first error, only once
-none of its pool tasks is running. A call on one thread runs its blocks on
+on. Each thread has its own patch buffer and column slab, allocated per
+call on the calling thread (a buffer a pool thread allocated would stay in
+that thread's malloc arena). The runner, ``_run_blocks``, only hands out
+independent blocks, and ordered sums run on the caller, as in the layer
+node: the weight gradient goes in rounds of one block a thread, and after
+each round the caller adds the round's per-sample products in sample
+order. Each block also takes its samples' sums of the output gradient over
+L, and the caller adds them in sample order for the bias gradient, numpy's
+order for the whole array. So which thread computes a block, and how many
+threads there are, changes no bit. A call returns, or raises the first
+error, only once none of its pool tasks is running. A call on one thread runs its blocks on
 the caller directly, with no queue. The layer node in ``neuron`` runs the
 sample ranges of its time steps through the same runner, so the node
 starts no thread of its own and its one-range calls take the same direct
@@ -121,10 +118,10 @@ SURROGATE_ALPHA = 2.0
 # fits in this many bytes, about half the L2 cache of a core; a fixed number,
 # so a run's block sizes do not depend on the machine.
 _CONV_BLOCK_BYTES = 1 << 20
-# im2col and col2im go through their column slab in chunks of planes whose
-# slab fits in this many bytes, so that the second stage reads it from
-# cache: a whole-block slab of 128-channel maps does not fit. Fixed like the
-# block size.
+# im2col, for the forward and both gradients, goes through its column slab
+# in chunks of planes whose slab fits in this many bytes, so that the second
+# stage reads it from cache: a whole-block slab of 128-channel maps does not
+# fit. Fixed like the block size.
 _CONV_SLAB_BYTES = 1 << 18
 # A call splits only with at least this many blocks per thread; fewer do not
 # pay for the handoff (see the per-layer table in CHANGES.md, measured with
@@ -755,65 +752,57 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
         raise ParameterError(f"conv2d: padding must be non-negative, got {padding}")
     if k > h + 2 * padding or k > w + 2 * padding:
         raise ShapeError(f"conv2d: kernel {k} exceeds padded extent ({h + 2 * padding}, {w + 2 * padding})")
+    if bias is not None and bias.shape != (cout,):
+        raise ShapeError(f"conv2d: bias {bias.shape} incompatible with weight {weight.shape}")
 
     h_out = _conv_out_size(h, k, stride, padding)
     w_out = _conv_out_size(w, k, stride, padding)
     l, kk = h_out * w_out, k * k
-    w_flat = weight.data.reshape(cout, cin * kk)
     blk = max(1, min(b, _CONV_BLOCK_BYTES // max(1, l * cin * kk * x.data.itemsize)))
     n_blocks = -(-b // blk)
+    out_data = _correlate(x.data, weight.data.reshape(cout, cin * kk), k, stride, padding, blk,
+                          None if bias is None else bias.data)
     # the input is read again only for the weight gradient, the weight only
     # for the input gradient
-    xd, w_t = _data_for(x, weight), w_flat.T if x.requires_grad else None
-    x_shape, x_dtype, w_shape, w_dtype = x.shape, x.dtype, weight.shape, weight.dtype
+    xd, wd = _data_for(x, weight), weight.data if x.requires_grad else None
+    x_dtype, w_shape, w_dtype = x.dtype, weight.shape, weight.dtype
     bias_grad = bias is not None and bias.requires_grad
-    if bias is not None and bias.shape != (cout,):
-        raise ShapeError(f"conv2d: bias {bias.shape} incompatible with weight {weight.shape}")
-
-    out_data = np.empty((b, cout, h_out, w_out), dtype=x.dtype)
-    out3 = out_data.reshape(b, cout, l)
-    parts = _threads(n_blocks // _CONV_BLOCKS_PER_WORKER)
-    gathers = [_im2col(x.data, k, stride, padding, h_out, w_out, blk) for _ in range(parts)]
-
-    def forward_block(part, block):
-        lo, hi = block * blk, min(block * blk + blk, b)
-        np.matmul(w_flat, gathers[part](lo, hi), out=out3[lo:hi])
-        if bias is not None:
-            out3[lo:hi] += bias.data[:, None]
-
-    _run_blocks(parts, n_blocks, forward_block)
 
     def backward(g):
+        dx = dw = None
+        if wd is not None:
+            # g correlated with the flipped kernel [cin, cout*k*k] at padding
+            # k-1-p (past padding k-1, at padding 0 and cropped), in the
+            # forward's blocks, so it keeps the forward's thread gate. At
+            # stride > 1, g sits at every stride-th cell of a zero map that
+            # also holds the rows and columns no window reaches.
+            gd, pad = g, k - 1 - padding
+            if stride > 1:
+                gd = np.zeros((b, cout, h + 2 * padding - k + 1, w + 2 * padding - k + 1), dtype=g.dtype)
+                gd[:, :, ::stride, ::stride] = g
+            w_dx = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kk)
+            dx, crop = _correlate(gd, w_dx, k, 1, max(0, pad), blk), max(0, -pad)
+            del gd
+            dx = np.ascontiguousarray(dx[:, :, crop : crop + h, crop : crop + w], dtype=x_dtype)
         g3 = g.reshape(b, cout, l)
-        dw = dx = None
+        parts = _threads(n_blocks // _CONV_BLOCKS_PER_WORKER)
         if xd is not None:
             dw = np.zeros((cout, cin * kk), dtype=w_dtype)
             # block i's per-sample products, in slot i % parts of its round
             dw_parts = np.empty((parts, blk, cout, cin * kk), dtype=np.result_type(g, xd))
             dw_samples = dw_parts.reshape(parts * blk, cout, cin * kk)
             gathers = [_im2col(xd, k, stride, padding, h_out, w_out, blk) for _ in range(parts)]
-        if w_t is not None:
-            dx = np.zeros(x_shape, dtype=x_dtype)
-            dtype = np.result_type(w_t, g)
-            # a block reads its patches before it writes their gradients,
-            # so the gradients go into the patch buffer when the types agree
-            shared = xd is not None and xd.dtype == dtype
-            dcols = None if shared else np.empty((parts, blk, cin * kk, l), dtype=dtype)
-            scatters = [_col2im(dx, dtype, k, stride, padding, h_out, w_out, blk) for _ in range(parts)]
         # the bias gradient from each frame's sums over L, taken in the
         # blocks; numpy sums a one-channel gradient pairwise as one run
         bias_sums = np.empty((b, cout), dtype=g.dtype) if bias_grad and cout > 1 else None
 
         def backward_block(part, block):
             lo, hi = block * blk, min(block * blk + blk, b)
-            n, gl = hi - lo, g3[lo:hi]
             if bias_sums is not None:
                 _frame_sums(g[lo:hi], out=bias_sums[lo:hi])
             if dw is not None:
                 patches = gathers[part](lo, hi)
-                np.matmul(gl, patches.transpose(0, 2, 1), out=dw_parts[block % parts, :n])
-            if dx is not None:
-                scatters[part](lo, hi, np.matmul(w_t, gl, out=patches if dcols is None else dcols[part, :n]))
+                np.matmul(g3[lo:hi], patches.transpose(0, 2, 1), out=dw_parts[block % parts, : hi - lo])
 
         # rounds of one block a thread; the caller then adds the round's
         # per-sample products in sample order, whatever the block
@@ -832,36 +821,53 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padd
     return _result(out_data, parents, backward)
 
 
-def _column_slab(h, w, k, stride, padding, h_out, w_out, planes, dtype):
-    """The column slab [m, k, hs, w_out] that ``_im2col`` and ``_col2im``
-    share, for chunks of m <= ``planes`` [h, w] input planes whose slab fits
-    ``_CONV_SLAB_BYTES``. Its [:, j] holds the padded planes' columns j,
-    j + stride, ... over their first hs rows, every row a window reaches, so
-    kernel row i's patches are its rows i, i + stride, .... Returns the
-    zeroed slab, the count of input rows it holds (from slab row
-    ``padding``), and (j, slab columns, input columns) for each kernel
-    column j that reaches the input; no other cell maps to the input."""
-    hs = k + stride * (h_out - 1)
-    m = max(1, min(planes, _CONV_SLAB_BYTES // (k * hs * w_out * np.dtype(dtype).itemsize)))
-    spans = []
-    for j in range(k):
-        # slab column q holds input column j + stride * q - padding
-        q0, q1 = max(0, -((j - padding) // stride)), min(w_out, -((j - padding - w) // stride))
-        if q0 < q1:
-            c0 = j + stride * q0 - padding
-            spans.append((j, slice(q0, q1), slice(c0, c0 + stride * (q1 - q0 - 1) + 1, stride)))
-    return np.zeros((m, k, hs, w_out), dtype=dtype), max(0, min(h, hs - padding)), spans
+def _correlate(xd, w_flat, k, stride, padding, blk, bias=None):
+    """The cross-correlation [n, cout, h_out, w_out] of ``xd`` [n, cin, h, w]
+    with ``w_flat`` [cout, cin*k*k] (plus ``bias`` [cout]), in ``xd``'s
+    dtype: per block of ``blk`` samples, one product of the kernel with the
+    block's patch matrix (``_im2col``), written straight into the output.
+    The blocks run side by side (``_run_blocks``)."""
+    n, _, h, w = xd.shape
+    h_out, w_out = _conv_out_size(h, k, stride, padding), _conv_out_size(w, k, stride, padding)
+    out = np.empty((n, len(w_flat), h_out, w_out), dtype=xd.dtype)
+    out3 = out.reshape(n, len(w_flat), h_out * w_out)
+    n_blocks = -(-n // blk)
+    parts = _threads(n_blocks // _CONV_BLOCKS_PER_WORKER)
+    gathers = [_im2col(xd, k, stride, padding, h_out, w_out, blk) for _ in range(parts)]
+
+    def block(part, i):
+        lo, hi = i * blk, min(i * blk + blk, n)
+        np.matmul(w_flat, gathers[part](lo, hi), out=out3[lo:hi])
+        if bias is not None:
+            out3[lo:hi] += bias[:, None]
+
+    _run_blocks(parts, n_blocks, block)
+    return out
 
 
 def _im2col(xd, k, stride, padding, h_out, w_out, blk):
     """A function (lo, hi) -> the patch matrix [hi - lo, cin*k*k, L] of
-    samples lo:hi of ``xd`` (at most ``blk`` of them). Per chunk of planes,
-    each kernel column copies the input columns it reads into the slab
-    (``_column_slab``), then each kernel row copies its rows of the slab
-    into the patches. The slab and patch buffers are made once here; nothing
-    writes the slab's padding, so it stays zero."""
+    samples lo:hi of ``xd`` (at most ``blk`` of them), gathered in two
+    stages per chunk of m (sample, channel) planes whose column slab
+    [m, k, hs, w_out] fits ``_CONV_SLAB_BYTES``. First each kernel column j
+    copies the input columns it reads, j, j + stride, ... of the padded
+    planes over their first hs rows (every row a window reaches), into the
+    slab's [:, j]; then each kernel row i copies the slab's rows i,
+    i + stride, ... into the patches. The slab and patch buffers are made
+    once here; nothing writes the slab's padding, so it stays zero."""
     _, cin, h, w = xd.shape
-    slab, rows, spans = _column_slab(h, w, k, stride, padding, h_out, w_out, blk * cin, xd.dtype)
+    hs = k + stride * (h_out - 1)
+    slab = np.zeros((max(1, min(blk * cin, _CONV_SLAB_BYTES // (k * hs * w_out * xd.itemsize))), k, hs, w_out),
+                    dtype=xd.dtype)
+    rows = max(0, min(h, hs - padding))  # input rows the slab holds, from its row ``padding``
+    # (j, slab columns, input columns) of each kernel column j that reaches
+    # the input: slab column q holds input column j + stride * q - padding
+    spans = []
+    for j in range(k):
+        q0, q1 = max(0, -((j - padding) // stride)), min(w_out, -((j - padding - w) // stride))
+        if q0 < q1:
+            c0 = j + stride * q0 - padding
+            spans.append((j, slice(q0, q1), slice(c0, c0 + stride * (q1 - q0 - 1) + 1, stride)))
     reach = stride * (h_out - 1) + 1
     cols = np.empty((blk * cin, k, k, h_out, w_out), dtype=xd.dtype)
 
@@ -877,31 +883,6 @@ def _im2col(xd, k, stride, padding, h_out, w_out, blk):
         return cols[: n * cin].reshape(n, cin * k * k, h_out * w_out)
 
     return gather
-
-
-def _col2im(dx, dtype, k, stride, padding, h_out, w_out, blk):
-    """The transpose of ``_im2col``: a function (lo, hi, dpatches) that adds
-    the patch gradients [hi - lo, cin*k*k, L] of samples lo:hi into the
-    contiguous ``dx`` [B, cin, h, w]. Per chunk of planes, each kernel row
-    adds its patch gradients into the zeroed slab, summed in ``dtype``, then
-    each kernel column adds its span of the slab into ``dx``."""
-    _, cin, h, w = dx.shape
-    slab, rows, spans = _column_slab(h, w, k, stride, padding, h_out, w_out, blk * cin, dtype)
-    reach = stride * (h_out - 1) + 1
-    planes = dx.reshape(-1, h, w)
-
-    def scatter(lo, hi, dpatches):
-        dcols, block = dpatches.reshape(-1, k, k, h_out, w_out), planes[lo * cin : hi * cin]
-        for p in range(0, len(block), len(slab)):
-            m = min(len(slab), len(block) - p)
-            acc = slab[:m]
-            acc.fill(0)
-            for i in range(k):
-                acc[:, :, i : i + reach : stride] += dcols[p : p + m, i]
-            for j, slab_cols, x_cols in spans:
-                block[p : p + m, :rows, x_cols] += acc[:, j, padding : padding + rows, slab_cols]
-
-    return scatter
 
 
 def _run_blocks(parts: int, n: int, work) -> None:

@@ -348,6 +348,8 @@ def evaluate_frames(
     ``hidden_reference`` of that shape the [N, T] per-sample, per-step L2
     distances from it, taken batch by batch so that the dataset's
     trajectories are never held whole."""
+    if batch_size < 1:
+        raise ParameterError(f"batch_size must be at least 1, got {batch_size}")
     classes = net.spec.classes
     n = len(dataset)
     preds = np.empty(n, dtype=np.int64)
@@ -387,6 +389,8 @@ def train(
     """
     if not len(train_set) or not len(test_set):
         raise ParameterError("datasets must be non-empty")
+    if eval_batch_size < 1:
+        raise ParameterError(f"eval_batch_size must be at least 1, got {eval_batch_size}")
     net = SpikingNetwork(cfg.spec(), seed=cfg.seed, dtype=precision_dtype(cfg.precision))
     classes = net.spec.classes
     if int(train_set.labels.max()) >= classes or int(test_set.labels.max()) >= classes:

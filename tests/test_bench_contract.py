@@ -13,6 +13,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spikefuse import harness, network, tensor, training
@@ -60,6 +61,22 @@ def test_install_wraps_every_layer_and_restores(tracer_module):
         assert tr.restore() is True
     assert all(cls.__dict__["forward_sequence"] is originals[cls] for cls in classes)
     assert all(getattr(network, cls.__name__) is cls for cls in classes)
+
+
+def test_conv2d_backward_makes_no_conv2d_call(tracer_module):
+    # the input gradient runs conv2d's correlation helper, not the public op,
+    # so a traced step counts one forward and one backward per conv
+    x = tensor.Tensor(np.random.default_rng(0).standard_normal((2, 3, 8, 8)), requires_grad=True)
+    w = tensor.Tensor(np.random.default_rng(1).standard_normal((4, 3, 3, 3)), requires_grad=True)
+    tr = tracer_module.Tracer()
+    tr.install()
+    try:
+        tensor.tsum(tensor.conv2d(x, w, None, 1, 1)).backward()
+    finally:
+        assert tr.restore() is True
+    assert x.grad is not None and w.grad is not None
+    assert tr.counts["tensor.conv2d.calls"] == 1
+    assert tr.counts["tensor.conv2d.bwd.calls"] == 1
 
 
 def test_forward_takes_the_benchmark_keywords():

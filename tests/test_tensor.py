@@ -231,8 +231,8 @@ class TestConv2dBackward:
                 assert [out.data.tobytes(), dx.tobytes(), dw.tobytes(), db.tobytes()] == ref
 
     def test_wider_gradient_than_input_vs_loop_oracle(self):
-        # an f64 gradient into an f32 conv: its patch gradients cannot share
-        # the f32 patch buffer
+        # an f64 gradient into an f32 conv: the input gradient's correlation
+        # runs in f64 and is cast to the input's f32
         x, w = rand((3, 2, 7, 8), 59).astype(np.float32), rand((3, 2, 3, 3), 60).astype(np.float32)
         g = rand((3, 3, 4, 4), 61)
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
@@ -373,17 +373,6 @@ def gather_blocks(x, k, stride, padding, blk):
     return np.concatenate([gather(lo, min(lo + blk, len(x))).copy() for lo in range(0, len(x), blk)])
 
 
-def scatter_blocks(dcols, x_shape, k, stride, padding, blk):
-    """conv2d's col2im of the patch gradients ``dcols``, in blocks of ``blk``
-    samples, into a zeroed input gradient."""
-    h_out, w_out = out_size(x_shape[2], k, stride, padding), out_size(x_shape[3], k, stride, padding)
-    dx = np.zeros(x_shape, dtype=dcols.dtype)
-    scatter = tensor_module._col2im(dx, dcols.dtype, k, stride, padding, h_out, w_out, blk)
-    for lo in range(0, len(dx), blk):
-        scatter(lo, min(lo + blk, len(dx)), dcols[lo : lo + blk])
-    return dx
-
-
 def bench_conv_shapes():
     """(cin, h, w, k, stride, padding) of every convolution the benchmark's
     workloads run: synth_bar at 16x16 and 32x32, dvs_gesture at 128x128."""
@@ -401,8 +390,8 @@ def bench_conv_shapes():
 
 class TestPatchGather:
     """conv2d's two-stage gather against the one-copy-per-offset slices, and
-    its scatter against the gather's transpose. Blocks of two samples of two
-    channels: 4 planes a block, 2 in the last."""
+    conv2d's input gradient against the gather's transpose. Blocks of two
+    samples of two channels: 4 planes a block, 2 in the last."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -422,14 +411,19 @@ class TestPatchGather:
     @pytest.mark.parametrize("padding", [0, 1, 2])
     def test_scatter_is_the_gathers_adjoint(self, monkeypatch, k, stride, padding):
         h_out, w_out = out_size(7, k, stride, padding), out_size(9, k, stride, padding)
-        x = rand((5, 2, 7, 9), 80 + 10 * k + stride)
-        dcols = rand((5, 2 * k * k, h_out * w_out), 90 + padding)
-        ref = col2im_slices(dcols, x.shape, k, stride, padding)
-        for budget in slab_budgets(k, stride, h_out, w_out, x.itemsize):
+        x, w = rand((5, 2, 7, 9), 80 + 10 * k + stride), rand((3, 2, k, k), 85 + k)
+        g = rand((5, 3, h_out, w_out), 90 + padding)
+        # the gather's transpose applied to the patch gradients w^T g
+        ref = col2im_slices(np.matmul(w.reshape(3, -1).T, g.reshape(5, 3, -1)), x.shape, k, stride, padding)
+        # blocks of two samples; slabs of one plane, of three and the default
+        # for the input gradient's correlation (stride 1 onto the 7 x 9 input)
+        monkeypatch.setattr(tensor_module, "_CONV_BLOCK_BYTES", 2 * h_out * w_out * 2 * k * k * x.itemsize)
+        for budget in slab_budgets(k, 1, 7, 9, x.itemsize):
             monkeypatch.setattr(tensor_module, "_CONV_SLAB_BYTES", budget)
-            dx = scatter_blocks(dcols, x.shape, k, stride, padding, 2)
-            # <gather(x), G> = <x, scatter(G)>
-            assert abs(np.vdot(gather_blocks(x, k, stride, padding, 2), dcols) - np.vdot(x, dx)) < 1e-12
+            out = conv2d(Tensor(x, requires_grad=True), Tensor(w), None, stride, padding)
+            dx = out._backward_fn(g)[0]
+            # <conv(x), g> = <x, dx>
+            assert abs(np.vdot(out.data, g) - np.vdot(x, dx)) < 1e-12
             assert np.max(np.abs(dx - ref)) < 1e-12
 
     @pytest.mark.parametrize("cin,h,w,k,stride,padding", bench_conv_shapes())

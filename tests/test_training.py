@@ -376,6 +376,18 @@ class TestTrainLoop:
         assert record.config["arch"] == TINY_ARCH
         assert record.per_epoch == []
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_rejected(self, monkeypatch, batch_size):
+        _, train_set = bar_dataset(2, seed=45)
+        _, test_set = bar_dataset(1, seed=46)
+        net = SpikingNetwork(tiny_config().spec(), seed=1)
+        with pytest.raises(ParameterError, match=f"batch_size must be at least 1, got {batch_size}"):
+            evaluate_frames(net, test_set, batch_size=batch_size)
+        # train checks its evaluation batch before the first step
+        monkeypatch.setattr("spikefuse.training.mse_vote_loss", lambda o, y: pytest.fail("a step ran"))
+        with pytest.raises(ParameterError, match=f"eval_batch_size must be at least 1, got {batch_size}"):
+            train(tiny_config(epochs=1), train_set, test_set, eval_batch_size=batch_size)
+
     def test_epoch_shuffle_is_permutation(self):
         rng = Rng(5).split("train")
         for epoch in range(3):
